@@ -1,0 +1,6 @@
+"""Make the package under test and the benchmark modules importable."""
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
