@@ -8,16 +8,12 @@ SIMP solvers with continuation.
 from .auglag import AugLagResult, AugLagState, auglag_minimize, projected_gradient_step
 from .compliance import (
     ComplianceStats,
-    NaiveCache,
-    TraceWorkspace,
+    Solves,
     compliances_naive,
     compliances_svd,
-    mean_compliance_naive,
-    mean_compliance_svd,
-    mean_gradient_naive,
-    mean_gradient_svd,
     pullback_to_x,
     weight_vector,
+    weighted_gradient,
     weighted_gradient_naive,
     weighted_gradient_svd,
 )
@@ -38,11 +34,9 @@ from .errors import (
     InfeasibleError,
     NotPositiveDefiniteError,
     ScenarioFormatError,
-    StaleCacheError,
     TopoRiskError,
-    UnfactorizedSystemError,
 )
-from .fea import StiffnessSystem, assemble, assemble_system, element_stiffness
+from .fea import StiffnessSystem, assemble, element_stiffness
 from .mesh import GroundMesh, Material, cantilever_mesh
 from .mma import MMAConfig, MMAResult, mma_minimize
 from .pipeline import DensityField, DensityPipeline, build_filter, heaviside

@@ -68,6 +68,12 @@ class AugLagState:
 
 @dataclass
 class AugLagResult:
+    """Final point of the dual loop.
+
+    `converged` is true only when the last primal phase stopped on the
+    KKT residual reaching `tol`, not on its iteration cap or a stall.
+    """
+
     x: np.ndarray
     objective: float
     compliances: np.ndarray
@@ -75,6 +81,7 @@ class AugLagResult:
     lam: np.ndarray
     r: float
     n_primal_iters: int
+    converged: bool
     violation_history: list = field(default_factory=list)
 
 
@@ -141,13 +148,16 @@ def auglag_minimize(evaluate, x0, state: AugLagState, tol,
     total_primal = 0
     violation_history = []
 
+    converged = False
     for dual_iter in range(state.dual_iters):
         L_val = _lagrangian(ev, lam, r, ct_norm, normalization)
+        converged = False
         for primal_iter in range(state.primal_iters):
             grad = _lagrangian_gradient(ev, lam, r, ct_norm, normalization)
             residual = scaled_kkt_residual(x, grad, 0.0, 1.0,
                                            float(np.mean(np.abs(lam))))
             if residual <= tol:
+                converged = True
                 break
             # Armijo backtracking over the projected step
             step = max_step
@@ -190,5 +200,6 @@ def auglag_minimize(evaluate, x0, state: AugLagState, tol,
         lam=lam,
         r=r,
         n_primal_iters=total_primal,
+        converged=converged,
         violation_history=violation_history,
     )

@@ -5,31 +5,27 @@ compliances C_i = f_i^T K^-1 f_i, their sample mean mu_C, sample
 variance (denominator L - 1) and standard deviation, plus gradients of
 weighted sums w^T C with respect to element densities rho.
 
-Two evaluation routes are provided with identical results up to
-round-off:
+Both evaluation routes compute C = F^T K^-1 F against a solve basis and
+agree up to round-off:
 
-* naive: solve K u_i = f_i for every scenario (exactly L solves),
-* SVD:   solve only against the n_s left singular vectors of F
-         (exactly n_s solves), then recombine.
+* naive: the basis is F itself (exactly L solves),
+* SVD:   the basis is U S from the thin SVD F = (U S) Vt (exactly n_s
+         solves), recombined through Vt.
 
-The SVD route's gradients use the trace identity
+The naive route's gradients weight each displacement directly. The SVD
+route's gradients use the trace identity
 (grad_rho C^T w)_e = -tr(X Q_e^T K_e Q_e) with Q = K^-1 U S and
 X = V^T diag(w) V, which costs O((n_E + L) n_s^2) on top of the solves.
 
 Gradients here are with respect to rho; `pullback_to_x` maps them to the
 design vector through a density pipeline.
-
-Every evaluation caches its solves tagged with the factorization
-generation of the stiffness system, and gradient calls reject caches
-from a system that has since been refactorized.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StaleCacheError
 from .fea import StiffnessSystem
 from .mesh import GroundMesh
 from .pipeline import DensityField, DensityPipeline
@@ -42,42 +38,22 @@ WEIGHT_KINDS = ("mean", "variance", "std", "mean_plus_m_std", "auglag")
 
 
 @dataclass(frozen=True)
-class NaiveCache:
-    """Displacements u_i = K^-1 f_i for every scenario, kept for gradients."""
+class Solves:
+    """Q = K^-1 basis for one route's solve basis, kept for gradients.
 
-    displacements: np.ndarray  # (n_dofs, L)
-    system: StiffnessSystem = field(repr=False)
-    generation: int
+    The naive route's basis is F itself and `Vt` is None; the SVD route's
+    basis is U S, with F = (U S) Vt.
+    """
 
-    @property
-    def n_scenarios(self) -> int:
-        return self.displacements.shape[1]
-
-
-@dataclass(frozen=True)
-class TraceWorkspace:
-    """Cached Q = K^-1 U S and the SVD factors needed for trace gradients."""
-
-    Q: np.ndarray   # (n_dofs, n_s)
-    Vt: np.ndarray  # (n_s, L)
-    system: StiffnessSystem = field(repr=False)
-    generation: int
-
-    @property
-    def n_s(self) -> int:
-        return self.Q.shape[1]
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.Vt.shape[1]
+    Q: np.ndarray          # (n_dofs, L) naive, (n_dofs, n_s) SVD
+    Vt: np.ndarray | None  # (n_s, L) SVD, None naive
 
 
 @dataclass(frozen=True)
 class ComplianceStats:
     """Per-load compliances and their sample statistics.
 
-    `cache` is whichever of `NaiveCache` or `TraceWorkspace` the
-    computing route produced, ready for the matching gradient call.
+    `cache` holds the route's `Solves`, ready for `weighted_gradient`.
     The sample variance uses the L - 1 denominator and is zero for L = 1.
     """
 
@@ -85,7 +61,7 @@ class ComplianceStats:
     mean: float
     variance: float
     std: float
-    cache: object
+    cache: Solves | None
 
     @classmethod
     def from_compliances(cls, C: np.ndarray, cache) -> "ComplianceStats":
@@ -99,65 +75,27 @@ class ComplianceStats:
         return cls(C=C, mean=mean, variance=variance, std=float(np.sqrt(variance)), cache=cache)
 
 
-def _check_fresh(cache) -> None:
-    if cache.generation != cache.system.generation:
-        raise StaleCacheError(
-            "cached solves belong to factorization generation "
-            f"{cache.generation}, system is at {cache.system.generation}"
-        )
-
-
-def _check_svd_matches(F: ScenarioMatrix, svd: ThinSVD) -> None:
-    if svd.Vt.shape[1] != F.n_scenarios or not np.array_equal(svd.dofs, F.dofs):
-        raise StaleCacheError("SVD does not belong to this scenario matrix")
-
-
 # -- forward evaluations -----------------------------------------------------
 
-def _solve_all_scenarios(sys: StiffnessSystem, F: ScenarioMatrix):
-    """(C, NaiveCache) via one solve per scenario column."""
-    U_all = sys.solve(F.to_dense())
-    C = np.einsum("ki,ki->i", F.block, U_all[F.dofs, :])
-    cache = NaiveCache(displacements=U_all, system=sys, generation=sys.generation)
-    return C, cache
-
-
-def _solve_singular_directions(sys: StiffnessSystem, svd: ThinSVD) -> TraceWorkspace:
-    """Q = K^-1 U S via one solve per kept singular direction."""
-    Q = sys.solve(svd.U * svd.S[None, :])
-    return TraceWorkspace(Q=Q, Vt=svd.Vt, system=sys, generation=sys.generation)
-
-
-def mean_compliance_naive(sys: StiffnessSystem, F: ScenarioMatrix):
-    """Mean compliance by L direct solves; returns (mu_C, NaiveCache)."""
-    C, cache = _solve_all_scenarios(sys, F)
-    return float(np.mean(C)), cache
-
-
-def mean_compliance_svd(sys: StiffnessSystem, svd: ThinSVD):
-    """Mean compliance from the thin SVD of F; returns (mu_C, TraceWorkspace).
-
-    mu_C = (1/L) sum_i S_i^2 U[:, i]^T K^-1 U[:, i], evaluated with n_s
-    solves as (1/L) sum_i (U S)[:, i] . Q[:, i].
-    """
-    ws = _solve_singular_directions(sys, svd)
-    B = svd.U[svd.dofs, :] * svd.S[None, :]
-    mu = float(np.einsum("ki,ki->", B, ws.Q[svd.dofs, :]) / ws.n_scenarios)
-    return mu, ws
+def _compliances(sys: StiffnessSystem, F: ScenarioMatrix, basis: np.ndarray,
+                 Vt: np.ndarray | None) -> ComplianceStats:
+    """C_i = f_i^T Q Vt[:, i] with Q = K^-1 basis (Vt = I when None)."""
+    Q = sys.solve(basis)
+    QF = Q[F.dofs, :] if Vt is None else Q[F.dofs, :] @ Vt
+    C = np.einsum("ki,ki->i", F.block, QF)
+    return ComplianceStats.from_compliances(C, Solves(Q, Vt))
 
 
 def compliances_naive(sys: StiffnessSystem, F: ScenarioMatrix) -> ComplianceStats:
     """All load compliances by L direct solves."""
-    C, cache = _solve_all_scenarios(sys, F)
-    return ComplianceStats.from_compliances(C, cache)
+    return _compliances(sys, F, F.to_dense(), None)
 
 
 def compliances_svd(sys: StiffnessSystem, F: ScenarioMatrix, svd: ThinSVD) -> ComplianceStats:
-    """All load compliances from the thin SVD: C_i = f_i^T Q Vt[:, i]."""
-    _check_svd_matches(F, svd)
-    ws = _solve_singular_directions(sys, svd)
-    C = np.einsum("ki,ki->i", F.block, ws.Q[F.dofs, :] @ ws.Vt)
-    return ComplianceStats.from_compliances(C, ws)
+    """All load compliances from the thin SVD, by n_s solves against U S."""
+    if svd.Vt.shape[1] != F.n_scenarios or not np.array_equal(svd.dofs, F.dofs):
+        raise ValueError("SVD does not belong to this scenario matrix")
+    return _compliances(sys, F, svd.U * svd.S[None, :], svd.Vt)
 
 
 # -- weight vectors for scalar objectives ------------------------------------
@@ -237,49 +175,43 @@ def _trace_element_quadratics(Q: np.ndarray, X: np.ndarray,
     return out
 
 
-def weighted_gradient_naive(cache: NaiveCache, w: np.ndarray,
-                            ke: np.ndarray, mesh: GroundMesh) -> np.ndarray:
-    """(grad_rho C^T w)_e = -sum_i w_i u_i^T K_e u_i from cached solves."""
-    _check_fresh(cache)
+def _checked_weights(w: np.ndarray, n_scenarios: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
-    if w.shape != (cache.n_scenarios,):
-        raise ValueError(f"w must have shape ({cache.n_scenarios},), got {w.shape}")
-    edof = mesh.element_dof_map()
-    return -_weighted_element_quadratics(cache.displacements, w, ke, edof)
+    if w.shape != (n_scenarios,):
+        raise ValueError(f"w must have shape ({n_scenarios},), got {w.shape}")
+    return w
 
 
-def weighted_gradient_svd(ws: TraceWorkspace, w: np.ndarray,
+def weighted_gradient_naive(solves: Solves, w: np.ndarray,
+                            ke: np.ndarray, mesh: GroundMesh) -> np.ndarray:
+    """(grad_rho C^T w)_e = -sum_i w_i u_i^T K_e u_i, with u_i = Q[:, i]."""
+    w = _checked_weights(w, solves.Q.shape[1])
+    return -_weighted_element_quadratics(solves.Q, w, ke, mesh.element_dof_map())
+
+
+def weighted_gradient_svd(solves: Solves, w: np.ndarray,
                           ke: np.ndarray, mesh: GroundMesh) -> np.ndarray:
     """(grad_rho C^T w)_e = -tr(X Q_e^T K_e Q_e) with X = V^T diag(w) V.
 
     Exact (not an approximation): equals the naive route up to round-off
     at O((n_E + L) n_s^2) cost beyond the cached solves.
     """
-    _check_fresh(ws)
-    w = np.asarray(w, dtype=float)
-    if w.shape != (ws.n_scenarios,):
-        raise ValueError(f"w must have shape ({ws.n_scenarios},), got {w.shape}")
-    X = (ws.Vt * w[None, :]) @ ws.Vt.T
-    edof = mesh.element_dof_map()
-    return -_trace_element_quadratics(ws.Q, X, ke, edof)
+    w = _checked_weights(w, solves.Vt.shape[1])
+    X = (solves.Vt * w[None, :]) @ solves.Vt.T
+    return -_trace_element_quadratics(solves.Q, X, ke, mesh.element_dof_map())
 
 
-def mean_gradient_naive(cache: NaiveCache, ke: np.ndarray, mesh: GroundMesh) -> np.ndarray:
-    """Gradient of mu_C over rho from cached naive solves."""
-    L = cache.n_scenarios
-    return weighted_gradient_naive(cache, np.full(L, 1.0 / L), ke, mesh)
+def weighted_gradient(solves: Solves, w: np.ndarray,
+                      ke: np.ndarray, mesh: GroundMesh) -> np.ndarray:
+    """grad_rho (w^T C) from either route's solves, without new solves.
 
-
-def mean_gradient_svd(ws: TraceWorkspace, ke: np.ndarray, mesh: GroundMesh) -> np.ndarray:
-    """Gradient of mu_C over rho from the cached singular-direction solves.
-
-    d mu_C / d rho_e = -(1/L) sum_i Q[:, i]_e^T K_e Q[:, i]_e, which is
-    the trace form with X = (1/L) I.
+    The naive route takes the diagonal kernel and the SVD route the trace
+    kernel. The trace kernel alone would serve both, but on the naive
+    route (X = diag(w), n_s = L) it would cost O(n_E L^2) instead of
+    O(n_E L).
     """
-    _check_fresh(ws)
-    edof = mesh.element_dof_map()
-    X = np.eye(ws.n_s) / ws.n_scenarios
-    return -_trace_element_quadratics(ws.Q, X, ke, edof)
+    kernel = weighted_gradient_naive if solves.Vt is None else weighted_gradient_svd
+    return kernel(solves, w, ke, mesh)
 
 
 def pullback_to_x(grad_rho: np.ndarray, pipeline: DensityPipeline,

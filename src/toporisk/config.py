@@ -24,13 +24,14 @@ either from the benchmark sampler ("sample": L, seed) or from a CSV file
 override continuation and solver settings; all their fields have the
 benchmark defaults.
 
-Every violation raises `ConfigError` naming the offending key.
+Every violation, including a key that no section knows, raises
+`ConfigError` naming the offending key.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .continuation import (
@@ -53,6 +54,21 @@ _TOP_KEYS = {
     "schema_version", "problem", "mesh", "material", "filter_radius", "x_min",
     "scenarios", "method", "svd_rel_tol", "schedule", "mma", "auglag", "output_dir",
 }
+_SECTION_KEYS = {
+    "problem": {"kind", "volume_fraction", "m", "C_t"},
+    "mesh": {"dim", "cells", "element_size", "thickness"},
+    "material": {"youngs_modulus", "poissons_ratio"},
+    "scenarios": {"source", "L", "seed", "path"},
+    "schedule": {"p_start", "p_end", "p_step", "beta_end", "beta_step", "tol_start", "tol_end"},
+    "mma": {f.name for f in fields(MMAConfig)},
+    "auglag": {"trust_region", "dual_iters", "primal_iters"},
+}
+
+
+def _reject_unknown_keys(mapping, allowed, where):
+    unknown = sorted(set(mapping) - allowed)
+    if unknown:
+        raise ConfigError("unknown keys " + ", ".join(f"{where}.{key}" for key in unknown))
 
 
 def _require(mapping, key, kind, where):
@@ -120,9 +136,10 @@ def load_config(path) -> RunConfig:
 def parse_config(raw: dict, where: str = "config") -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: top level must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    _reject_unknown_keys(raw, _TOP_KEYS, where)
+    for section, allowed in _SECTION_KEYS.items():
+        if isinstance(raw.get(section), dict):
+            _reject_unknown_keys(raw[section], allowed, f"{where}.{section}")
     version = _require(raw, "schema_version", int, where)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"{where}.schema_version: expected {SCHEMA_VERSION}, got {version}")
@@ -201,8 +218,8 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
     output_dir = _optional(raw, "output_dir", str, "out", where)
 
     try:
-        build_schedule_from_params(schedule_params)
-        MMAConfig(**{k: v for k, v in mma_params.items()})
+        ContinuationSchedule.default(**schedule_params)
+        MMAConfig(**mma_params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -216,14 +233,6 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
         schedule_params=dict(schedule_params), mma_params=dict(mma_params),
         auglag_params=dict(auglag_params), output_dir=output_dir,
     )
-
-
-def build_schedule_from_params(params: dict) -> ContinuationSchedule:
-    allowed = {"p_start", "p_end", "p_step", "beta_end", "beta_step", "tol_start", "tol_end"}
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigError(f"schedule: unknown keys {sorted(unknown)}")
-    return ContinuationSchedule.default(**params)
 
 
 def build_mesh(cfg: RunConfig) -> GroundMesh:
@@ -254,12 +263,8 @@ def build_problem(cfg: RunConfig, model: ForwardModel):
     if cfg.kind == "mean_std":
         return MeanStdProblem(model, cfg.volume_fraction, m=cfg.m,
                               mma_config=MMAConfig(**cfg.mma_params))
-    allowed = {"trust_region", "dual_iters", "primal_iters"}
-    unknown = set(cfg.auglag_params) - allowed
-    if unknown:
-        raise ConfigError(f"auglag: unknown keys {sorted(unknown)}")
     return MaxComplianceProblem(model, cfg.C_t, **cfg.auglag_params)
 
 
 def build_schedule(cfg: RunConfig) -> ContinuationSchedule:
-    return build_schedule_from_params(cfg.schedule_params)
+    return ContinuationSchedule.default(**cfg.schedule_params)

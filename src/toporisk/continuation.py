@@ -101,11 +101,7 @@ class Analysis:
 
     def weighted_gradient(self, w: np.ndarray) -> np.ndarray:
         """Gradient over x of w^T C from the cached solves."""
-        cache = self.stats.cache
-        if isinstance(cache, comp.TraceWorkspace):
-            grad_rho = comp.weighted_gradient_svd(cache, w, self.model.ke, self.model.mesh)
-        else:
-            grad_rho = comp.weighted_gradient_naive(cache, w, self.model.ke, self.model.mesh)
+        grad_rho = comp.weighted_gradient(self.stats.cache, w, self.model.ke, self.model.mesh)
         return comp.pullback_to_x(grad_rho, self.model.pipeline, self.field)
 
     def objective_gradient_for(self, kind: str, **params) -> np.ndarray:
@@ -118,7 +114,8 @@ class ForwardModel:
 
     `method` picks the compliance route: "naive" solves against every
     scenario, "svd" against the scenario matrix's singular directions.
-    `total_solves` tallies linear solves across all analyses.
+    `total_solves` tallies linear solves (right-hand-side columns) across
+    all analyses.
     """
 
     def __init__(self, mesh: GroundMesh, material: Material,
@@ -137,13 +134,12 @@ class ForwardModel:
 
     def analyze(self, x: np.ndarray, penalty: float, beta: float) -> Analysis:
         field = self.pipeline.apply(x, penalty, beta)
-        system = StiffnessSystem(assemble(self.mesh, self.ke, field.physical))
-        system.factorize()
+        system = StiffnessSystem.factorize(assemble(self.mesh, self.ke, field.physical))
         if self.method == "svd":
             stats = comp.compliances_svd(system, self.scenarios, self.svd)
         else:
             stats = comp.compliances_naive(system, self.scenarios)
-        self.total_solves += system.n_solves
+        self.total_solves += stats.cache.Q.shape[1]
         return Analysis(self, field, system, stats)
 
 
@@ -277,6 +273,7 @@ class MaxComplianceProblem:
                  trust_region: float = 0.1, dual_iters: int = 10,
                  primal_iters: int = 50):
         self.model = model
+        self.memo = _MemoizedAnalyses(model)
         self.C_t = C_t
         self.trust_region = trust_region
         self.dual_iters = dual_iters
@@ -290,13 +287,13 @@ class MaxComplianceProblem:
 
     def full_design_max_compliance(self) -> float:
         if self.normalization is None:
-            full = self.model.analyze(np.ones(self.model.mesh.n_elements), 1.0, 0.0)
+            full = self.memo.at(np.ones(self.model.mesh.n_elements), 1.0, 0.0)
             self.normalization = float(np.max(full.stats.C))
         return self.normalization
 
     def prepare(self, x0: np.ndarray, first: ContinuationStep) -> None:
         self.full_design_max_compliance()
-        analysis = self.model.analyze(x0, first.penalty, first.beta)
+        analysis = self.memo.at(x0, first.penalty, first.beta)
         self.scale = 1.0 / abs(analysis.volume)
 
     def solve_step(self, x: np.ndarray, step: ContinuationStep, callback=None):
@@ -304,7 +301,7 @@ class MaxComplianceProblem:
             self.prepare(x, step)
 
         def evaluate(xv):
-            return _AugLagEval(self.model.analyze(xv, step.penalty, step.beta), self.scale)
+            return _AugLagEval(self.memo.at(xv, step.penalty, step.beta), self.scale)
 
         state = AugLagState(C_t=self.C_t, lam=self.lam,
                             trust_region=self.trust_region,
@@ -320,7 +317,7 @@ class MaxComplianceProblem:
             "volume": result.objective / self.scale,
             "max_compliance": float(np.max(result.compliances)),
             "n_iters": result.n_primal_iters,
-            "converged": True,
+            "converged": result.converged,
         }
         return result.x, record
 

@@ -17,14 +17,6 @@ class NotPositiveDefiniteError(TopoRiskError):
     """
 
 
-class UnfactorizedSystemError(TopoRiskError):
-    """solve() was called before factorize()."""
-
-
-class StaleCacheError(TopoRiskError):
-    """A cached forward pass no longer matches the inputs it was built from."""
-
-
 class ScenarioFormatError(TopoRiskError):
     """A scenario CSV file is malformed (bad header, duplicates, bad index)."""
 

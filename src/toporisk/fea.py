@@ -7,13 +7,11 @@ by its density during assembly.
 """
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import NotPositiveDefiniteError, UnfactorizedSystemError
+from .errors import NotPositiveDefiniteError
 from .mesh import GroundMesh, Material
 
 # corners in local coordinates, same order as GroundMesh.element_node_ids
@@ -134,38 +132,22 @@ def assemble(mesh: GroundMesh, Ke: np.ndarray, densities: np.ndarray) -> sp.csc_
 
 
 class StiffnessSystem:
-    """A factorize-once, solve-many wrapper around a stiffness matrix.
+    """A factorized stiffness matrix: an immutable value, solved many times.
 
-    Counts every linear solve (one per right-hand-side column) so callers
-    can assert how many solves an algorithm actually performed. The count
-    survives refactorization; `reset_counter` starts a fresh tally.
+    Built only through `factorize`, so every instance holds a valid
+    factorization and `solve` has no state to check or update.
     """
 
-    def __init__(self, K: sp.spmatrix):
-        self._K = K.tocsc()
-        self._lu = None
-        self._n_solves = 0
-        self._generation = 0
-        self._count_lock = threading.Lock()
+    def __init__(self, K: sp.csc_matrix, lu):
+        self._K = K
+        self._lu = lu
 
     @property
     def matrix(self) -> sp.csc_matrix:
         return self._K
 
-    @property
-    def n_solves(self) -> int:
-        return self._n_solves
-
-    @property
-    def generation(self) -> int:
-        """Bumped on every factorization; caches record it to detect staleness."""
-        return self._generation
-
-    def reset_counter(self) -> None:
-        with self._count_lock:
-            self._n_solves = 0
-
-    def factorize(self) -> "StiffnessSystem":
+    @classmethod
+    def factorize(cls, K: sp.spmatrix) -> "StiffnessSystem":
         """Sparse Cholesky-like LU of the SPD stiffness matrix.
 
         Pivoting is disabled (diagonal pivoting threshold zero, symmetric
@@ -175,38 +157,22 @@ class StiffnessSystem:
         of exactly zero, so pivots below n * eps * max|K_ii| count as
         non-positive too.
         """
+        K = K.tocsc()
         lu = splu(
-            self._K,
+            K,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
         pivots = lu.U.diagonal()
-        floor = self._K.shape[0] * np.finfo(float).eps * np.max(np.abs(self._K.diagonal()))
+        floor = K.shape[0] * np.finfo(float).eps * np.max(np.abs(K.diagonal()))
         if not np.all(pivots > floor):
             raise NotPositiveDefiniteError(
                 "stiffness matrix has a non-positive pivot; the structure is "
                 "likely unsupported (no fixed DOFs) or densities underflowed"
             )
-        self._lu = lu
-        self._generation += 1
-        return self
+        return cls(K, lu)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve K u = rhs for one RHS vector or a column block.
-
-        Increments the solve counter by the number of columns.
-        """
-        if self._lu is None:
-            raise UnfactorizedSystemError("factorize() must be called before solve()")
-        rhs = np.asarray(rhs, dtype=float)
-        n_cols = 1 if rhs.ndim == 1 else rhs.shape[1]
-        out = self._lu.solve(rhs)
-        with self._count_lock:
-            self._n_solves += n_cols
-        return out
-
-
-def assemble_system(mesh: GroundMesh, Ke: np.ndarray, densities: np.ndarray) -> StiffnessSystem:
-    """Assemble and wrap in a `StiffnessSystem` (not yet factorized)."""
-    return StiffnessSystem(assemble(mesh, Ke, densities))
+        """Solve K u = rhs for one RHS vector or a column block."""
+        return self._lu.solve(np.asarray(rhs, dtype=float))

@@ -32,6 +32,24 @@ def mesh_3d():
     return tr.cantilever_mesh(3, (3, 2, 2))
 
 
+@pytest.fixture
+def solve_spy(monkeypatch):
+    """Right-hand-side columns passed to every `StiffnessSystem.solve` call.
+
+    `sum(solve_spy)` is the number of linear solves performed since the
+    test started (or since the list was last cleared).
+    """
+    columns = []
+    solve = tr.StiffnessSystem.solve
+
+    def spy(self, rhs):
+        columns.append(1 if np.ndim(rhs) == 1 else np.shape(rhs)[1])
+        return solve(self, rhs)
+
+    monkeypatch.setattr(tr.StiffnessSystem, "solve", spy)
+    return columns
+
+
 def dense_stiffness(mesh, Ke, densities):
     """Assembled global matrix with symmetric Dirichlet elimination, by loops."""
     n = mesh.n_dofs

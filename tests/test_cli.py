@@ -64,7 +64,7 @@ def test_run_report_matches_fresh_evaluation(tmp_path):
     nx, ny = mesh.cells
     physical = vtk_vals.reshape(ny, nx).T.ravel()  # undo x-fastest ordering
 
-    system = tr.assemble_system(mesh, model.ke, physical).factorize()
+    system = tr.StiffnessSystem.factorize(tr.assemble(mesh, model.ke, physical))
     stats = tr.compliances_naive(system, model.scenarios)
     assert abs(stats.mean - report["mu_C"]) <= 1e-9 * abs(report["mu_C"])
     assert abs(np.max(stats.C) - report["C_max"]) <= 1e-9 * report["C_max"]
@@ -115,7 +115,9 @@ def test_bad_config_exits_2(tmp_path):
 def test_invalid_flag_values_exit_2(tmp_path):
     config = write_config(tmp_path)
     assert cli.main(["run", "--config", str(config), "--seed", "-3"]) == 2
-    assert cli.main(["run", "--config", str(config), "--threads", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", str(config), "--threads", "0"])
+    assert exc.value.code == 2
 
 
 def test_missing_subcommand_is_usage_error():

@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 import toporisk as tr
-from toporisk.errors import StaleCacheError
 
 from conftest import dense_compliances, random_scenarios
 
 
 def make_system(mesh, material, rho):
     Ke = tr.element_stiffness(mesh, material)
-    return Ke, tr.assemble_system(mesh, Ke, rho).factorize()
+    return Ke, tr.StiffnessSystem.factorize(tr.assemble(mesh, Ke, rho))
 
 
 def test_compliances_match_dense_inverse(mesh_6x3, material):
@@ -32,11 +31,8 @@ def test_compliances_match_dense_inverse(mesh_6x3, material):
     svd = tr.thin_svd(F)
     stats2 = tr.compliances_svd(system, F, svd)
     np.testing.assert_allclose(stats2.C, expected, rtol=1e-10)
-
-    mu, _ = tr.mean_compliance_naive(system, F)
-    assert mu == pytest.approx(np.mean(expected), rel=1e-12)
-    mu2, _ = tr.mean_compliance_svd(system, svd)
-    assert mu2 == pytest.approx(np.mean(expected), rel=1e-10)
+    assert stats.mean == pytest.approx(np.mean(expected), rel=1e-12)
+    assert stats2.mean == pytest.approx(np.mean(expected), rel=1e-10)
 
 
 def test_stats_from_hand_worked_values():
@@ -102,9 +98,10 @@ def test_naive_and_svd_gradients_agree(mesh_6x3, material):
     scale = np.max(np.abs(g1))
     np.testing.assert_allclose(g2, g1, atol=1e-11 * scale)
 
-    m1 = tr.mean_gradient_naive(naive.cache, Ke, mesh_6x3)
-    m2 = tr.mean_gradient_svd(fast.cache, Ke, mesh_6x3)
+    m1 = tr.weighted_gradient(naive.cache, tr.weight_vector(naive, "mean"), Ke, mesh_6x3)
+    m2 = tr.weighted_gradient(fast.cache, tr.weight_vector(fast, "mean"), Ke, mesh_6x3)
     np.testing.assert_allclose(m2, m1, atol=1e-11 * np.max(np.abs(m1)))
+    np.testing.assert_array_equal(tr.weighted_gradient(fast.cache, w, Ke, mesh_6x3), g2)
 
 
 def test_weighted_gradient_matches_dense_finite_differences(mesh_4x2, material):
@@ -130,7 +127,7 @@ def test_weighted_gradient_matches_dense_finite_differences(mesh_4x2, material):
     np.testing.assert_allclose(grad, fd, atol=1e-5 * scale)
 
 
-def test_solve_counts(mesh_6x3, material):
+def test_solve_counts(mesh_6x3, material, solve_spy):
     """L solves naive, n_s solves SVD, and gradients add none."""
     rho = np.ones(mesh_6x3.n_elements)
     F = random_scenarios(mesh_6x3, L=25, rank=4, seed=3)
@@ -138,29 +135,15 @@ def test_solve_counts(mesh_6x3, material):
     svd = tr.thin_svd(F)
     assert svd.n_s == 4
 
-    system.reset_counter()
-    stats = tr.compliances_naive(system, F)
-    assert system.n_solves == 25
-    tr.weighted_gradient_naive(stats.cache, np.ones(25), Ke, mesh_6x3)
-    tr.mean_gradient_naive(stats.cache, Ke, mesh_6x3)
-    assert system.n_solves == 25
-
-    system.reset_counter()
-    stats = tr.compliances_svd(system, F, svd)
-    assert system.n_solves == 4
-    tr.weighted_gradient_svd(stats.cache, np.ones(25), Ke, mesh_6x3)
-    tr.mean_gradient_svd(stats.cache, Ke, mesh_6x3)
-    assert system.n_solves == 4
-
-
-def test_stale_cache_is_rejected(mesh_4x2, material):
-    rho = np.ones(mesh_4x2.n_elements)
-    F = random_scenarios(mesh_4x2, L=5, rank=2, seed=1)
-    Ke, system = make_system(mesh_4x2, material, rho)
-    stats = tr.compliances_naive(system, F)
-    system.factorize()  # new generation: cached displacements no longer valid
-    with pytest.raises(StaleCacheError):
-        tr.weighted_gradient_naive(stats.cache, np.ones(5), Ke, mesh_4x2)
+    for evaluate, expected in ((lambda: tr.compliances_naive(system, F), 25),
+                               (lambda: tr.compliances_svd(system, F, svd), 4)):
+        solve_spy.clear()
+        stats = evaluate()
+        assert sum(solve_spy) == expected
+        assert stats.cache.Q.shape[1] == expected
+        tr.weighted_gradient(stats.cache, np.ones(25), Ke, mesh_6x3)
+        tr.weighted_gradient(stats.cache, tr.weight_vector(stats, "mean"), Ke, mesh_6x3)
+        assert sum(solve_spy) == expected
 
 
 def test_svd_of_different_matrix_is_rejected(mesh_4x2, material):
@@ -168,7 +151,7 @@ def test_svd_of_different_matrix_is_rejected(mesh_4x2, material):
     F = random_scenarios(mesh_4x2, L=5, rank=2, seed=1)
     other = random_scenarios(mesh_4x2, L=6, rank=2, seed=2)
     _, system = make_system(mesh_4x2, material, rho)
-    with pytest.raises(StaleCacheError):
+    with pytest.raises(ValueError):
         tr.compliances_svd(system, F, tr.thin_svd(other))
 
 

@@ -146,6 +146,7 @@ def test_max_compliance_infinite_threshold_drops_material():
     final = model.analyze(res.x, 2.0, 0.0)
     assert final.volume < 0.02  # essentially x_min everywhere
     assert np.max(res.x) < 1e-6
+    assert all(rec["converged"] for rec in res.history)
 
 
 def test_max_compliance_run_is_feasible():
@@ -157,6 +158,14 @@ def test_max_compliance_run_is_feasible():
     final = model.analyze(res.x, 2.0, 0.0)
     assert float(np.max(final.stats.C)) <= 1.02 * C_t
     assert final.volume < 1.0
+
+
+def test_max_compliance_converged_flag_reports_the_primal_stop():
+    # one primal step per dual phase cannot bring the KKT residual to tol
+    model = small_model()
+    problem = tr.MaxComplianceProblem(model, C_t=np.inf, dual_iters=2, primal_iters=1)
+    res = tr.run_continuation(problem, short_schedule())
+    assert [rec["converged"] for rec in res.history] == [False, False]
 
 
 def test_naive_and_svd_reach_matching_designs():

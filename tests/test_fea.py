@@ -10,7 +10,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 import toporisk as tr
-from toporisk.errors import NotPositiveDefiniteError, UnfactorizedSystemError
+from toporisk.errors import NotPositiveDefiniteError
 
 from conftest import dense_stiffness
 
@@ -158,49 +158,30 @@ def test_linear_patch_has_zero_interior_residual(material):
             assert abs(r[2 * n]) < 1e-12 and abs(r[2 * n + 1]) < 1e-12
 
 
-def test_solve_residual_and_counter(mesh_6x3, material):
+def test_solve_residual_and_counter(mesh_6x3, material, solve_spy):
     Ke = tr.element_stiffness(mesh_6x3, material)
-    system = tr.assemble_system(mesh_6x3, Ke, np.ones(mesh_6x3.n_elements))
-    system.factorize()
+    system = tr.StiffnessSystem.factorize(
+        tr.assemble(mesh_6x3, Ke, np.ones(mesh_6x3.n_elements)))
     rng = np.random.default_rng(0)
     f = np.zeros(mesh_6x3.n_dofs)
     free = mesh_6x3.free_surface_dofs()
     f[free] = rng.standard_normal(free.size)
     u = system.solve(f)
-    assert system.n_solves == 1
+    assert sum(solve_spy) == 1
     resid = system.matrix @ u - f
     assert np.max(np.abs(resid)) < 1e-10 * np.max(np.abs(f))
     # fixed DOFs carry the identity rows, so u there equals f there (zero)
     assert all(u[d] == 0.0 for d in mesh_6x3.fixed_dofs)
 
     U = system.solve(np.column_stack([f, 2 * f, 3 * f]))
-    assert system.n_solves == 4
+    assert sum(solve_spy) == 4
     np.testing.assert_allclose(U[:, 2], 3 * u, rtol=1e-12, atol=1e-14)
-    system.reset_counter()
-    assert system.n_solves == 0
-
-
-def test_solve_before_factorize_raises(mesh_4x2, material):
-    Ke = tr.element_stiffness(mesh_4x2, material)
-    system = tr.StiffnessSystem(tr.assemble(mesh_4x2, Ke, np.ones(8)))
-    with pytest.raises(UnfactorizedSystemError):
-        system.solve(np.zeros(mesh_4x2.n_dofs))
 
 
 def test_floating_structure_is_not_positive_definite(material):
     # no Dirichlet constraints: K is singular and the SPD check must fire
     mesh = tr.GroundMesh(dim=2, cells=(3, 2), element_size=1.0, fixed_dofs=frozenset())
     Ke = tr.element_stiffness(mesh, material)
-    system = tr.StiffnessSystem(tr.assemble(mesh, Ke, np.ones(mesh.n_elements)))
+    K = tr.assemble(mesh, Ke, np.ones(mesh.n_elements))
     with pytest.raises(NotPositiveDefiniteError):
-        system.factorize()
-
-
-def test_generation_bumps_on_factorize(mesh_4x2, material):
-    Ke = tr.element_stiffness(mesh_4x2, material)
-    system = tr.assemble_system(mesh_4x2, Ke, np.ones(8))
-    g0 = system.generation
-    system.factorize()
-    assert system.generation == g0 + 1
-    system.factorize()
-    assert system.generation == g0 + 2
+        tr.StiffnessSystem.factorize(K)
