@@ -4,12 +4,29 @@ Q4 plane stress in 2D, H8 in 3D, both with full Gauss quadrature
 (2 points per axis). All elements of a `GroundMesh` are congruent, so a
 single element stiffness matrix is computed once and scaled per element
 by its density during assembly.
+
+K is kept in LAPACK upper band storage. Nodes are numbered
+lexicographically, so every element's DOFs lie within u + 1 consecutive
+indices, with the same half-bandwidth u for all elements: 2 ny + 5
+in 2D and 3 ((ny + 1)(nz + 1) + nz + 2) + 2 in 3D (45 on 80x20, 25 on
+20x10, 173 on 16x6x6). Assembly is one `np.bincount` over a scatter index
+built once per mesh from `element_dof_map` and cached on the mesh, in the
+manner of Andreassen et al. 2011 and Ferrari & Sigmund 2020. The factor is
+a banded Cholesky (LAPACK dpbtrf/dpbtrs), whose fill stays inside the
+band.
+
+A failed Cholesky is not a complete positive definiteness test: on a
+singular K (a structure with no fixed DOFs), round-off can leave a zero
+pivot slightly positive, and LAPACK accepts it. That happens for 2D
+floating structures, so `factorize` also rejects squared pivots below
+n * eps * max|K_ii|.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .errors import NotPositiveDefiniteError
 from .mesh import GroundMesh, Material
@@ -22,6 +39,22 @@ _CORNERS_3D = np.array(
     dtype=float,
 )
 _GAUSS_1D = np.array([-1.0, 1.0]) / np.sqrt(3.0)  # weights are 1
+
+
+@dataclass(frozen=True)
+class _BandLayout:
+    """Where each element's upper-triangle entries land in band storage.
+
+    For element e, rho_e * Ke[rows[k], cols[k]] is added at flat position
+    index[e * n_pairs + k] of the (width + 1, n_dofs) band. Entries that
+    touch a fixed DOF go to a spill slot one past the end.
+    """
+
+    width: int
+    rows: np.ndarray
+    cols: np.ndarray
+    index: np.ndarray
+    fixed: np.ndarray
 
 
 def _elastic_matrix(material: Material, dim: int) -> np.ndarray:
@@ -101,78 +134,83 @@ def element_stiffness(mesh: GroundMesh, material: Material) -> np.ndarray:
     return 0.5 * (Ke + Ke.T)
 
 
-def assemble(mesh: GroundMesh, Ke: np.ndarray, densities: np.ndarray) -> sp.csc_matrix:
-    """Global stiffness K = sum_e rho_e Ke with Dirichlet DOFs eliminated.
+def _band_layout(mesh: GroundMesh) -> _BandLayout:
+    """The mesh's scatter map into band storage, built once and cached."""
+    layout = mesh._cache.get("band_layout")
+    if layout is None:
+        edof = mesh.element_dof_map()
+        width = int(np.max(edof.max(axis=1) - edof.min(axis=1)))
+        # every element's DOFs are one offset pattern shifted by a constant,
+        # so one element decides which local pairs land on or above the
+        # diagonal
+        rows, cols = np.nonzero(edof[0][:, None] <= edof[0][None, :])
+        i, j = edof[:, rows], edof[:, cols]
+        size = (width + 1) * mesh.n_dofs
+        index = (width + i - j) * mesh.n_dofs + j
+        fixed = np.array(sorted(mesh.fixed_dofs), dtype=np.int64)
+        free = np.ones(mesh.n_dofs, dtype=bool)
+        free[fixed] = False
+        index[~(free[i] & free[j])] = size  # one spill slot past the band
+        layout = _BandLayout(width, rows, cols, index.ravel(), fixed)
+        mesh._cache["band_layout"] = layout
+    return layout
 
-    Elimination is symmetric: fixed rows and columns are zeroed and their
-    diagonal entries set to one, which keeps the matrix SPD whenever the
-    free block is.
+
+def assemble(mesh: GroundMesh, Ke: np.ndarray, densities: np.ndarray) -> np.ndarray:
+    """Global stiffness K = sum_e rho_e Ke as its upper band, Dirichlet DOFs eliminated.
+
+    Returns `ab` of shape (u + 1, n_dofs) with ab[u + i - j, j] = K[i, j]
+    for j - u <= i <= j, the LAPACK upper band layout. Elimination is
+    symmetric: fixed rows and columns are zero and their diagonal entries
+    one, which keeps the matrix SPD whenever the free block is.
     """
     densities = np.asarray(densities, dtype=float)
     if densities.shape != (mesh.n_elements,):
         raise ValueError(
             f"densities must have shape ({mesh.n_elements},), got {densities.shape}"
         )
-    edof = mesh.element_dof_map()
-    n_loc = edof.shape[1]
-    rows = np.repeat(edof, n_loc, axis=1).ravel()
-    cols = np.tile(edof, (1, n_loc)).ravel()
-    vals = (densities[:, None] * Ke.ravel()[None, :]).ravel()
-    if mesh.fixed_dofs:
-        fixed = np.fromiter(mesh.fixed_dofs, dtype=np.int64)
-        keep = np.ones(mesh.n_dofs, dtype=bool)
-        keep[fixed] = False
-        mask = keep[rows] & keep[cols]
-        rows, cols, vals = rows[mask], cols[mask], vals[mask]
-        rows = np.concatenate([rows, fixed])
-        cols = np.concatenate([cols, fixed])
-        vals = np.concatenate([vals, np.ones(fixed.size)])
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(mesh.n_dofs, mesh.n_dofs))
-    return K.tocsc()
+    layout = _band_layout(mesh)
+    shape = (layout.width + 1, mesh.n_dofs)
+    weights = densities[:, None] * Ke[layout.rows, layout.cols][None, :]
+    ab = np.bincount(layout.index, weights.ravel(), minlength=shape[0] * shape[1] + 1)
+    ab = ab[:-1].reshape(shape)
+    ab[-1, layout.fixed] = 1.0
+    return ab
 
 
 class StiffnessSystem:
     """A factorized stiffness matrix: an immutable value, solved many times.
 
     Built only through `factorize`, so every instance holds a valid
-    factorization and `solve` has no state to check or update.
+    Cholesky factor and `solve` has no state to check or update.
     """
 
-    def __init__(self, K: sp.csc_matrix, lu):
-        self._K = K
-        self._lu = lu
-
-    @property
-    def matrix(self) -> sp.csc_matrix:
-        return self._K
+    def __init__(self, factor: np.ndarray):
+        self._factor = factor
 
     @classmethod
-    def factorize(cls, K: sp.spmatrix) -> "StiffnessSystem":
-        """Sparse Cholesky-like LU of the SPD stiffness matrix.
+    def factorize(cls, ab: np.ndarray) -> "StiffnessSystem":
+        """Banded Cholesky K = R^T R of the upper band `ab` from `assemble`.
 
-        Pivoting is disabled (diagonal pivoting threshold zero, symmetric
-        mode) so the factorization doubles as a positive definiteness
-        test: any non-positive pivot raises `NotPositiveDefiniteError`.
-        A mathematically zero pivot can land at round-off level instead
-        of exactly zero, so pivots below n * eps * max|K_ii| count as
-        non-positive too.
+        Raises `NotPositiveDefiniteError` when LAPACK meets a non-positive
+        pivot, and also when a squared pivot R_ii^2 falls below
+        n * eps * max|K_ii|: a mathematically zero pivot can land at
+        round-off level instead, which LAPACK accepts.
         """
-        K = K.tocsc()
-        lu = splu(
-            K,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-        pivots = lu.U.diagonal()
-        floor = K.shape[0] * np.finfo(float).eps * np.max(np.abs(K.diagonal()))
-        if not np.all(pivots > floor):
+        ab = np.asarray(ab, dtype=float)
+        floor = ab.shape[1] * np.finfo(float).eps * np.max(np.abs(ab[-1]))
+        try:
+            factor = cholesky_banded(ab, lower=False, check_finite=False)
+        except LinAlgError:
+            factor = None
+        if factor is None or not np.all(factor[-1] ** 2 > floor):
             raise NotPositiveDefiniteError(
-                "stiffness matrix has a non-positive pivot; the structure is "
+                "stiffness matrix is not positive definite; the structure is "
                 "likely unsupported (no fixed DOFs) or densities underflowed"
             )
-        return cls(K, lu)
+        return cls(factor)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K u = rhs for one RHS vector or a column block."""
-        return self._lu.solve(np.asarray(rhs, dtype=float))
+        return cho_solve_banded((self._factor, False), np.asarray(rhs, dtype=float),
+                                check_finite=False)

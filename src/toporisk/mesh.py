@@ -69,6 +69,8 @@ class GroundMesh:
     element_size: float
     fixed_dofs: frozenset = field(default_factory=frozenset)
     thickness: float = 1.0
+    # arrays derived from the fields above, built on first use
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -153,12 +155,19 @@ class GroundMesh:
         return ix * npa[1] * npa[2] + iy * npa[2] + iz
 
     def element_dof_map(self) -> np.ndarray:
-        """(n_elements, 8 or 24) global DOF indices per element."""
-        nodes = self.element_node_ids()
-        n_el, n_corner = nodes.shape
-        dofs = np.empty((n_el, n_corner * self.dim), dtype=np.int64)
-        for c in range(self.dim):
-            dofs[:, c::self.dim] = self.dim * nodes + c
+        """(n_elements, 8 or 24) global DOF indices per element, read-only.
+
+        Built on the first call and cached on the mesh.
+        """
+        dofs = self._cache.get("element_dofs")
+        if dofs is None:
+            nodes = self.element_node_ids()
+            n_el, n_corner = nodes.shape
+            dofs = np.empty((n_el, n_corner * self.dim), dtype=np.int64)
+            for c in range(self.dim):
+                dofs[:, c::self.dim] = self.dim * nodes + c
+            dofs.flags.writeable = False
+            self._cache["element_dofs"] = dofs
         return dofs
 
     # -- geometry ----------------------------------------------------------

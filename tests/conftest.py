@@ -3,6 +3,7 @@
 Oracles used across the suite:
   * dense_stiffness     -- assembly by explicit Python loops, no vectorization
   * dense_compliances   -- per-scenario compliances through numpy.linalg.solve
+  * band_to_dense       -- the full symmetric matrix of an upper band, by loops
 Both are deliberately written along a different code path than the library
 so agreement is evidence, not tautology.
 """
@@ -64,6 +65,16 @@ def dense_stiffness(mesh, Ke, densities):
         K[d, :] = 0.0
         K[:, d] = 0.0
         K[d, d] = 1.0
+    return K
+
+
+def band_to_dense(ab):
+    """Full symmetric matrix of LAPACK upper band storage ab[u + i - j, j] = K[i, j]."""
+    u, n = ab.shape[0] - 1, ab.shape[1]
+    K = np.zeros((n, n))
+    for j in range(n):
+        for i in range(max(0, j - u), j + 1):
+            K[i, j] = K[j, i] = ab[u + i - j, j]
     return K
 
 

@@ -35,6 +35,23 @@ def test_compliances_match_dense_inverse(mesh_6x3, material):
     assert stats2.mean == pytest.approx(np.mean(expected), rel=1e-10)
 
 
+@pytest.mark.parametrize("cells,L", [((16, 6, 6), 1000), ((80, 20), 200)])
+def test_routes_agree_at_benchmark_sizes(cells, L, material):
+    """The benchmark workloads' meshes and scenario counts, 3D included."""
+    mesh = tr.cantilever_mesh(len(cells), cells)
+    F = tr.sample_cantilever_scenarios(mesh, L, seed=0)
+    pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
+    x = np.random.default_rng(8).uniform(0.05, 1.0, mesh.n_elements)
+    rho = pipeline.apply(x, 3.0, 4.0).physical
+    _, system = make_system(mesh, material, rho)
+
+    naive = tr.compliances_naive(system, F)
+    fast = tr.compliances_svd(system, F, tr.thin_svd(F))
+    np.testing.assert_allclose(fast.C, naive.C, rtol=1e-9)
+    assert fast.mean == pytest.approx(naive.mean, rel=1e-9)
+    assert fast.std == pytest.approx(naive.std, rel=1e-9)
+
+
 def test_stats_from_hand_worked_values():
     stats = tr.ComplianceStats.from_compliances(np.array([1.0, 2.0, 3.0]), cache=None)
     assert stats.mean == 2.0

@@ -1,4 +1,4 @@
-"""Element stiffness, assembly and the sparse solver.
+"""Element stiffness, band assembly and the banded Cholesky solver.
 
 The element matrix oracle below re-derives Ke from scratch: shape function
 gradients are formed per quadrature point from the tensor-product definition
@@ -12,7 +12,7 @@ from numpy.polynomial.legendre import leggauss
 import toporisk as tr
 from toporisk.errors import NotPositiveDefiniteError
 
-from conftest import dense_stiffness
+from conftest import band_to_dense, dense_stiffness
 
 # local corner coordinates on [-1, 1]^dim, same order as element_node_ids
 CORNERS_2D = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
@@ -115,7 +115,7 @@ def test_assembly_matches_dense_loop(mesh_4x2, material):
     Ke = tr.element_stiffness(mesh_4x2, material)
     rng = np.random.default_rng(3)
     rho = rng.uniform(0.2, 1.0, mesh_4x2.n_elements)
-    K = tr.assemble(mesh_4x2, Ke, rho).toarray()
+    K = band_to_dense(tr.assemble(mesh_4x2, Ke, rho))
     np.testing.assert_allclose(K, dense_stiffness(mesh_4x2, Ke, rho),
                                rtol=1e-14, atol=1e-14)
 
@@ -124,14 +124,14 @@ def test_assembly_matches_dense_loop_3d(mesh_3d, material):
     Ke = tr.element_stiffness(mesh_3d, material)
     rng = np.random.default_rng(4)
     rho = rng.uniform(0.2, 1.0, mesh_3d.n_elements)
-    K = tr.assemble(mesh_3d, Ke, rho).toarray()
+    K = band_to_dense(tr.assemble(mesh_3d, Ke, rho))
     np.testing.assert_allclose(K, dense_stiffness(mesh_3d, Ke, rho),
                                rtol=1e-14, atol=1e-14)
 
 
 def test_dirichlet_rows_are_identity(mesh_4x2, material):
     Ke = tr.element_stiffness(mesh_4x2, material)
-    K = tr.assemble(mesh_4x2, Ke, np.ones(mesh_4x2.n_elements)).toarray()
+    K = band_to_dense(tr.assemble(mesh_4x2, Ke, np.ones(mesh_4x2.n_elements)))
     for d in mesh_4x2.fixed_dofs:
         row = np.zeros(mesh_4x2.n_dofs)
         row[d] = 1.0
@@ -143,7 +143,7 @@ def test_linear_patch_has_zero_interior_residual(material):
     """A linear displacement field is in equilibrium away from the boundary."""
     mesh = tr.GroundMesh(dim=2, cells=(4, 4), element_size=1.0, fixed_dofs=frozenset())
     Ke = tr.element_stiffness(mesh, material)
-    K = tr.assemble(mesh, Ke, np.ones(mesh.n_elements)).toarray()
+    K = band_to_dense(tr.assemble(mesh, Ke, np.ones(mesh.n_elements)))
     nx, ny = mesh.nodes_per_axis
     u = np.zeros(mesh.n_dofs)
     for ix in range(nx):
@@ -160,15 +160,15 @@ def test_linear_patch_has_zero_interior_residual(material):
 
 def test_solve_residual_and_counter(mesh_6x3, material, solve_spy):
     Ke = tr.element_stiffness(mesh_6x3, material)
-    system = tr.StiffnessSystem.factorize(
-        tr.assemble(mesh_6x3, Ke, np.ones(mesh_6x3.n_elements)))
+    rho = np.ones(mesh_6x3.n_elements)
+    system = tr.StiffnessSystem.factorize(tr.assemble(mesh_6x3, Ke, rho))
     rng = np.random.default_rng(0)
     f = np.zeros(mesh_6x3.n_dofs)
     free = mesh_6x3.free_surface_dofs()
     f[free] = rng.standard_normal(free.size)
     u = system.solve(f)
     assert sum(solve_spy) == 1
-    resid = system.matrix @ u - f
+    resid = dense_stiffness(mesh_6x3, Ke, rho) @ u - f
     assert np.max(np.abs(resid)) < 1e-10 * np.max(np.abs(f))
     # fixed DOFs carry the identity rows, so u there equals f there (zero)
     assert all(u[d] == 0.0 for d in mesh_6x3.fixed_dofs)
@@ -185,3 +185,30 @@ def test_floating_structure_is_not_positive_definite(material):
     K = tr.assemble(mesh, Ke, np.ones(mesh.n_elements))
     with pytest.raises(NotPositiveDefiniteError):
         tr.StiffnessSystem.factorize(K)
+
+
+@pytest.mark.parametrize("dim,cells", [(2, (3, 2)), (2, (4, 4)), (2, (10, 3)), (3, (3, 2, 2))])
+def test_floating_structures_are_rejected(dim, cells, material):
+    """No fixed DOFs: singular K, rejected in 2D by the pivot floor (LAPACK
+    accepts the round-off pivots) and in 3D by LAPACK itself."""
+    mesh = tr.GroundMesh(dim=dim, cells=cells, element_size=1.0, fixed_dofs=frozenset())
+    K = tr.assemble(mesh, tr.element_stiffness(mesh, material), np.ones(mesh.n_elements))
+    with pytest.raises(NotPositiveDefiniteError):
+        tr.StiffnessSystem.factorize(K)
+
+
+@pytest.mark.parametrize("cells,width", [((80, 20), 45), ((20, 10), 25), ((16, 6, 6), 173)])
+def test_band_width_follows_the_lexicographic_numbering(cells, width, material):
+    mesh = tr.cantilever_mesh(len(cells), cells)
+    ab = tr.assemble(mesh, tr.element_stiffness(mesh, material), np.ones(mesh.n_elements))
+    assert ab.shape == (width + 1, mesh.n_dofs)
+
+
+def test_solve_matches_dense_solve_on_3d(mesh_3d, material):
+    Ke = tr.element_stiffness(mesh_3d, material)
+    rho = np.random.default_rng(5).uniform(1e-3, 1.0, mesh_3d.n_elements)
+    system = tr.StiffnessSystem.factorize(tr.assemble(mesh_3d, Ke, rho))
+    F = np.random.default_rng(6).standard_normal((mesh_3d.n_dofs, 4))
+    expected = np.linalg.solve(dense_stiffness(mesh_3d, Ke, rho), F)
+    np.testing.assert_allclose(system.solve(F), expected,
+                               rtol=1e-9, atol=1e-9 * np.max(np.abs(expected)))

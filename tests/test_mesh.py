@@ -86,6 +86,16 @@ def test_element_dof_map_interleaving(mesh_4x2):
     np.testing.assert_array_equal(edof[:, 1::2], 2 * conn + 1)
 
 
+def test_element_dof_map_is_cached_and_read_only(mesh_4x2):
+    edof = mesh_4x2.element_dof_map()
+    assert mesh_4x2.element_dof_map() is edof
+    with pytest.raises(ValueError):
+        edof[0, 0] = 1
+    # the cache is not part of the mesh's identity
+    assert mesh_4x2 == tr.cantilever_mesh(2, (4, 2))
+    assert hash(mesh_4x2) == hash(tr.cantilever_mesh(2, (4, 2)))
+
+
 def test_element_centroids():
     mesh = tr.GroundMesh(dim=2, cells=(2, 1), element_size=0.5, fixed_dofs=frozenset())
     np.testing.assert_allclose(mesh.element_centroids(),

@@ -132,6 +132,69 @@ def test_thin_svd_rejects_bad_inputs(mesh_4x2):
     zero = tr.ScenarioMatrix(n_dofs=10, dofs=np.array([2]), block=np.zeros((1, 3)))
     with pytest.raises(ValueError):
         tr.thin_svd(zero)
+    # large enough for the sketch, which must not hide the zero block
+    zero = tr.ScenarioMatrix(n_dofs=60, dofs=np.arange(60), block=np.zeros((60, 200)))
+    with pytest.raises(ValueError, match="identically zero"):
+        tr.thin_svd(zero)
+
+
+def _block_with_spectrum(S, m, L, seed):
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((m, S.size)))
+    V, _ = np.linalg.qr(rng.standard_normal((L, S.size)))
+    return (U * S) @ V.T
+
+
+def _sampler_block():
+    mesh = tr.cantilever_mesh(2, (40, 10))
+    return tr.sample_cantilever_scenarios(mesh, 1000, seed=3).block
+
+
+def _full_rank_block():
+    return np.random.default_rng(5).standard_normal((60, 200))
+
+
+def _cut_block():
+    S = np.array([1.0, 0.5, 0.2, 1e-3, 1e-6, 1.01e-10, 0.99e-10])
+    return _block_with_spectrum(S, 80, 300, seed=4)
+
+
+@pytest.mark.parametrize("make,n_s,full", [
+    (_sampler_block, 10, False),
+    (_full_rank_block, 60, True),
+    (_cut_block, 6, False),
+])
+def test_thin_svd_truncates_like_the_full_svd(make, n_s, full, monkeypatch):
+    """Same n_s and singular values as numpy's SVD of the whole block.
+
+    Singular values are compared to 1e-13 of sigma_1, the absolute accuracy
+    any SVD achieves in double precision. `full` says whether the block
+    needs the full SVD (no sketch can verify a full-rank truncation).
+    """
+    block = make()
+    S_ref = np.linalg.svd(block, compute_uv=False)
+    S_ref = S_ref[S_ref >= tr.scenarios.SVD_REL_TOL * S_ref[0]]
+    assert S_ref.size == n_s
+
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    F = tr.ScenarioMatrix(n_dofs=block.shape[0], dofs=np.arange(block.shape[0]), block=block)
+    result = tr.thin_svd(F)
+    monkeypatch.undo()
+
+    assert result.n_s == n_s
+    np.testing.assert_allclose(result.S, S_ref, rtol=0, atol=1e-13 * S_ref[0])
+    recon = result.U @ (result.S[:, None] * result.Vt)
+    Ub, Sb, Vtb = np.linalg.svd(block, full_matrices=False)
+    ref = (Ub[:, :n_s] * Sb[:n_s]) @ Vtb[:n_s]
+    assert np.linalg.norm(recon - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert (block.shape in shapes) == full
 
 
 def test_csv_round_trip_is_bitwise(tmp_path, mesh_6x3):
