@@ -154,14 +154,16 @@ def cmd_bench(args) -> int:
                   file=sys.stderr)
             return EXIT_SOLVER
 
+    # the file first: a reader that stops early (`toporisk bench | head`)
+    # must not cost the table
     lines = ["statistic,method,value,seconds,solves"]
+    lines += [f"{r['statistic']},{r['method']},{r['value']!r},{r['seconds']!r},{r['solves']}"
+              for r in rows]
+    (out / "bench.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{'statistic':<10} {'method':<7} {'value':>16} {'seconds':>10} {'solves':>7}")
     for r in rows:
-        lines.append(f"{r['statistic']},{r['method']},{r['value']!r},"
-                     f"{r['seconds']!r},{r['solves']}")
         print(f"{r['statistic']:<10} {r['method']:<7} {r['value']:>16.8e} "
               f"{r['seconds']:>10.4f} {r['solves']:>7}")
-    (out / "bench.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"bench table written to {out / 'bench.csv'}")
     return EXIT_OK
 
@@ -317,7 +319,16 @@ def main(argv=None) -> int:
         print("error: --seed must be nonnegative", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away; point stdout at devnull so that
+        # the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

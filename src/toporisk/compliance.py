@@ -12,10 +12,13 @@ agree up to round-off:
 * SVD:   the basis is U S from the thin SVD F = (U S) Vt (exactly n_s
          solves), recombined through Vt.
 
-The naive route's gradients weight each displacement directly. The SVD
-route's gradients use the trace identity
-(grad_rho C^T w)_e = -tr(X Q_e^T K_e Q_e) with Q = K^-1 U S and
-X = V^T diag(w) V, which costs O((n_E + L) n_s^2) on top of the solves.
+Both routes differentiate w^T C through one kernel, `fea.form_gradient`:
+(grad_rho C^T w)_e = -sum_ab ke_ab M[d_a, d_b] over the DOFs d of element
+e, with M = A Q^T and Q the cached solves. The naive route takes
+A = Q diag(w); the SVD route takes A = Q X with X = Vt diag(w) Vt^T, the
+trace identity of the paper. The kernel costs O(n_offsets n_dofs k) for
+the k columns of Q (L naive, n_s SVD), where n_offsets is the number of
+distinct DOF offsets within an element (at most 11 in 2D, 50 in 3D).
 
 Gradients here are with respect to rho; `pullback_to_x` maps them to the
 design vector through a density pipeline.
@@ -26,13 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fea import StiffnessSystem
+from .fea import StiffnessSystem, form_gradient
 from .mesh import GroundMesh
 from .pipeline import DensityField, DensityPipeline
 from .scenarios import ScenarioMatrix, ThinSVD
-
-# gathered element blocks are kept around this size during gradient assembly
-_CHUNK_BYTES = 2**25
 
 WEIGHT_KINDS = ("mean", "variance", "std", "mean_plus_m_std", "auglag")
 
@@ -79,10 +79,17 @@ class ComplianceStats:
 
 def _compliances(sys: StiffnessSystem, F: ScenarioMatrix, basis: np.ndarray,
                  Vt: np.ndarray | None) -> ComplianceStats:
-    """C_i = f_i^T Q Vt[:, i] with Q = K^-1 basis (Vt = I when None)."""
+    """C_i = f_i^T Q Vt[:, i] with Q = K^-1 basis (Vt = I when None).
+
+    The SVD route takes C = diag(Vt^T G Vt) from the n_s x n_s matrix
+    G = basis^T Q on the loaded rows, never forming an n_loaded x L block.
+    """
     Q = sys.solve(basis)
-    QF = Q[F.dofs, :] if Vt is None else Q[F.dofs, :] @ Vt
-    C = np.einsum("ki,ki->i", F.block, QF)
+    if Vt is None:
+        C = np.einsum("ki,ki->i", F.block, Q[F.dofs, :])
+    else:
+        G = basis[F.dofs, :].T @ Q[F.dofs, :]
+        C = np.einsum("ai,ai->i", Vt, G @ Vt)
     return ComplianceStats.from_compliances(C, Solves(Q, Vt))
 
 
@@ -147,34 +154,6 @@ def weight_vector(stats: ComplianceStats, kind: str, *, m: float | None = None,
 
 # -- gradients over rho -------------------------------------------------------
 
-def _element_chunks(n_elements: int, n_local: int, n_cols: int):
-    chunk = max(1, _CHUNK_BYTES // (n_local * max(n_cols, 1) * 8))
-    for start in range(0, n_elements, chunk):
-        yield slice(start, min(start + chunk, n_elements))
-
-
-def _weighted_element_quadratics(columns: np.ndarray, w: np.ndarray,
-                                 ke: np.ndarray, edof: np.ndarray) -> np.ndarray:
-    """g_e = sum_i w_i columns[edof_e, i]^T ke columns[edof_e, i]."""
-    out = np.empty(edof.shape[0])
-    for sl in _element_chunks(edof.shape[0], edof.shape[1], columns.shape[1]):
-        T = columns[edof[sl], :]
-        KT = np.einsum("ab,ebi->eai", ke, T)
-        out[sl] = np.einsum("eai,eai,i->e", T, KT, w, optimize=True)
-    return out
-
-
-def _trace_element_quadratics(Q: np.ndarray, X: np.ndarray,
-                              ke: np.ndarray, edof: np.ndarray) -> np.ndarray:
-    """g_e = tr(X Q_e^T ke Q_e)."""
-    out = np.empty(edof.shape[0])
-    for sl in _element_chunks(edof.shape[0], edof.shape[1], Q.shape[1]):
-        T = Q[edof[sl], :]
-        KT = np.einsum("ab,ebj->eaj", ke, T)
-        out[sl] = np.einsum("eai,eaj,ij->e", T, KT, X, optimize=True)
-    return out
-
-
 def _checked_weights(w: np.ndarray, n_scenarios: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (n_scenarios,):
@@ -186,29 +165,28 @@ def weighted_gradient_naive(solves: Solves, w: np.ndarray,
                             ke: np.ndarray, mesh: GroundMesh) -> np.ndarray:
     """(grad_rho C^T w)_e = -sum_i w_i u_i^T K_e u_i, with u_i = Q[:, i]."""
     w = _checked_weights(w, solves.Q.shape[1])
-    return -_weighted_element_quadratics(solves.Q, w, ke, mesh.element_dof_map())
+    return -form_gradient(mesh, ke, solves.Q * w[None, :], solves.Q)
 
 
 def weighted_gradient_svd(solves: Solves, w: np.ndarray,
                           ke: np.ndarray, mesh: GroundMesh) -> np.ndarray:
-    """(grad_rho C^T w)_e = -tr(X Q_e^T K_e Q_e) with X = V^T diag(w) V.
+    """(grad_rho C^T w)_e = -tr(X Q_e^T K_e Q_e) with X = Vt diag(w) Vt^T.
 
-    Exact (not an approximation): equals the naive route up to round-off
-    at O((n_E + L) n_s^2) cost beyond the cached solves.
+    Exact (not an approximation): equals the naive route up to round-off,
+    at O(L n_s^2) for X on top of the kernel's cost.
     """
     w = _checked_weights(w, solves.Vt.shape[1])
     X = (solves.Vt * w[None, :]) @ solves.Vt.T
-    return -_trace_element_quadratics(solves.Q, X, ke, mesh.element_dof_map())
+    return -form_gradient(mesh, ke, solves.Q @ X, solves.Q)
 
 
 def weighted_gradient(solves: Solves, w: np.ndarray,
                       ke: np.ndarray, mesh: GroundMesh) -> np.ndarray:
     """grad_rho (w^T C) from either route's solves, without new solves.
 
-    The naive route takes the diagonal kernel and the SVD route the trace
-    kernel. The trace kernel alone would serve both, but on the naive
-    route (X = diag(w), n_s = L) it would cost O(n_E L^2) instead of
-    O(n_E L).
+    Both routes run `fea.form_gradient`, at O(n_offsets n_dofs k) for the
+    k = L (naive) or n_s (SVD) solved columns; they differ only in the
+    matrix A that weights the solves.
     """
     kernel = weighted_gradient_naive if solves.Vt is None else weighted_gradient_svd
     return kernel(solves, w, ke, mesh)

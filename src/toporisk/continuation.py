@@ -123,6 +123,17 @@ class ForwardModel:
                  method: str = "svd", svd_rel_tol: float = SVD_REL_TOL):
         if method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+        # a load on a support does no work on the structure: the eliminated
+        # K would report it as compliance that no density can change
+        fixed = np.fromiter(mesh.fixed_dofs, dtype=np.int64, count=len(mesh.fixed_dofs))
+        rows = np.flatnonzero(np.isin(scenarios.dofs, fixed))
+        on_fixed = scenarios.dofs[rows[np.any(scenarios.block[rows] != 0.0, axis=1)]]
+        if on_fixed.size:
+            listed = ", ".join(str(d) for d in on_fixed[:10])
+            more = f" and {on_fixed.size - 10} more" if on_fixed.size > 10 else ""
+            raise ConfigError(
+                f"scenarios load fixed DOF {listed}{more}; loads must act on free DOFs"
+            )
         self.mesh = mesh
         self.material = material
         self.pipeline = pipeline

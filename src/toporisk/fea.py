@@ -15,6 +15,14 @@ manner of Andreassen et al. 2011 and Ferrari & Sigmund 2020. The factor is
 a banded Cholesky (LAPACK dpbtrf/dpbtrs), whose fill stays inside the
 band.
 
+The same numbering makes the DOF offset j - i of an element's local pairs
+take few distinct values: at most 11 in 2D and 50 in 3D. `form_gradient`,
+the derivative of sum_k a_k^T K b_k with respect to the densities, uses this:
+each needed diagonal of A B^T is one contiguous row-wise dot product over
+all DOFs, and every element reads its pairs through an index cached with
+the scatter map. It costs O(n_offsets n_dofs k) for k columns, plus one
+gather of n_elements x n_pairs values.
+
 A failed Cholesky is not a complete positive definiteness test: on a
 singular K (a structure with no fixed DOFs), round-off can leave a zero
 pivot slightly positive, and LAPACK accepts it. That happens for 2D
@@ -48,6 +56,11 @@ class _BandLayout:
     For element e, rho_e * Ke[rows[k], cols[k]] is added at flat position
     index[e * n_pairs + k] of the (width + 1, n_dofs) band. Entries that
     touch a fixed DOF go to a spill slot one past the end.
+
+    The same pairs, read back: the DOF offset j - i of local pair k is one
+    of `offsets`, and pairs[e, k] is the flat position of (i, j) in an
+    (n_offsets, n_dofs) array whose row o holds the o-th offset's diagonal
+    at column j, with the spill slot at n_offsets * n_dofs.
     """
 
     width: int
@@ -55,6 +68,8 @@ class _BandLayout:
     cols: np.ndarray
     index: np.ndarray
     fixed: np.ndarray
+    offsets: np.ndarray
+    pairs: np.ndarray
 
 
 def _elastic_matrix(material: Material, dim: int) -> np.ndarray:
@@ -145,13 +160,17 @@ def _band_layout(mesh: GroundMesh) -> _BandLayout:
         # diagonal
         rows, cols = np.nonzero(edof[0][:, None] <= edof[0][None, :])
         i, j = edof[:, rows], edof[:, cols]
-        size = (width + 1) * mesh.n_dofs
-        index = (width + i - j) * mesh.n_dofs + j
+        n = mesh.n_dofs
+        index = (width + i - j) * n + j
+        offsets, slot = np.unique(edof[0, cols] - edof[0, rows], return_inverse=True)
+        pairs = slot[None, :] * n + j
         fixed = np.array(sorted(mesh.fixed_dofs), dtype=np.int64)
-        free = np.ones(mesh.n_dofs, dtype=bool)
+        free = np.ones(n, dtype=bool)
         free[fixed] = False
-        index[~(free[i] & free[j])] = size  # one spill slot past the band
-        layout = _BandLayout(width, rows, cols, index.ravel(), fixed)
+        spilled = ~(free[i] & free[j])
+        index[spilled] = (width + 1) * n  # one spill slot past the band
+        pairs[spilled] = offsets.size * n
+        layout = _BandLayout(width, rows, cols, index.ravel(), fixed, offsets, pairs)
         mesh._cache["band_layout"] = layout
     return layout
 
@@ -176,6 +195,29 @@ def assemble(mesh: GroundMesh, Ke: np.ndarray, densities: np.ndarray) -> np.ndar
     ab = ab[:-1].reshape(shape)
     ab[-1, layout.fixed] = 1.0
     return ab
+
+
+def form_gradient(mesh: GroundMesh, Ke: np.ndarray, A: np.ndarray,
+                  B: np.ndarray) -> np.ndarray:
+    """g_e = d/d rho_e of sum_k a_k^T K b_k, over the columns of A and B.
+
+    That is g_e = sum_ab Ke[a, b] M[d_a, d_b] with M = A B^T and d the
+    DOFs of element e, for a symmetric M (the sum runs over the upper
+    pairs, each off-diagonal one counted twice). Pairs that touch a fixed
+    DOF are left out: those entries of the assembled K do not depend on
+    rho.
+    """
+    layout = _band_layout(mesh)
+    n = mesh.n_dofs
+    # (k, n_dofs) rows, so each diagonal is a contiguous row-wise dot product
+    At = np.ascontiguousarray(A.T, dtype=float)
+    Bt = np.ascontiguousarray(B.T, dtype=float)
+    diagonals = np.zeros(layout.offsets.size * n + 1)  # spill slot stays 0
+    rows = diagonals[:-1].reshape(layout.offsets.size, n)
+    for row, d in zip(rows, layout.offsets):
+        np.einsum("ki,ki->i", At[:, :n - d], Bt[:, d:], out=row[d:])
+    coef = np.where(layout.rows == layout.cols, 1.0, 2.0) * Ke[layout.rows, layout.cols]
+    return diagonals[layout.pairs] @ coef
 
 
 class StiffnessSystem:

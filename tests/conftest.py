@@ -4,7 +4,8 @@ Oracles used across the suite:
   * dense_stiffness     -- assembly by explicit Python loops, no vectorization
   * dense_compliances   -- per-scenario compliances through numpy.linalg.solve
   * band_to_dense       -- the full symmetric matrix of an upper band, by loops
-Both are deliberately written along a different code path than the library
+  * element_quadratics  -- g_e = sum_i w_i u_e,i^T Ke u_e,i, element by element
+All are deliberately written along a different code path than the library
 so agreement is evidence, not tautology.
 """
 import numpy as np
@@ -76,6 +77,17 @@ def band_to_dense(ab):
         for i in range(max(0, j - u), j + 1):
             K[i, j] = K[j, i] = ab[u + i - j, j]
     return K
+
+
+def element_quadratics(mesh, Ke, U, w):
+    """g_e = sum_i w_i U[d_e, i]^T Ke U[d_e, i] over the DOFs d_e of element e, by loops."""
+    edof = mesh.element_dof_map()
+    g = np.zeros(mesh.n_elements)
+    for e in range(mesh.n_elements):
+        for i in range(U.shape[1]):
+            u = U[edof[e], i]
+            g[e] += w[i] * (u @ Ke @ u)
+    return g
 
 
 def dense_compliances(mesh, Ke, densities, F):

@@ -1,5 +1,7 @@
 """Command line behavior: exit codes, artifacts, and report consistency."""
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +112,42 @@ def test_bad_config_exits_2(tmp_path):
     path.write_text("not json at all")
     assert cli.main(["run", "--config", str(path)]) == 2
     assert cli.main(["run", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+def test_load_on_fixed_dof_exits_2(tmp_path, capsys):
+    loads = tmp_path / "loads.csv"
+    loads.write_text("dof,scenario,value\n13,0,-1.0\n2,0,1.0\n")
+    config = write_config(tmp_path, scenarios={"source": "file", "path": str(loads)})
+    assert cli.main(["check-grad", "--config", str(config)]) == 2
+    assert "fixed DOF 2" in capsys.readouterr().err
+
+
+def test_bench_survives_a_closed_stdout(tmp_path, monkeypatch):
+    """`toporisk bench | head`: exit 0 with bench.csv written, stdout sent to devnull."""
+
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    fd = os.open(tmp_path / "stdout.txt", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert cli.main(["bench", "--config", str(config), "--out", str(out)]) == 0
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert len((out / "bench.csv").read_text().splitlines()) == 5
 
 
 def test_invalid_flag_values_exit_2(tmp_path):

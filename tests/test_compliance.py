@@ -10,7 +10,19 @@ import pytest
 
 import toporisk as tr
 
-from conftest import dense_compliances, random_scenarios
+from conftest import dense_compliances, dense_stiffness, element_quadratics, random_scenarios
+
+
+def dense_fd_gradient(mesh, Ke, rho, F, w, h=1e-6):
+    """Central differences of w . C over rho, through the dense solve."""
+    fd = np.zeros(rho.size)
+    for e in range(rho.size):
+        rp, rm = rho.copy(), rho.copy()
+        rp[e] += h
+        rm[e] -= h
+        fd[e] = (w @ dense_compliances(mesh, Ke, rp, F)
+                 - w @ dense_compliances(mesh, Ke, rm, F)) / (2 * h)
+    return fd
 
 
 def make_system(mesh, material, rho):
@@ -132,16 +144,49 @@ def test_weighted_gradient_matches_dense_finite_differences(mesh_4x2, material):
     stats = tr.compliances_naive(system, F)
     grad = tr.weighted_gradient_naive(stats.cache, w, Ke, mesh_4x2)
 
-    h = 1e-6
-    fd = np.zeros(n)
-    for e in range(n):
-        rp, rm = rho.copy(), rho.copy()
-        rp[e] += h
-        rm[e] -= h
-        fd[e] = (w @ dense_compliances(mesh_4x2, Ke, rp, F)
-                 - w @ dense_compliances(mesh_4x2, Ke, rm, F)) / (2 * h)
+    fd = dense_fd_gradient(mesh_4x2, Ke, rho, F, w)
     scale = np.max(np.abs(grad))
     np.testing.assert_allclose(grad, fd, atol=1e-5 * scale)
+
+
+def _route_gradient(route, system, F, w, Ke, mesh):
+    if route == "naive":
+        stats = tr.compliances_naive(system, F)
+    else:
+        stats = tr.compliances_svd(system, F, tr.thin_svd(F))
+    return tr.weighted_gradient(stats.cache, w, Ke, mesh)
+
+
+@pytest.mark.parametrize("route", ["naive", "svd"])
+@pytest.mark.parametrize("cells", [(6, 3), (3, 2, 2)])
+def test_gradient_kernel_matches_element_loop(cells, route, material):
+    """Both routes against -sum_i w_i u_e^T Ke u_e with mixed-sign w."""
+    mesh = tr.cantilever_mesh(len(cells), cells)
+    rng = np.random.default_rng(16)
+    rho = rng.uniform(0.3, 1.0, mesh.n_elements)
+    F = random_scenarios(mesh, L=9, rank=4, seed=18)
+    w = rng.standard_normal(9)
+    Ke, system = make_system(mesh, material, rho)
+
+    U = np.linalg.solve(dense_stiffness(mesh, Ke, rho), F.to_dense())
+    expected = -element_quadratics(mesh, Ke, U, w)
+    grad = _route_gradient(route, system, F, w, Ke, mesh)
+    np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("route", ["naive", "svd"])
+def test_weighted_gradient_matches_dense_finite_differences_3d(route, mesh_3d, material):
+    """d(w . C)/d(rho_e) on a 3D mesh against central differences of the dense solve."""
+    rng = np.random.default_rng(20)
+    n = mesh_3d.n_elements
+    rho = rng.uniform(0.4, 0.9, n)
+    F = random_scenarios(mesh_3d, L=7, rank=3, seed=22)
+    w = rng.standard_normal(7)
+    Ke, system = make_system(mesh_3d, material, rho)
+    grad = _route_gradient(route, system, F, w, Ke, mesh_3d)
+
+    fd = dense_fd_gradient(mesh_3d, Ke, rho, F, w)
+    np.testing.assert_allclose(grad, fd, atol=1e-5 * np.max(np.abs(grad)))
 
 
 def test_solve_counts(mesh_6x3, material, solve_spy):

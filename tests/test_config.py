@@ -110,6 +110,17 @@ def test_scenario_file_source(tmp_path):
     assert model.scenarios.column(0)[13] == -1.0
 
 
+def test_scenario_file_loading_a_fixed_dof_is_rejected(tmp_path):
+    csv = tmp_path / "loads.csv"
+    csv.write_text("dof,scenario,value\n13,0,-1.0\n2,1,0.5\n")
+    cfg = tr.parse_config(base_config(scenarios={"source": "file", "path": str(csv)}))
+    with pytest.raises(ConfigError, match="fixed DOF 2;"):
+        build_model(cfg)
+    # a zero entry on a support is no load
+    csv.write_text("dof,scenario,value\n13,0,-1.0\n2,1,0.0\n")
+    assert build_model(cfg).scenarios.n_scenarios == 2
+
+
 def test_bad_mma_and_schedule_params_rejected():
     with pytest.raises(ConfigError):
         tr.parse_config(base_config(mma={"move": -1.0}))

@@ -212,3 +212,25 @@ def test_solve_matches_dense_solve_on_3d(mesh_3d, material):
     expected = np.linalg.solve(dense_stiffness(mesh_3d, Ke, rho), F)
     np.testing.assert_allclose(system.solve(F), expected,
                                rtol=1e-9, atol=1e-9 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("dim,cells", [(2, (6, 3)), (3, (3, 2, 2))])
+def test_form_gradient_is_the_derivative_of_the_assembled_form(dim, cells, material):
+    """d/d rho_e of sum_k a_k^T K b_k: K is linear in rho, so the derivative
+    is the form of the dense unit-density matrix of element e, without the
+    identity rows of the fixed DOFs. A and B are nonzero on fixed DOFs too."""
+    mesh = tr.cantilever_mesh(dim, cells)
+    Ke = tr.element_stiffness(mesh, material)
+    rng = np.random.default_rng(7)
+    B = rng.standard_normal((mesh.n_dofs, 5))
+    S = rng.standard_normal((5, 5))
+    A = B @ (S + S.T)  # A B^T is symmetric
+    identity = np.zeros((mesh.n_dofs, mesh.n_dofs))
+    fixed = sorted(mesh.fixed_dofs)
+    identity[fixed, fixed] = 1.0
+    expected = np.empty(mesh.n_elements)
+    for e in range(mesh.n_elements):
+        dK = dense_stiffness(mesh, Ke, np.eye(mesh.n_elements)[e]) - identity
+        expected[e] = np.einsum("ik,ij,jk->", A, dK, B)
+    np.testing.assert_allclose(tr.fea.form_gradient(mesh, Ke, A, B), expected,
+                               rtol=0, atol=1e-12 * np.max(np.abs(expected)))
