@@ -91,7 +91,11 @@ def cmd_run(args) -> int:
     artifacts.write_vtk(out / "density.vtk", model.mesh, final.field.physical)
     if model.mesh.dim == 2:
         artifacts.write_pgm(out / "density.pgm", model.mesh, final.field.physical)
-    artifacts.write_report(out / "timing.json", {"wall_seconds": wall})
+    artifacts.write_report(out / "timing.json", {
+        "wall_seconds": wall,
+        "analyses": result.total_analyses,
+        "total_solves": result.total_solves,
+    })
 
     print(f"problem: {cfg.kind}   method: {model.method}")
     print(f"mu_C = {final.stats.mean:.6g}   sigma_C = {final.stats.std:.6g}   "

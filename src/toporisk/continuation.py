@@ -114,8 +114,8 @@ class ForwardModel:
 
     `method` picks the compliance route: "naive" solves against every
     scenario, "svd" against the scenario matrix's singular directions.
-    `total_solves` tallies linear solves (right-hand-side columns) across
-    all analyses.
+    `total_analyses` counts analyses (one factorization each) and
+    `total_solves` tallies their linear solves (right-hand-side columns).
     """
 
     def __init__(self, mesh: GroundMesh, material: Material,
@@ -141,6 +141,7 @@ class ForwardModel:
         self.method = method
         self.ke = element_stiffness(mesh, material)
         self.svd = thin_svd(scenarios, svd_rel_tol) if method == "svd" else None
+        self.total_analyses = 0
         self.total_solves = 0
 
     def analyze(self, x: np.ndarray, penalty: float, beta: float) -> Analysis:
@@ -150,6 +151,7 @@ class ForwardModel:
             stats = comp.compliances_svd(system, self.scenarios, self.svd)
         else:
             stats = comp.compliances_naive(system, self.scenarios)
+        self.total_analyses += 1
         self.total_solves += stats.cache.Q.shape[1]
         return Analysis(self, field, system, stats)
 
@@ -337,6 +339,7 @@ class MaxComplianceProblem:
 class ContinuationResult:
     x: np.ndarray
     history: list
+    total_analyses: int
     total_solves: int
 
 
@@ -346,22 +349,24 @@ def run_continuation(problem, schedule: ContinuationSchedule | None = None,
 
     The history holds one record per step with the schedule point, the
     scaled objective at the step's start and end, final volume and
-    maximum compliance, iteration and linear solve counts.
+    maximum compliance, iteration, analysis and linear solve counts.
     """
     schedule = schedule or ContinuationSchedule.default()
     x = problem.initial_design()
     problem.prepare(x, schedule.steps[0])
+    model = problem.model
     history = []
     for k, step in enumerate(schedule.steps):
-        solves_before = problem.model.total_solves
+        analyses_before, solves_before = model.total_analyses, model.total_solves
         x, record = problem.solve_step(x, step, callback=callback)
         record.update(
             step=k,
             penalty=step.penalty,
             beta=step.beta,
             tolerance=step.tolerance,
-            solves=problem.model.total_solves - solves_before,
+            analyses=model.total_analyses - analyses_before,
+            solves=model.total_solves - solves_before,
         )
         history.append(record)
-    return ContinuationResult(x=x, history=history,
-                              total_solves=problem.model.total_solves)
+    return ContinuationResult(x=x, history=history, total_analyses=model.total_analyses,
+                              total_solves=model.total_solves)

@@ -12,8 +12,17 @@ in 2D and 3 ((ny + 1)(nz + 1) + nz + 2) + 2 in 3D (45 on 80x20, 25 on
 20x10, 173 on 16x6x6). Assembly is one `np.bincount` over a scatter index
 built once per mesh from `element_dof_map` and cached on the mesh, in the
 manner of Andreassen et al. 2011 and Ferrari & Sigmund 2020. The factor is
-a banded Cholesky (LAPACK dpbtrf/dpbtrs), whose fill stays inside the
+a banded Cholesky K = R^T R (LAPACK dpbtrf), whose fill stays inside the
 band.
+
+`StiffnessSystem.solve` has two sweeps over R. A vector, or a block of k
+columns with u k below `_BLOCKED_SWEEP_MIN_UK`, goes to LAPACK's dpbtrs,
+which applies the band one column at a time (level-2 BLAS). A wider block,
+such as the naive route's L columns, is swept in blocks of u rows with
+level-3 BLAS: per block one dtrsm against the diagonal u x u triangle and
+one dtrmm against the triangle coupling it to the next block, both read
+from the factor in place, as dpbtrf reads them (Anderson et al., LAPACK
+Users' Guide, 3rd ed., 1999).
 
 The same numbering makes the DOF offset j - i of an element's local pairs
 take few distinct values: at most 11 in 2D and 50 in 3D. `form_gradient`,
@@ -34,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, blas, cho_solve_banded, cholesky_banded
 
 from .errors import NotPositiveDefiniteError
 from .mesh import GroundMesh, Material
@@ -220,6 +229,52 @@ def form_gradient(mesh: GroundMesh, Ke: np.ndarray, A: np.ndarray,
     return diagonals[layout.pairs] @ coef
 
 
+# A 2-D right-hand side of k columns on a band of half-width u goes to the
+# blocked sweep when u * k reaches this; narrower blocks and vectors go to
+# LAPACK's column sweep. Two sets of medians (1 OpenBLAS thread, 2-core
+# x86-64 VM; u = 25 on 20x10 and 40x10, 45 on 80x20, 85 on 160x40, 173 on
+# 16x6x6) put the crossover at u k = 1000-2100. The widest is u = 173:
+# k = 9 (u k = 1557) took 3.2-3.6 ms by column against 3.7-4.0 ms blocked,
+# k = 12 (u k = 2076) 4.4-4.6 ms against 3.8-4.2 ms.
+_BLOCKED_SWEEP_MIN_UK = 2048
+
+
+def _band_triangles(factor: np.ndarray) -> tuple[list, list]:
+    """R's u x u triangles for a sweep in blocks of u rows.
+
+    diagonal[b] holds the upper triangle R[I, I] of block I = [b u, b u + u)
+    and coupling[b] the lower triangle R[I, I + u] that couples it to the
+    next block. R[i, j] sits at flat position u + i + u j of the
+    column-major (u + 1, n) band, so a block of R with leading dimension u
+    is a view of the band, as LAPACK's dpbtrf reads it through LDAB - 1.
+    Only the triangle itself is defined: the other half of such a view
+    holds band entries of neighbouring columns, which dtrsm and dtrmm never
+    read. A short last block is padded to u rows with the identity; its two
+    triangles are the only ones copied instead of read in place.
+    """
+    u, n = factor.shape[0] - 1, factor.shape[1]
+    band = factor.ravel(order="F")
+
+    def block(i, j, cols=u):
+        start = u + i + u * j
+        return band[start:start + u * cols].reshape(u, cols, order="F")
+
+    n_full, tail = divmod(n, u)
+    diagonal = [block(i, i) for i in range(0, n_full * u, u)]
+    coupling = [block(i, i + u) for i in range(0, (n_full - 1) * u, u)]
+    if tail:
+        i0 = n_full * u
+        rows, cols = np.triu_indices(tail)
+        last = np.eye(u)
+        last[rows, cols] = factor[u + rows - cols, i0 + cols]
+        diagonal.append(last)
+        if n_full:
+            into_last = np.zeros((u, u))
+            into_last[:, :tail] = block(i0 - u, i0, tail)
+            coupling.append(into_last)
+    return diagonal, coupling
+
+
 class StiffnessSystem:
     """A factorized stiffness matrix: an immutable value, solved many times.
 
@@ -253,6 +308,50 @@ class StiffnessSystem:
         return cls(factor)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve K u = rhs for one RHS vector or a column block."""
-        return cho_solve_banded((self._factor, False), np.asarray(rhs, dtype=float),
-                                check_finite=False)
+        """Solve K u = rhs for one RHS vector or a column block.
+
+        Two sweeps give the same solution up to round-off, chosen by the
+        width of the block: a vector, or a block of k columns with
+        u k < `_BLOCKED_SWEEP_MIN_UK` for half-bandwidth u, goes to LAPACK's
+        dpbtrs, which sweeps the band one column at a time (level-2
+        BLAS); a wider block goes to `_blocked_solve`, which sweeps it in
+        blocks of u rows with level-3 BLAS. Either way the result of a
+        block is column-major and `rhs` is left untouched.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        u = self._factor.shape[0] - 1
+        if rhs.ndim == 2 and u * rhs.shape[1] >= _BLOCKED_SWEEP_MIN_UK:
+            return self._blocked_solve(rhs)
+        return cho_solve_banded((self._factor, False), rhs, check_finite=False)
+
+    def _blocked_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """R^T R X = rhs for an (n, k) block, in sweeps of u rows.
+
+        Works on a row-major copy Z, zero-padded to whole blocks: the rows
+        of block b, transposed, are a contiguous column-major k x u matrix
+        Z_b. The forward sweep solves Y^T R = rhs^T and the backward sweep
+        X^T R^T = Y^T; each block takes one dtrsm against its diagonal
+        triangle and one dtrmm against the triangle coupling it to the
+        next block.
+        """
+        u, n = self._factor.shape[0] - 1, self._factor.shape[1]
+        if rhs.shape[0] != n:  # the copy below would broadcast a single row
+            raise ValueError(f"rhs has {rhs.shape[0]} rows, the system has {n}")
+        diagonal, coupling = _band_triangles(self._factor)
+        n_blocks = len(diagonal)
+        Z = np.zeros((n_blocks * u, rhs.shape[1]))
+        Z[:n] = rhs
+        blocks = [Z[i:i + u].T for i in range(0, n_blocks * u, u)]
+        for b in range(n_blocks):
+            blas.dtrsm(1.0, diagonal[b], blocks[b], side=1, overwrite_b=1)
+            if b + 1 < n_blocks:
+                blocks[b + 1] -= blas.dtrmm(1.0, coupling[b], np.array(blocks[b], order="F"),
+                                            side=1, lower=1, overwrite_b=1)
+        for b in reversed(range(n_blocks)):
+            if b + 1 < n_blocks:
+                blocks[b] -= blas.dtrmm(1.0, coupling[b], np.array(blocks[b + 1], order="F"),
+                                        side=1, lower=1, trans_a=1, overwrite_b=1)
+            blas.dtrsm(1.0, diagonal[b], blocks[b], side=1, trans_a=1, overwrite_b=1)
+        # column-major, as dpbtrs returns it: `form_gradient` reads the rows
+        # of Q^T as views of a column-major Q
+        return np.asfortranarray(Z[:n])

@@ -71,7 +71,11 @@ class ScenarioMatrix:
         return f
 
     def to_dense(self) -> np.ndarray:
-        """Full (n_dofs, L) matrix. Intended for small problems and tests."""
+        """Full (n_dofs, L) matrix, zero off the loaded rows.
+
+        The naive route solves against it, so every naive analysis builds
+        one (3402 x 200 on the 80x20 mesh with L = 200).
+        """
         F = np.zeros((self.n_dofs, self.n_scenarios))
         F[self.dofs, :] = self.block
         return F

@@ -46,6 +46,18 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     assert report["seed"] == 0
     history = (out / "history.csv").read_text().splitlines()
     assert len(history) == 1 + 3  # header plus one row per schedule step
+    rows = [dict(zip(history[0].split(","), line.split(","))) for line in history[1:]]
+    timing = json.loads((out / "timing.json").read_text())
+    assert set(timing) == {"wall_seconds", "analyses", "total_solves"}
+    assert timing["wall_seconds"] > 0.0
+    assert timing["total_solves"] == report["total_solves"]
+    # naive route: every analysis solves all 4 scenarios; the run's first
+    # analysis fixes the objective scale before step 0
+    assert timing["total_solves"] == 4 * timing["analyses"]
+    assert sum(int(row["analyses"]) for row in rows) == timing["analyses"] - 1
+    for row in rows:
+        assert int(row["analyses"]) >= 1
+        assert int(row["solves"]) == 4 * int(row["analyses"])
 
 
 def test_run_report_matches_fresh_evaluation(tmp_path):

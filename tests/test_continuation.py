@@ -96,7 +96,7 @@ def test_mean_compliance_continuation_small():
     assert final.volume == pytest.approx(0.5, abs=5e-3)
     assert res.total_solves > 0
     for key in ("objective_start", "objective_end", "volume", "max_compliance",
-                "n_iters", "solves", "tolerance"):
+                "n_iters", "analyses", "solves", "tolerance"):
         assert key in rec
 
 

@@ -214,6 +214,82 @@ def test_solve_matches_dense_solve_on_3d(mesh_3d, material):
                                rtol=1e-9, atol=1e-9 * np.max(np.abs(expected)))
 
 
+def wide_columns(system):
+    """The fewest columns that send a block to the blocked sweep."""
+    u = system._factor.shape[0] - 1
+    return -(-tr.fea._BLOCKED_SWEEP_MIN_UK // u)
+
+
+@pytest.mark.parametrize("cells,n_dofs,width", [
+    ((6, 1), 28, 7),         # 4 whole blocks
+    ((2, 2), 18, 9),         # 2 whole blocks
+    ((1, 1), 8, 7),          # a block and a 1-row last block
+    ((6, 3), 56, 11),        # 5 blocks and a 1-row last block
+    ((12, 6), 182, 17),      # 10 blocks and a 12-row last block
+    ((7, 3, 4), 480, 80),    # 6 whole blocks
+    ((2, 1, 1), 36, 23),     # a block and a 13-row last block
+    ((3, 2, 2), 108, 41),    # 2 blocks and a 26-row last block
+])
+def test_wide_solve_matches_dense_solve(cells, n_dofs, width, material):
+    """Blocks wide enough for the blocked sweep, against a dense solve, on
+    meshes whose DOF count is and is not a multiple of the half-bandwidth."""
+    mesh = tr.cantilever_mesh(len(cells), cells)
+    Ke = tr.element_stiffness(mesh, material)
+    rho = np.random.default_rng(5).uniform(1e-3, 1.0, mesh.n_elements)
+    ab = tr.assemble(mesh, Ke, rho)
+    assert ab.shape == (width + 1, n_dofs)
+    system = tr.StiffnessSystem.factorize(ab)
+    F = np.random.default_rng(6).standard_normal((n_dofs, wide_columns(system)))
+    F[sorted(mesh.fixed_dofs)] = 0.0
+    before = F.copy()
+    U = system.solve(F)
+    assert np.array_equal(F, before)  # the right-hand side is not touched
+    assert U.flags.f_contiguous
+    expected = np.linalg.solve(dense_stiffness(mesh, Ke, rho), F)
+    scale = np.max(np.abs(expected))
+    np.testing.assert_allclose(U, expected, rtol=0, atol=1e-12 * scale)
+    u = system.solve(F[:, 0])
+    assert u.shape == (n_dofs,)
+    np.testing.assert_allclose(u, expected[:, 0], rtol=0, atol=1e-12 * scale)
+
+
+def test_wide_solve_of_a_band_wider_than_the_matrix():
+    """n <= u: the blocked sweep is one short, padded block."""
+    rng = np.random.default_rng(8)
+    n, u = 30, 40
+    M = rng.standard_normal((n, n))
+    K = M @ M.T + n * np.eye(n)
+    ab = np.zeros((u + 1, n))
+    for j in range(n):
+        for i in range(j + 1):
+            ab[u + i - j, j] = K[i, j]
+    system = tr.StiffnessSystem.factorize(ab)
+    F = rng.standard_normal((n, wide_columns(system)))
+    expected = np.linalg.solve(K, F)
+    np.testing.assert_allclose(system.solve(F), expected, rtol=0,
+                               atol=1e-12 * np.max(np.abs(expected)))
+    for rows in (1, n - 1):  # rejected by both sweeps, never broadcast
+        with pytest.raises(ValueError):
+            system.solve(F[:rows])
+        with pytest.raises(ValueError):
+            system.solve(F[:rows, :1])
+
+
+@pytest.mark.parametrize("cells", [(20, 10), (4, 2, 2)])
+def test_solves_on_either_side_of_the_sweep_switch_agree(cells, material):
+    mesh = tr.cantilever_mesh(len(cells), cells)
+    Ke = tr.element_stiffness(mesh, material)
+    rho = np.random.default_rng(3).uniform(1e-3, 1.0, mesh.n_elements)
+    system = tr.StiffnessSystem.factorize(tr.assemble(mesh, Ke, rho))
+    k = wide_columns(system)
+    F = np.random.default_rng(4).standard_normal((mesh.n_dofs, k))
+    F[sorted(mesh.fixed_dofs)] = 0.0
+    wide = system.solve(F)
+    narrow = system.solve(F[:, :k - 1])
+    np.testing.assert_allclose(wide[:, :k - 1], narrow, rtol=0,
+                               atol=1e-12 * np.max(np.abs(narrow)))
+
+
 @pytest.mark.parametrize("dim,cells", [(2, (6, 3)), (3, (3, 2, 2))])
 def test_form_gradient_is_the_derivative_of_the_assembled_form(dim, cells, material):
     """d/d rho_e of sum_k a_k^T K b_k: K is linear in rho, so the derivative
