@@ -28,10 +28,11 @@ print(f"threshold C_t (1.5x):       {C_t:.5e}\n")
 problem = tr.MaxComplianceProblem(model, C_t=C_t)
 result = tr.run_continuation(problem)
 
-print(f"{'step':>4} {'p':>4} {'beta':>5} {'volume':>8} {'max C_i / C_t':>14}")
+print(f"{'step':>4} {'p':>4} {'beta':>5} {'volume':>8} {'max C_i / C_t':>14} {'dual':>5}")
 for rec in result.history:
     print(f"{rec['step']:>4} {rec['penalty']:>4.1f} {rec['beta']:>5.1f} "
-          f"{rec['volume']:>8.4f} {rec['max_compliance'] / C_t:>14.5f}")
+          f"{rec['volume']:>8.4f} {rec['max_compliance'] / C_t:>14.5f} "
+          f"{rec['dual_iters']:>5}")
 
 final = model.analyze(result.x, 6.0, 20.0)
 print(f"\nfinal volume fraction: {final.volume:.4f}")

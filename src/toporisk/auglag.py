@@ -22,8 +22,22 @@ using the signed constraint values (the gradient of L in lambda), so
 multipliers of slack constraints decay to zero while violated ones grow.
 The penalty coefficient grows geometrically per dual iteration.
 
+The dual loop stops at a KKT point, the outer stop test of ALGENCAN
+(Andreani, Birgin, Martinez & Schuverdt 2008): right after a multiplier
+update, when the last primal phase converged (residual <= tol) and
+
+    max_i |min(lambda_i, -(Ct_i - Ct_t))| <= tol * Ct_t
+
+with the updated multipliers. That one number measures feasibility (a
+violated constraint enters with its violation) and complementarity (a
+slack constraint enters with the smaller of its multiplier and its
+slack) together; feasibility alone would stop at a feasible start point
+whose multipliers are still wrong. Otherwise the loop runs its full
+`dual_iters`.
+
 A non-finite threshold C_t switches the constraint machinery off
-entirely, leaving plain volume minimization over the box.
+entirely, leaving plain volume minimization over the box; the KKT stop
+test then does not apply.
 """
 from __future__ import annotations
 
@@ -45,7 +59,8 @@ class AugLagState:
 
     Defaults follow the benchmark settings: unit initial multipliers,
     initial penalty 0.1 growing threefold per dual iteration, trust
-    region 0.1, 10 dual iterations of at most 50 primal steps each.
+    region 0.1, at most 10 dual iterations of at most 50 primal steps
+    each. `dual_iters` is a cap: the loop ends earlier at a KKT point.
     `C_t` is the raw (unnormalized) compliance threshold.
     """
 
@@ -71,7 +86,9 @@ class AugLagResult:
     """Final point of the dual loop.
 
     `converged` is true only when the last primal phase stopped on the
-    KKT residual reaching `tol`, not on its iteration cap or a stall.
+    KKT residual reaching `tol`, not on its iteration cap or a stall; it
+    says nothing about the multipliers. A loop that stopped early at a KKT
+    point has `converged` true and `n_dual_iters` below the cap.
     """
 
     x: np.ndarray
@@ -81,6 +98,7 @@ class AugLagResult:
     lam: np.ndarray
     r: float
     n_primal_iters: int
+    n_dual_iters: int
     converged: bool
     violation_history: list = field(default_factory=list)
 
@@ -111,7 +129,7 @@ def _lagrangian_gradient(ev, lam, r, ct_norm, norm):
 
 def auglag_minimize(evaluate, x0, state: AugLagState, tol,
                     normalization: float = 1.0, callback=None) -> AugLagResult:
-    """Run the full dual loop; returns the final primal point.
+    """Run the dual loop to a KKT point or its cap; returns the final point.
 
     Parameters
     ----------
@@ -121,7 +139,8 @@ def auglag_minimize(evaluate, x0, state: AugLagState, tol,
         `compliance_weighted_gradient(w)` (both gradients over x; the
         weights passed in are already normalized).
     tol : float
-        Primal stopping threshold on the scaled projected KKT residual.
+        Primal stopping threshold on the scaled projected KKT residual;
+        the dual loop's KKT stop test uses it too, relative to Ct_t.
     normalization : float
         Positive scale dividing compliances and threshold (typically the
         full-design maximum compliance).
@@ -184,6 +203,10 @@ def auglag_minimize(evaluate, x0, state: AugLagState, tol,
         violation_history.append(float(np.max(np.maximum(signed, 0.0), initial=0.0)))
         lam = np.maximum(0.0, lam + 2.0 * r * signed)
         r *= state.growth
+        # KKT point: stationary, feasible and complementary to tol
+        if (converged and np.isfinite(ct_norm)
+                and np.max(np.abs(np.minimum(lam, -signed))) <= tol * ct_norm):
+            break
 
     max_violation = violation_history[-1] if violation_history else 0.0
     if (np.isfinite(ct_norm) and max_violation > 0.01 * abs(ct_norm)
@@ -200,6 +223,7 @@ def auglag_minimize(evaluate, x0, state: AugLagState, tol,
         lam=lam,
         r=r,
         n_primal_iters=total_primal,
+        n_dual_iters=len(violation_history),
         converged=converged,
         violation_history=violation_history,
     )

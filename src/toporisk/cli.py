@@ -112,6 +112,11 @@ def _bench_one(statistic, method, system, model):
     The factorization is shared and excluded from the timing, matching a
     factorize-once workflow. The evaluation runs once to warm up, then
     `BENCH_REPEATS` times; the row reports the fastest of those.
+
+    A route's runs stay consecutive: with threaded BLAS and a core kept
+    busy by another process, an SVD run right after a naive run waited
+    about 0.15 s in its first LAPACK call for a BLAS thread, so runs that
+    take turns between the routes made the comparison less steady.
     """
     F = model.scenarios
     kind = "mean" if statistic == "mu_C" else "std"

@@ -82,17 +82,15 @@ class ContinuationSchedule:
 
 
 class Analysis:
-    """One design point, fully analyzed: densities, factorization, stats.
+    """One design point, fully analyzed: densities and compliance statistics.
 
     Gradients are assembled lazily from the cached solves; none of them
     triggers additional linear solves.
     """
 
-    def __init__(self, model: "ForwardModel", field, system: StiffnessSystem,
-                 stats: comp.ComplianceStats):
+    def __init__(self, model: "ForwardModel", field, stats: comp.ComplianceStats):
         self.model = model
         self.field = field
-        self.system = system
         self.stats = stats
         self.volume = model.pipeline.volume_fraction(field)
 
@@ -153,7 +151,7 @@ class ForwardModel:
             stats = comp.compliances_naive(system, self.scenarios)
         self.total_analyses += 1
         self.total_solves += stats.cache.Q.shape[1]
-        return Analysis(self, field, system, stats)
+        return Analysis(self, field, stats)
 
 
 class _MemoizedAnalyses:
@@ -221,6 +219,7 @@ class _VolumeConstrainedProblem:
             "volume": final.volume,
             "max_compliance": float(np.max(final.stats.C)),
             "n_iters": result.n_iters,
+            "dual_iters": 0,
             "converged": result.converged,
         }
         return result.x, record
@@ -330,6 +329,7 @@ class MaxComplianceProblem:
             "volume": result.objective / self.scale,
             "max_compliance": float(np.max(result.compliances)),
             "n_iters": result.n_primal_iters,
+            "dual_iters": result.n_dual_iters,
             "converged": result.converged,
         }
         return result.x, record
@@ -349,7 +349,8 @@ def run_continuation(problem, schedule: ContinuationSchedule | None = None,
 
     The history holds one record per step with the schedule point, the
     scaled objective at the step's start and end, final volume and
-    maximum compliance, iteration, analysis and linear solve counts.
+    maximum compliance, iteration, dual iteration (0 for MMA), analysis
+    and linear solve counts.
     """
     schedule = schedule or ContinuationSchedule.default()
     x = problem.initial_design()

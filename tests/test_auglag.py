@@ -78,6 +78,51 @@ def test_linear_problem_reaches_kkt_point():
     assert res.objective == pytest.approx(np.mean([0.8, 0.5, 0.0, 0.0]), abs=1e-3)
 
 
+def test_loop_started_at_the_kkt_point_stops_after_one_dual_iteration():
+    c = np.array([1.6, 1.3])
+    C_t = 0.8
+    x_star = np.array([0.8, 0.5, 0.0, 0.0])  # c - C_t, lower bound elsewhere
+    state = tr.AugLagState(C_t=C_t, lam=np.full(2, 0.25), dual_iters=14,
+                           primal_iters=80, trust_region=0.25)
+    res = tr.auglag_minimize(lambda x: LinearEval(x, c), x_star, state, tol=1e-7)
+    assert res.n_dual_iters == 1
+    assert res.n_primal_iters == 0  # stationary at once: no primal step
+    assert res.converged
+    np.testing.assert_array_equal(res.x, x_star)
+    np.testing.assert_allclose(res.lam, 0.25)
+
+
+def test_feasible_start_with_wrong_multipliers_does_not_stop():
+    # at x = (1, 1, 0, 0) with lam = 1 the constraints hold with slack 0.2
+    # and 0.5 and the primal phase is stationary at once, but unit
+    # multipliers on slack constraints break complementarity; a test on
+    # the violation alone would stop after dual iteration 0
+    c = np.array([1.6, 1.3])
+    state = tr.AugLagState(C_t=0.8, lam=np.ones(2), dual_iters=14,
+                           primal_iters=80, trust_region=0.25)
+    seen = []
+    res = tr.auglag_minimize(lambda x: LinearEval(x, c), np.array([1.0, 1.0, 0.0, 0.0]),
+                             state, tol=1e-7,
+                             callback=lambda d, p, x, L: seen.append(d))
+    assert res.violation_history[0] == 0.0
+    assert seen and 0 not in seen  # dual iteration 0 took no primal step
+    assert res.n_dual_iters > 1
+    np.testing.assert_allclose(res.x[:2], c - 0.8, atol=2e-3)
+
+
+def test_unconverged_primal_phase_does_not_stop():
+    # one primal step from x = 1 leaves both constraints slack with zero
+    # multipliers: feasible and complementary, but not yet stationary
+    c = np.array([1.6, 1.3])
+    state = tr.AugLagState(C_t=0.8, lam=np.zeros(2), dual_iters=4,
+                           primal_iters=1, trust_region=0.1)
+    res = tr.auglag_minimize(lambda x: LinearEval(x, c), np.ones(4), state,
+                             tol=1e-7)
+    assert res.violation_history[0] == 0.0
+    assert not res.converged
+    assert res.n_dual_iters == state.dual_iters
+
+
 def test_infinite_threshold_reduces_to_unconstrained_descent():
     # C_t = inf drops every constraint term; the volume objective then
     # drives the design to the lower bound

@@ -58,6 +58,7 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     for row in rows:
         assert int(row["analyses"]) >= 1
         assert int(row["solves"]) == 4 * int(row["analyses"])
+        assert row["dual_iters"] == "0"  # MMA steps run no AL dual loop
 
 
 def test_run_report_matches_fresh_evaluation(tmp_path):

@@ -96,8 +96,9 @@ def test_mean_compliance_continuation_small():
     assert final.volume == pytest.approx(0.5, abs=5e-3)
     assert res.total_solves > 0
     for key in ("objective_start", "objective_end", "volume", "max_compliance",
-                "n_iters", "analyses", "solves", "tolerance"):
+                "n_iters", "dual_iters", "analyses", "solves", "tolerance"):
         assert key in rec
+    assert rec["dual_iters"] == 0
 
 
 def test_volume_fraction_validation():
@@ -158,6 +159,10 @@ def test_max_compliance_run_is_feasible():
     final = model.analyze(res.x, 2.0, 0.0)
     assert float(np.max(final.stats.C)) <= 1.02 * C_t
     assert final.volume < 1.0
+    # every step ends at a KKT point before the dual iteration cap
+    for rec in res.history:
+        assert 1 <= rec["dual_iters"] < problem.dual_iters
+        assert rec["converged"]
 
 
 def test_max_compliance_converged_flag_reports_the_primal_stop():

@@ -106,8 +106,8 @@ def test_history_csv_round_trip(tmp_path):
     records = [{
         "step": 0, "penalty": 1.0, "beta": 0.0, "tolerance": 1e-3,
         "objective_start": 1.0, "objective_end": 0.75, "volume": 0.4,
-        "max_compliance": 123.456, "n_iters": 17, "analyses": 18, "solves": 170,
-        "converged": True,
+        "max_compliance": 123.456, "n_iters": 17, "dual_iters": 4, "analyses": 18,
+        "solves": 170, "converged": True,
     }]
     path = tmp_path / "h.csv"
     write_history(path, records)
@@ -116,5 +116,6 @@ def test_history_csv_round_trip(tmp_path):
     fields = lines[1].split(",")
     assert fields[0] == "0"
     assert float(fields[7]) == 123.456  # shortest round-trip repr
-    assert fields[9] == "18"
-    assert fields[11] == "1"  # converged flag as 0/1
+    assert fields[9] == "4"
+    assert fields[10] == "18"
+    assert fields[12] == "1"  # converged flag as 0/1
