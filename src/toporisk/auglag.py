@@ -51,6 +51,8 @@ from .mma import scaled_kkt_residual
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 30
 STEP_GROWTH = 1.5
+R_START = 0.1       # penalty coefficient r of the first dual iteration
+R_GROWTH = 3.0      # factor on r per dual iteration
 
 
 @dataclass
@@ -58,23 +60,26 @@ class AugLagState:
     """Multipliers, penalty and loop settings of one augmented Lagrangian run.
 
     Defaults follow the benchmark settings: unit initial multipliers,
-    initial penalty 0.1 growing threefold per dual iteration, trust
-    region 0.1, at most 10 dual iterations of at most 50 primal steps
-    each. `dual_iters` is a cap: the loop ends earlier at a KKT point.
-    `C_t` is the raw (unnormalized) compliance threshold.
+    trust region 0.1, at most 10 dual iterations of at most 50 primal
+    steps each; the penalty starts at `R_START` and grows by `R_GROWTH`
+    per dual iteration. `dual_iters` is a cap: the loop ends earlier at a
+    KKT point. `C_t` is the raw (unnormalized) compliance threshold.
     """
 
     C_t: float
     lam: np.ndarray | None = None
-    r: float = 0.1
     trust_region: float = 0.1
     dual_iters: int = 10
     primal_iters: int = 50
-    growth: float = 3.0
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError(f"penalty coefficient must be positive, got {self.r}")
+        for name in ("dual_iters", "primal_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if (isinstance(self.trust_region, bool)
+                or not isinstance(self.trust_region, (int, float)) or not self.trust_region > 0):
+            raise ValueError(f"trust_region must be a number > 0, got {self.trust_region!r}")
         if self.lam is not None:
             self.lam = np.asarray(self.lam, dtype=float)
             if np.any(self.lam < 0):
@@ -110,8 +115,12 @@ def projected_gradient_step(x, grad, step, trust_region, lower=0.0, upper=1.0):
     return np.clip(x - step * grad, lo, hi)
 
 
-def _lagrangian(ev, lam, r, ct_norm, norm):
-    """Value of L at an evaluated point; no constraint terms if C_t not finite."""
+def lagrangian(ev, lam, r, ct_norm, norm):
+    """Value of L at an evaluated point; no constraint terms if C_t not finite.
+
+    `ev` is an evaluation as `auglag_minimize` describes it, `norm` the
+    normalization and `ct_norm` the normalized threshold C_t / norm.
+    """
     if not np.isfinite(ct_norm):
         return ev.objective
     violation = ev.compliances / norm - ct_norm
@@ -119,7 +128,8 @@ def _lagrangian(ev, lam, r, ct_norm, norm):
     return ev.objective + float(lam @ violation) + r * float(M @ M)
 
 
-def _lagrangian_gradient(ev, lam, r, ct_norm, norm):
+def lagrangian_gradient(ev, lam, r, ct_norm, norm):
+    """Gradient of `lagrangian` over x, from the evaluation's gradients."""
     if not np.isfinite(ct_norm):
         return ev.objective_gradient()
     M = np.maximum(ev.compliances / norm - ct_norm, 0.0)
@@ -161,7 +171,7 @@ def auglag_minimize(evaluate, x0, state: AugLagState, tol,
     lam = np.ones(L_count) if state.lam is None else state.lam.copy()
     if lam.shape != (L_count,):
         raise ValueError(f"lam must have shape ({L_count},), got {lam.shape}")
-    r = state.r
+    r = R_START
     ct_norm = state.C_t / normalization
     max_step = 1.0
     total_primal = 0
@@ -169,10 +179,10 @@ def auglag_minimize(evaluate, x0, state: AugLagState, tol,
 
     converged = False
     for dual_iter in range(state.dual_iters):
-        L_val = _lagrangian(ev, lam, r, ct_norm, normalization)
+        L_val = lagrangian(ev, lam, r, ct_norm, normalization)
         converged = False
         for primal_iter in range(state.primal_iters):
-            grad = _lagrangian_gradient(ev, lam, r, ct_norm, normalization)
+            grad = lagrangian_gradient(ev, lam, r, ct_norm, normalization)
             residual = scaled_kkt_residual(x, grad, 0.0, 1.0,
                                            float(np.mean(np.abs(lam))))
             if residual <= tol:
@@ -187,7 +197,7 @@ def auglag_minimize(evaluate, x0, state: AugLagState, tol,
                 if not np.any(direction):
                     break  # projection pinned every coordinate
                 ev_trial = evaluate(x_trial)
-                L_trial = _lagrangian(ev_trial, lam, r, ct_norm, normalization)
+                L_trial = lagrangian(ev_trial, lam, r, ct_norm, normalization)
                 if L_trial <= L_val + ARMIJO_C * float(grad @ direction):
                     x, ev, L_val = x_trial, ev_trial, L_trial
                     max_step = STEP_GROWTH * step
@@ -202,7 +212,7 @@ def auglag_minimize(evaluate, x0, state: AugLagState, tol,
         signed = ev.compliances / normalization - ct_norm
         violation_history.append(float(np.max(np.maximum(signed, 0.0), initial=0.0)))
         lam = np.maximum(0.0, lam + 2.0 * r * signed)
-        r *= state.growth
+        r *= R_GROWTH
         # KKT point: stationary, feasible and complementary to tol
         if (converged and np.isfinite(ct_norm)
                 and np.max(np.abs(np.minimum(lam, -signed))) <= tol * ct_norm):

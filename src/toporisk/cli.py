@@ -19,8 +19,9 @@ import numpy as np
 
 from . import compliance as comp
 from . import io as artifacts
+from .auglag import lagrangian, lagrangian_gradient
 from .config import build_mesh, build_model, build_problem, build_schedule, load_config
-from .continuation import run_continuation
+from .continuation import AugLagEvaluation, run_continuation
 from .errors import ConfigError, TopoRiskError
 from .fea import StiffnessSystem, assemble
 from .scenarios import save_scenarios_to_file, thin_svd
@@ -180,7 +181,7 @@ def cmd_bench(args) -> int:
 def _grad_check_functions(model, x, penalty, beta, rng):
     """The scalar maps checked against finite differences.
 
-    Returns (names, value_fn, analytic_grads): value_fn(x) gives all
+    Returns (value_fn, analytic_grads): value_fn(x) gives all
     function values from one analysis; analytic_grads holds the closed
     form gradients at the base point.
     """
@@ -195,28 +196,28 @@ def _grad_check_functions(model, x, penalty, beta, rng):
     ct = float(C_sorted[(L - 1) // 2] + C_sorted[L // 2]) / 2.0 if L > 1 \
         else float(C_sorted[0]) * 1.1
 
+    def auglag_args(a):
+        # the arguments `auglag_minimize` passes to its Lagrangian, unscaled
+        return AugLagEvaluation(a, 1.0), lam, r_pen, ct, norm
+
     def values(xv) -> dict:
         a = model.analyze(xv, penalty, beta)
-        Cn = a.stats.C / norm
-        M = np.maximum(Cn - ct, 0.0)
         return {
             "mu_C": a.stats.mean,
             "var_C": a.stats.variance,
             "sigma_C": a.stats.std,
             "mu+2sigma": a.stats.mean + 2.0 * a.stats.std,
             "w.C": float(w_fixed @ a.stats.C),
-            "auglag": a.volume + float(lam @ (Cn - ct)) + r_pen * float(M @ M),
+            "auglag": lagrangian(*auglag_args(a)),
         }
 
-    Mb = np.maximum(base.stats.C / norm - ct, 0.0)
     analytic = {
         "mu_C": base.objective_gradient_for("mean"),
         "var_C": base.objective_gradient_for("variance"),
         "sigma_C": base.objective_gradient_for("std"),
         "mu+2sigma": base.objective_gradient_for("mean_plus_m_std", m=2.0),
         "w.C": base.weighted_gradient(w_fixed),
-        "auglag": base.volume_gradient()
-                  + base.weighted_gradient((lam + 2.0 * r_pen * Mb) / norm),
+        "auglag": lagrangian_gradient(*auglag_args(base)),
     }
     return values, analytic
 

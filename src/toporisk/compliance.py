@@ -34,7 +34,7 @@ from .mesh import GroundMesh
 from .pipeline import DensityField, DensityPipeline
 from .scenarios import ScenarioMatrix, ThinSVD
 
-WEIGHT_KINDS = ("mean", "variance", "std", "mean_plus_m_std", "auglag")
+WEIGHT_KINDS = ("mean", "variance", "std", "mean_plus_m_std")
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,7 @@ def sigma_floor(mean: float) -> float:
     return 1e-12 * max(1.0, mean)
 
 
-def weight_vector(stats: ComplianceStats, kind: str, *, m: float | None = None,
-                  lam: np.ndarray | None = None, r: float | None = None,
-                  C_t: float | None = None) -> np.ndarray:
+def weight_vector(stats: ComplianceStats, kind: str, *, m: float | None = None) -> np.ndarray:
     """Gradient weights w such that grad(f(C)) = grad(C)^T w.
 
     Kinds
@@ -123,7 +121,8 @@ def weight_vector(stats: ComplianceStats, kind: str, *, m: float | None = None,
     variance        w = 2/(L-1) (C - mu 1)
     std             w = 1/((L-1) sigma) (C - mu 1)
     mean_plus_m_std w_mean + m * w_std  (requires m)
-    auglag          lam + 2 r max(C - C_t, 0)  (requires lam, r, C_t)
+
+    The augmented Lagrangian's weights belong to `auglag.lagrangian_gradient`.
 
     For the std-based kinds, a degenerate dispersion (sigma at or below
     `sigma_floor(mu)`, including the L = 1 case) yields zero std weights:
@@ -144,11 +143,6 @@ def weight_vector(stats: ComplianceStats, kind: str, *, m: float | None = None,
         if m is None:
             raise ValueError("mean_plus_m_std requires the multiplier m")
         return weight_vector(stats, "mean") + m * weight_vector(stats, "std")
-    if kind == "auglag":
-        if lam is None or r is None or C_t is None:
-            raise ValueError("auglag requires lam, r and C_t")
-        lam = np.broadcast_to(np.asarray(lam, dtype=float), (L,))
-        return lam + 2.0 * r * np.maximum(C - C_t, 0.0)
     raise ValueError(f"unknown weight kind {kind!r}; expected one of {WEIGHT_KINDS}")
 
 

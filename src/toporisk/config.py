@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .auglag import AugLagState
 from .continuation import (
     ContinuationSchedule,
     ForwardModel,
@@ -220,6 +221,7 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
     try:
         ContinuationSchedule.default(**schedule_params)
         MMAConfig(**mma_params)
+        AugLagState(C_t=math.inf, **auglag_params)  # the section only; C_t is checked above
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 

@@ -133,7 +133,6 @@ class ForwardModel:
                 f"scenarios load fixed DOF {listed}{more}; loads must act on free DOFs"
             )
         self.mesh = mesh
-        self.material = material
         self.pipeline = pipeline
         self.scenarios = scenarios
         self.method = method
@@ -249,7 +248,7 @@ class MeanStdProblem(_VolumeConstrainedProblem):
         return analysis.objective_gradient_for("mean_plus_m_std", m=self.m)
 
 
-class _AugLagEval:
+class AugLagEvaluation:
     """Adapter giving `auglag_minimize` its view of one analysis."""
 
     def __init__(self, analysis: Analysis, scale: float):
@@ -313,7 +312,7 @@ class MaxComplianceProblem:
             self.prepare(x, step)
 
         def evaluate(xv):
-            return _AugLagEval(self.memo.at(xv, step.penalty, step.beta), self.scale)
+            return AugLagEvaluation(self.memo.at(xv, step.penalty, step.beta), self.scale)
 
         state = AugLagState(C_t=self.C_t, lam=self.lam,
                             trust_region=self.trust_region,

@@ -1,9 +1,10 @@
 """Finite element assembly and linear solves on structured meshes.
 
 Q4 plane stress in 2D, H8 in 3D, both with full Gauss quadrature
-(2 points per axis). All elements of a `GroundMesh` are congruent, so a
-single element stiffness matrix is computed once and scaled per element
-by its density during assembly.
+(2 points per axis) in one kernel for both dimensions; the local corner
+order is `GroundMesh.corner_offsets`. All elements of a `GroundMesh` are
+congruent, so a single element stiffness matrix is computed once and
+scaled per element by its density during assembly.
 
 K is kept in LAPACK upper band storage. Nodes are numbered
 lexicographically, so every element's DOFs lie within u + 1 consecutive
@@ -48,14 +49,10 @@ from scipy.linalg import LinAlgError, blas, cho_solve_banded, cholesky_banded
 from .errors import NotPositiveDefiniteError
 from .mesh import GroundMesh, Material
 
-# corners in local coordinates, same order as GroundMesh.element_node_ids
-_CORNERS_2D = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)], dtype=float)
-_CORNERS_3D = np.array(
-    [(-1, -1, -1), (1, -1, -1), (1, 1, -1), (-1, 1, -1),
-     (-1, -1, 1), (1, -1, 1), (1, 1, 1), (-1, 1, 1)],
-    dtype=float,
-)
 _GAUSS_1D = np.array([-1.0, 1.0]) / np.sqrt(3.0)  # weights are 1
+# (i, j) axis pairs of the engineering shear strains, in Voigt order:
+# xy in 2D; yz, xz, xy in 3D
+_SHEAR_PAIRS = {2: [(0, 1)], 3: [(1, 2), (0, 2), (0, 1)]}
 
 
 @dataclass(frozen=True)
@@ -110,27 +107,16 @@ def _shape_gradients(corners: np.ndarray, point: np.ndarray) -> np.ndarray:
     return grads
 
 
-def _strain_matrix(dNdx: np.ndarray, dim: int) -> np.ndarray:
+def _strain_matrix(dNdx: np.ndarray) -> np.ndarray:
     """B such that strain (Voigt) = B @ u_e, u_e ordered (x, y[, z]) per node."""
-    n_corner = dNdx.shape[0]
-    if dim == 2:
-        B = np.zeros((3, 2 * n_corner))
-        B[0, 0::2] = dNdx[:, 0]
-        B[1, 1::2] = dNdx[:, 1]
-        B[2, 0::2] = dNdx[:, 1]
-        B[2, 1::2] = dNdx[:, 0]
-        return B
-    B = np.zeros((6, 3 * n_corner))
-    B[0, 0::3] = dNdx[:, 0]
-    B[1, 1::3] = dNdx[:, 1]
-    B[2, 2::3] = dNdx[:, 2]
-    # shear rows in Voigt order (yz, xz, xy)
-    B[3, 1::3] = dNdx[:, 2]
-    B[3, 2::3] = dNdx[:, 1]
-    B[4, 0::3] = dNdx[:, 2]
-    B[4, 2::3] = dNdx[:, 0]
-    B[5, 0::3] = dNdx[:, 1]
-    B[5, 1::3] = dNdx[:, 0]
+    n_corner, dim = dNdx.shape
+    pairs = _SHEAR_PAIRS[dim]
+    B = np.zeros((dim + len(pairs), dim * n_corner))
+    for i in range(dim):
+        B[i, i::dim] = dNdx[:, i]
+    for row, (i, j) in enumerate(pairs, start=dim):
+        B[row, i::dim] = dNdx[:, j]
+        B[row, j::dim] = dNdx[:, i]
     return B
 
 
@@ -143,7 +129,7 @@ def element_stiffness(mesh: GroundMesh, material: Material) -> np.ndarray:
     """
     dim = mesh.dim
     h = mesh.element_size
-    corners = _CORNERS_2D if dim == 2 else _CORNERS_3D
+    corners = 2.0 * mesh.corner_offsets() - 1.0  # local coordinates in [-1, 1]^dim
     D = _elastic_matrix(material, dim)
     n_dof = corners.shape[0] * dim
     Ke = np.zeros((n_dof, n_dof))
@@ -151,7 +137,7 @@ def element_stiffness(mesh: GroundMesh, material: Material) -> np.ndarray:
     grids = np.meshgrid(*([_GAUSS_1D] * dim), indexing="ij")
     for point in np.stack([g.ravel() for g in grids], axis=1):
         dNdx = _shape_gradients(corners, point) * (2.0 / h)
-        B = _strain_matrix(dNdx, dim)
+        B = _strain_matrix(dNdx)
         Ke += B.T @ D @ B * detJ
     if dim == 2:
         Ke *= mesh.thickness

@@ -39,20 +39,16 @@ def write_vtk(path, mesh: GroundMesh, values: np.ndarray, name: str = "density")
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.n_elements,):
         raise ValueError(f"values must have shape ({mesh.n_elements},), got {values.shape}")
-    if mesh.dim == 2:
-        nx, ny = mesh.cells
-        nz = 1
-        ordered = values.reshape(nx, ny).T.ravel()
-    else:
-        nx, ny, nz = mesh.cells
-        ordered = values.reshape(nx, ny, nz).transpose(2, 1, 0).ravel()
+    # reversing the axes of the x-slowest element grid makes x fastest
+    ordered = values.reshape(mesh.cells).T.ravel()
+    points = [c + 1 for c in mesh.cells] + [2] * (3 - mesh.dim)
     h = mesh.element_size
     lines = [
         "# vtk DataFile Version 3.0",
         name,
         "ASCII",
         "DATASET STRUCTURED_POINTS",
-        f"DIMENSIONS {nx + 1} {ny + 1} {nz + 1}",
+        "DIMENSIONS " + " ".join(str(p) for p in points),
         "ORIGIN 0 0 0",
         f"SPACING {_fmt(h)} {_fmt(h)} {_fmt(h)}",
         f"CELL_DATA {mesh.n_elements}",

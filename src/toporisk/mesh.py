@@ -4,11 +4,16 @@ Supports 2D quadrilateral (plane stress) and 3D hexahedral grids of
 identical axis-aligned cube/square elements.
 
 Numbering conventions (used consistently by assembly, scenarios and the
-exporters):
+exporters), the same in 2D and 3D:
 
-* nodes:    ``id = ix*(ny+1) + iy`` in 2D and
-            ``id = ix*(ny+1)*(nz+1) + iy*(nz+1) + iz`` in 3D,
-* elements: ``e = ex*ny + ey`` in 2D and ``e = ex*ny*nz + ey*nz + ez`` in 3D,
+* nodes:    grid coordinates (ix, iy[, iz]) raveled in C order over
+            `nodes_per_axis`, so the last axis runs fastest
+            (``id = ix*(ny+1) + iy`` in 2D),
+* elements: the lowest corner's grid coordinates raveled in C order
+            over `cells` (``e = ex*ny + ey`` in 2D),
+* corners:  the local corner order of every element is
+            `GroundMesh.corner_offsets`, which the element kernel in
+            `fea` reads too,
 * DOFs:     ``node*dim + component`` with components ordered (x, y[, z]).
 
 Axes are (length, height, depth); "down" is the negative y direction.
@@ -108,51 +113,38 @@ class GroundMesh:
     # -- numbering ---------------------------------------------------------
 
     def node_id(self, *grid_index) -> int:
-        """Global node id of grid coordinates (ix, iy[, iz])."""
-        npa = self.nodes_per_axis
-        if self.dim == 2:
-            ix, iy = grid_index
-            return ix * npa[1] + iy
-        ix, iy, iz = grid_index
-        return ix * npa[1] * npa[2] + iy * npa[2] + iz
+        """Global node id of grid coordinates (ix, iy[, iz]).
+
+        Raises ValueError for a coordinate outside the grid.
+        """
+        return int(self.node_id_array(*grid_index))
+
+    def node_id_array(self, *grid_index):
+        """Vectorized `node_id`."""
+        return np.ravel_multi_index(grid_index, self.nodes_per_axis)
 
     def node_dofs(self, node: int) -> np.ndarray:
         return np.arange(self.dim) + self.dim * node
 
-    def element_node_ids(self) -> np.ndarray:
-        """(n_elements, 4 or 8) array of element corner node ids.
+    def corner_offsets(self) -> np.ndarray:
+        """(4 or 8, dim) grid offsets of an element's corners, in local order.
 
-        Local corner order matches the shape functions in `fea`:
-        counterclockwise in 2D starting at the low corner; in 3D the bottom
-        face first, then the top face, same traversal.
+        Counterclockwise in 2D starting at the low corner; in 3D the same
+        ring on the bottom face, then on the top face.
         """
+        ring = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
         if self.dim == 2:
-            nx, ny = self.cells
-            ex, ey = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-            ex, ey = ex.ravel(), ey.ravel()
-            corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
-            cols = [self.node_id_array(ex + dx, ey + dy) for dx, dy in corners]
-        else:
-            nx, ny, nz = self.cells
-            ex, ey, ez = np.meshgrid(
-                np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-            )
-            ex, ey, ez = ex.ravel(), ey.ravel(), ez.ravel()
-            corners = [
-                (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
-                (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
-            ]
-            cols = [self.node_id_array(ex + dx, ey + dy, ez + dz) for dx, dy, dz in corners]
-        return np.stack(cols, axis=1)
+            return ring
+        return np.vstack([np.column_stack([ring, np.full(4, z)]) for z in (0, 1)])
 
-    def node_id_array(self, *grid_index):
-        """Vectorized `node_id`."""
-        npa = self.nodes_per_axis
-        if self.dim == 2:
-            ix, iy = grid_index
-            return ix * npa[1] + iy
-        ix, iy, iz = grid_index
-        return ix * npa[1] * npa[2] + iy * npa[2] + iz
+    def _element_origins(self) -> np.ndarray:
+        """(dim, n_elements) grid coordinates of each element's low corner."""
+        return np.indices(self.cells).reshape(self.dim, -1)
+
+    def element_node_ids(self) -> np.ndarray:
+        """(n_elements, 4 or 8) element corner node ids, in `corner_offsets` order."""
+        corners = self._element_origins()[:, :, None] + self.corner_offsets().T[:, None, :]
+        return self.node_id_array(*corners)
 
     def element_dof_map(self) -> np.ndarray:
         """(n_elements, 8 or 24) global DOF indices per element, read-only.
@@ -174,35 +166,13 @@ class GroundMesh:
 
     def element_centroids(self) -> np.ndarray:
         """(n_elements, dim) centroid coordinates in mm."""
-        h = self.element_size
-        if self.dim == 2:
-            nx, ny = self.cells
-            ex, ey = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-            return np.column_stack([(ex.ravel() + 0.5) * h, (ey.ravel() + 0.5) * h])
-        nx, ny, nz = self.cells
-        ex, ey, ez = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-        return np.column_stack(
-            [(ex.ravel() + 0.5) * h, (ey.ravel() + 0.5) * h, (ez.ravel() + 0.5) * h]
-        )
+        return (self._element_origins().T + 0.5) * self.element_size
 
     def boundary_node_ids(self) -> np.ndarray:
-        """Ids of nodes on the outer surface, ascending (lexicographic)."""
-        npa = self.nodes_per_axis
-        if self.dim == 2:
-            ix, iy = np.meshgrid(np.arange(npa[0]), np.arange(npa[1]), indexing="ij")
-            on_edge = (ix == 0) | (ix == npa[0] - 1) | (iy == 0) | (iy == npa[1] - 1)
-            ids = self.node_id_array(ix[on_edge], iy[on_edge])
-        else:
-            ix, iy, iz = np.meshgrid(
-                np.arange(npa[0]), np.arange(npa[1]), np.arange(npa[2]), indexing="ij"
-            )
-            on_face = (
-                (ix == 0) | (ix == npa[0] - 1)
-                | (iy == 0) | (iy == npa[1] - 1)
-                | (iz == 0) | (iz == npa[2] - 1)
-            )
-            ids = self.node_id_array(ix[on_face], iy[on_face], iz[on_face])
-        return np.sort(ids)
+        """Ids of nodes on the outer surface, ascending."""
+        grid = np.indices(self.nodes_per_axis).reshape(self.dim, -1)
+        last = np.array(self.nodes_per_axis)[:, None] - 1
+        return np.flatnonzero(np.any((grid == 0) | (grid == last), axis=0))
 
     def free_surface_dofs(self) -> np.ndarray:
         """All DOFs of surface nodes that carry no Dirichlet condition, ascending."""
@@ -213,20 +183,12 @@ class GroundMesh:
 
 
 def cantilever_mesh(dim: int, cells, element_size: float = 1.0, thickness: float = 1.0) -> GroundMesh:
-    """Cantilever benchmark mesh: every DOF on the x=0 face is fixed."""
+    """Cantilever benchmark mesh: every DOF on the x=0 face is fixed.
+
+    The x=0 face holds the lowest node ids, so its DOFs are the first
+    dim * prod(nodes_per_axis[1:]).
+    """
     cells = tuple(int(c) for c in cells)
-    npa = tuple(c + 1 for c in cells)
-    fixed = []
-    if dim == 2:
-        for iy in range(npa[1]):
-            node = 0 * npa[1] + iy
-            fixed.extend((2 * node, 2 * node + 1))
-    elif dim == 3:
-        for iy in range(npa[1]):
-            for iz in range(npa[2]):
-                node = iy * npa[2] + iz
-                fixed.extend((3 * node, 3 * node + 1, 3 * node + 2))
-    else:
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    n_face_dofs = dim * int(np.prod([c + 1 for c in cells[1:]]))
     return GroundMesh(dim=dim, cells=cells, element_size=element_size,
-                      fixed_dofs=frozenset(fixed), thickness=thickness)
+                      fixed_dofs=frozenset(range(n_face_dofs)), thickness=thickness)

@@ -178,12 +178,8 @@ def mma_minimize(objective, constraint, x0, tol, cfg: MMAConfig | None = None,
         if not (np.isfinite(f) and np.all(np.isfinite(df))
                 and np.isfinite(c) and np.all(np.isfinite(dc))):
             raise ValueError("objective or constraint returned non-finite values")
-        if iteration <= 2:
-            low, upp = _update_asymptotes(iteration, x, xold1, xold2, None, None,
-                                          lower, upper, cfg)
-        else:
-            low, upp = _update_asymptotes(iteration, x, xold1, xold2, low, upp,
-                                          lower, upper, cfg)
+        low, upp = _update_asymptotes(iteration, x, xold1, xold2, low, upp,
+                                      lower, upper, cfg)
         alpha = np.maximum.reduce([lower, low + cfg.albefa * (x - low),
                                    x - cfg.move * width])
         beta = np.minimum.reduce([upper, upp - cfg.albefa * (upp - x),

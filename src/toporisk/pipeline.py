@@ -69,8 +69,6 @@ class DensityField:
 
     Attributes
     ----------
-    design : ndarray
-        The design vector x the pass was evaluated at.
     filtered : ndarray
         A x.
     interpolated : ndarray
@@ -81,7 +79,6 @@ class DensityField:
         Stage parameters the pass used.
     """
 
-    design: np.ndarray
     filtered: np.ndarray
     interpolated: np.ndarray
     physical: np.ndarray
@@ -123,7 +120,6 @@ class DensityPipeline:
         # ulp; clamp so the documented range [x_min, 1] holds verbatim
         physical = np.clip(heaviside(interpolated, beta), self.x_min, 1.0)
         return DensityField(
-            design=design,
             filtered=filtered,
             interpolated=interpolated,
             physical=physical,

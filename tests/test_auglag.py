@@ -56,6 +56,10 @@ def test_state_validation():
     with pytest.raises(ValueError):
         tr.auglag_minimize(lambda x: LinearEval(x, [1.5]), np.full(4, 0.5),
                            tr.AugLagState(C_t=1.0), tol=1e-6, normalization=0.0)
+    for bad in [{"dual_iters": 0}, {"primal_iters": 2.5}, {"dual_iters": True},
+                {"trust_region": 0.0}, {"trust_region": "wide"}]:
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            tr.AugLagState(C_t=1.0, **bad)
     state = tr.AugLagState(C_t=1.0, lam=np.ones(3))  # wrong length for L=1
     with pytest.raises(ValueError):
         tr.auglag_minimize(lambda x: LinearEval(x, [1.5]), np.full(4, 0.5),

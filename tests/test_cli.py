@@ -127,6 +127,14 @@ def test_bad_config_exits_2(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+def test_bad_auglag_value_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, problem={"kind": "max_compliance", "C_t": 50.0},
+                          auglag={"dual_iters": 0})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "dual_iters" in capsys.readouterr().err
+
+
 def test_load_on_fixed_dof_exits_2(tmp_path, capsys):
     loads = tmp_path / "loads.csv"
     loads.write_text("dof,scenario,value\n13,0,-1.0\n2,0,1.0\n")

@@ -81,17 +81,12 @@ def test_weight_vectors_hand_worked():
     np.testing.assert_allclose(tr.weight_vector(stats, "std"), [-0.5, 0.0, 0.5])
     np.testing.assert_allclose(tr.weight_vector(stats, "mean_plus_m_std", m=2.0),
                                [1 / 3 - 1.0, 1 / 3, 1 / 3 + 1.0])
-    w = tr.weight_vector(stats, "auglag", lam=np.array([1.0, 1.0, 1.0]),
-                         r=0.5, C_t=2.5)
-    np.testing.assert_allclose(w, [1.0, 1.0, 1.5])  # only C_3 = 3 > C_t
 
 
 def test_weight_vector_validation():
     stats = tr.ComplianceStats.from_compliances(np.array([1.0, 2.0]), cache=None)
     with pytest.raises(ValueError):
         tr.weight_vector(stats, "mean_plus_m_std")
-    with pytest.raises(ValueError):
-        tr.weight_vector(stats, "auglag", lam=np.ones(2))
     with pytest.raises(ValueError):
         tr.weight_vector(stats, "no_such_kind")
 

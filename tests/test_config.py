@@ -71,6 +71,9 @@ def test_load_config_bad_file(tmp_path):
     (lambda c: c["mesh"].update(elemnt_size=2.0), "mesh.elemnt_size"),
     (lambda c: c["problem"].update(volum_fraction=0.3), "problem.volum_fraction"),
     (lambda c: c.update(auglag={"bogus": 1}), "auglag.bogus"),
+    (lambda c: c.update(auglag={"dual_iters": "ten"}), "dual_iters"),
+    (lambda c: c.update(auglag={"dual_iters": 0}), "dual_iters"),
+    (lambda c: c.update(auglag={"trust_region": -0.2}), "trust_region"),
 ])
 def test_rejections_name_the_key(mutate, fragment):
     cfg = base_config()

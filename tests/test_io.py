@@ -50,6 +50,22 @@ def test_vtk_3d_cell_count(tmp_path):
     assert ordered[1] == values[mesh.cells[1] * mesh.cells[2]]
 
 
+def test_vtk_3d_cell_order_is_x_fastest(tmp_path):
+    mesh = tr.cantilever_mesh(3, (3, 2, 4))
+    values = np.arange(mesh.n_elements, dtype=float)  # e = ex*ny*nz + ey*nz + ez
+    path = tmp_path / "d.vtk"
+    write_vtk(path, mesh, values)
+    dims, _, ordered = parse_vtk(path.read_text())
+    assert dims == (4, 3, 5)
+    nx, ny, nz = mesh.cells
+    expected = np.empty(mesh.n_elements)
+    for ex in range(nx):
+        for ey in range(ny):
+            for ez in range(nz):
+                expected[ez * ny * nx + ey * nx + ex] = values[ex * ny * nz + ey * nz + ez]
+    np.testing.assert_array_equal(ordered, expected)
+
+
 def test_vtk_rejects_wrong_length(tmp_path):
     mesh = tr.cantilever_mesh(2, (3, 2))
     with pytest.raises(ValueError):

@@ -63,6 +63,24 @@ def test_element_nodes_2d():
     assert list(conn[1]) == [2, 4, 5, 3]
 
 
+def test_node_id_rejects_coordinates_outside_the_grid():
+    # 3x2 nodes: (0, 2) would alias node (1, 0) under a plain ix*2 + iy
+    mesh = tr.GroundMesh(dim=2, cells=(2, 1), element_size=1.0, fixed_dofs=frozenset())
+    for index in [(0, 2), (3, 0), (-1, 0)]:
+        with pytest.raises(ValueError):
+            mesh.node_id(*index)
+
+
+def test_element_nodes_3d_local_order():
+    # 3x3x3 nodes, id = ix*9 + iy*3 + iz; the bottom face (z offset 0)
+    # counterclockwise from the low corner, then the top face the same way
+    mesh = tr.GroundMesh(dim=3, cells=(2, 2, 2), element_size=1.0, fixed_dofs=frozenset())
+    conn = mesh.element_node_ids()
+    assert conn.shape == (8, 8)
+    assert list(conn[0]) == [0, 9, 12, 3, 1, 10, 13, 4]
+    assert list(conn[7]) == [13, 22, 25, 16, 14, 23, 26, 17]  # element (1, 1, 1)
+
+
 def test_element_nodes_cover_unit_cell_3d():
     # whatever the local order, element e must own exactly the 8 grid nodes
     # of its unit cell
@@ -121,6 +139,13 @@ def test_cantilever_fixes_left_face():
     mesh = tr.cantilever_mesh(2, (4, 2))
     left = {mesh.node_id(0, iy) for iy in range(3)}
     expected = {2 * n + c for n in left for c in (0, 1)}
+    assert mesh.fixed_dofs == frozenset(expected)
+
+
+def test_cantilever_fixes_left_face_3d():
+    mesh = tr.cantilever_mesh(3, (3, 2, 2))
+    left = {mesh.node_id(0, iy, iz) for iy in range(3) for iz in range(3)}
+    expected = {3 * n + c for n in left for c in (0, 1, 2)}
     assert mesh.fixed_dofs == frozenset(expected)
 
 
