@@ -5,7 +5,7 @@ compliances, plus volume-constrained and maximum-compliance-constrained
 SIMP solvers with continuation.
 """
 
-from .auglag import AugLagResult, AugLagState, auglag_minimize, projected_gradient_step
+from .auglag import AugLagConfig, AugLagResult, auglag_minimize, projected_gradient_step
 from .compliance import (
     ComplianceStats,
     Solves,

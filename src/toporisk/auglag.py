@@ -22,6 +22,11 @@ using the signed constraint values (the gradient of L in lambda), so
 multipliers of slack constraints decay to zero while violated ones grow.
 The penalty coefficient grows geometrically per dual iteration.
 
+The loop settings (trust region, dual and primal iteration caps) are one
+immutable `AugLagConfig` per run, the `auglag` section of a run config;
+the threshold C_t and the starting multipliers are arguments of each
+`auglag_minimize` call.
+
 The dual loop stops at a KKT point, the outer stop test of ALGENCAN
 (Andreani, Birgin, Martinez & Schuverdt 2008): right after a multiplier
 update, when the last primal phase converged (residual <= tol) and
@@ -45,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, check_fields
 from .mma import scaled_kkt_residual
 
 ARMIJO_C = 1e-4
@@ -55,35 +60,29 @@ R_START = 0.1       # penalty coefficient r of the first dual iteration
 R_GROWTH = 3.0      # factor on r per dual iteration
 
 
-@dataclass
-class AugLagState:
-    """Multipliers, penalty and loop settings of one augmented Lagrangian run.
+@dataclass(frozen=True)
+class AugLagConfig:
+    """Loop settings of the augmented Lagrangian, one value for a whole run.
 
-    Defaults follow the benchmark settings: unit initial multipliers,
-    trust region 0.1, at most 10 dual iterations of at most 50 primal
-    steps each; the penalty starts at `R_START` and grows by `R_GROWTH`
-    per dual iteration. `dual_iters` is a cap: the loop ends earlier at a
-    KKT point. `C_t` is the raw (unnormalized) compliance threshold.
+    Defaults follow the benchmark settings: trust region 0.1, at most 10
+    dual iterations of at most 50 primal steps each. `dual_iters` is a
+    cap: the loop ends earlier at a KKT point. The penalty is not set
+    here: it starts at `R_START` and grows by `R_GROWTH` per dual
+    iteration. The threshold and the starting multipliers belong to one
+    call and are arguments of `auglag_minimize`.
     """
 
-    C_t: float
-    lam: np.ndarray | None = None
     trust_region: float = 0.1
     dual_iters: int = 10
     primal_iters: int = 50
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("dual_iters", "primal_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if (isinstance(self.trust_region, bool)
-                or not isinstance(self.trust_region, (int, float)) or not self.trust_region > 0):
-            raise ValueError(f"trust_region must be a number > 0, got {self.trust_region!r}")
-        if self.lam is not None:
-            self.lam = np.asarray(self.lam, dtype=float)
-            if np.any(self.lam < 0):
-                raise ValueError("multipliers must be nonnegative")
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.trust_region > 0:
+            raise ValueError(f"trust_region must be > 0, got {self.trust_region}")
 
 
 @dataclass
@@ -137,8 +136,8 @@ def lagrangian_gradient(ev, lam, r, ct_norm, norm):
     return ev.objective_gradient() + ev.compliance_weighted_gradient(w)
 
 
-def auglag_minimize(evaluate, x0, state: AugLagState, tol,
-                    normalization: float = 1.0, callback=None) -> AugLagResult:
+def auglag_minimize(evaluate, x0, C_t: float, tol, config: AugLagConfig | None = None,
+                    lam=None, normalization: float = 1.0, callback=None) -> AugLagResult:
     """Run the dual loop to a KKT point or its cap; returns the final point.
 
     Parameters
@@ -148,9 +147,16 @@ def auglag_minimize(evaluate, x0, state: AugLagState, tol,
         `compliances` (raw, ndarray), `objective_gradient()` and
         `compliance_weighted_gradient(w)` (both gradients over x; the
         weights passed in are already normalized).
+    C_t : float
+        Raw (unnormalized) compliance threshold; not finite switches the
+        constraints off.
     tol : float
         Primal stopping threshold on the scaled projected KKT residual;
         the dual loop's KKT stop test uses it too, relative to Ct_t.
+    config : AugLagConfig, optional
+        Trust region and iteration caps; the defaults if omitted.
+    lam : array_like, optional
+        Nonnegative starting multipliers, one per scenario; ones if omitted.
     normalization : float
         Positive scale dividing compliances and threshold (typically the
         full-design maximum compliance).
@@ -165,23 +171,26 @@ def auglag_minimize(evaluate, x0, state: AugLagState, tol,
     """
     if not normalization > 0:
         raise ValueError("normalization must be positive")
+    config = config or AugLagConfig()
     x = np.asarray(x0, dtype=float).copy()
     ev = evaluate(x)
     L_count = ev.compliances.size
-    lam = np.ones(L_count) if state.lam is None else state.lam.copy()
+    lam = np.ones(L_count) if lam is None else np.array(lam, dtype=float)
     if lam.shape != (L_count,):
         raise ValueError(f"lam must have shape ({L_count},), got {lam.shape}")
+    if np.any(lam < 0):
+        raise ValueError("multipliers must be nonnegative")
     r = R_START
-    ct_norm = state.C_t / normalization
+    ct_norm = C_t / normalization
     max_step = 1.0
     total_primal = 0
     violation_history = []
 
     converged = False
-    for dual_iter in range(state.dual_iters):
+    for dual_iter in range(config.dual_iters):
         L_val = lagrangian(ev, lam, r, ct_norm, normalization)
         converged = False
-        for primal_iter in range(state.primal_iters):
+        for primal_iter in range(config.primal_iters):
             grad = lagrangian_gradient(ev, lam, r, ct_norm, normalization)
             residual = scaled_kkt_residual(x, grad, 0.0, 1.0,
                                            float(np.mean(np.abs(lam))))
@@ -192,7 +201,7 @@ def auglag_minimize(evaluate, x0, state: AugLagState, tol,
             step = max_step
             stalled = True
             for _ in range(MAX_HALVINGS):
-                x_trial = projected_gradient_step(x, grad, step, state.trust_region)
+                x_trial = projected_gradient_step(x, grad, step, config.trust_region)
                 direction = x_trial - x
                 if not np.any(direction):
                     break  # projection pinned every coordinate
@@ -223,7 +232,7 @@ def auglag_minimize(evaluate, x0, state: AugLagState, tol,
             and max_violation >= violation_history[0] and len(violation_history) > 1):
         raise InfeasibleError(
             f"constraint violation {max_violation:.3e} did not decrease over "
-            f"{state.dual_iters} dual iterations (threshold {state.C_t:.6g})"
+            f"{config.dual_iters} dual iterations (threshold {C_t:.6g})"
         )
     return AugLagResult(
         x=x,

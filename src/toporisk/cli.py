@@ -107,8 +107,11 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(statistic, method, system, model):
+def _bench_one(statistic, method, system, model, svd_rel_tol):
     """Evaluate one statistic and its design gradient; returns a row dict.
+
+    The SVD route keeps the singular directions above `svd_rel_tol`, the
+    run config's tolerance.
 
     The factorization is shared and excluded from the timing, matching a
     factorize-once workflow. The evaluation runs once to warm up, then
@@ -124,7 +127,7 @@ def _bench_one(statistic, method, system, model):
 
     def evaluate():
         if method == "svd":
-            stats = comp.compliances_svd(system, F, thin_svd(F))
+            stats = comp.compliances_svd(system, F, thin_svd(F, svd_rel_tol))
         else:
             stats = comp.compliances_naive(system, F)
         comp.weighted_gradient(stats.cache, comp.weight_vector(stats, kind),
@@ -154,7 +157,7 @@ def cmd_bench(args) -> int:
     rows = []
     for statistic in ("mu_C", "sigma_C"):
         for method in ("naive", "svd"):
-            rows.append(_bench_one(statistic, method, system, model))
+            rows.append(_bench_one(statistic, method, system, model, cfg.svd_rel_tol))
 
     for statistic in ("mu_C", "sigma_C"):
         naive, svd = (r for r in rows if r["statistic"] == statistic)
@@ -275,7 +278,7 @@ def cmd_sample_scenarios(args) -> int:
     F = sample_cantilever_scenarios(mesh, cfg.L, seed)
     path = out / "scenarios.csv"
     save_scenarios_to_file(F, path)
-    n_s = thin_svd(F).n_s
+    n_s = thin_svd(F, cfg.svd_rel_tol).n_s
     print(f"wrote {F.n_scenarios} scenarios on {F.n_loaded} loaded DOFs "
           f"(rank {n_s}) to {path}")
     return EXIT_OK
@@ -293,11 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON run configuration")
         p.add_argument("--out", help="output directory (overrides the config)")
         p.add_argument("--seed", type=int, help="override the scenario sampler seed")
+
+    def add_method(p):
         p.add_argument("--method", choices=("naive", "svd"),
                        help="override the compliance evaluation method")
 
     p_run = sub.add_parser("run", help="solve the configured optimization problem")
     add_common(p_run)
+    add_method(p_run)
     p_run.set_defaults(handler=cmd_run)
 
     p_bench = sub.add_parser("bench", help="time naive vs SVD statistics on the full design")
@@ -306,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check-grad", help="compare gradients against finite differences")
     add_common(p_check)
+    add_method(p_check)
     p_check.add_argument("--fd-step", type=float, default=1e-6,
                          help="central difference step (default 1e-6)")
     p_check.add_argument("--penalty", type=float, default=3.0)

@@ -15,26 +15,38 @@ A run config is a single JSON document, versioned through its required
       "output_dir": "out"
     }
 
-Problem kinds: "mean" (volume-constrained mean compliance), "mean_std"
-(adds m * sigma_C to the objective) and "max_compliance" (volume
-minimization under per-scenario compliance bounds; its "C_t" accepts a
-number or the string "inf" to disable the constraints). Scenarios come
-either from the benchmark sampler ("sample": L, seed) or from a CSV file
-("file": path). Optional sections "schedule", "mma" and "auglag"
-override continuation and solver settings; all their fields have the
-benchmark defaults.
+Problem kinds: "mean" (volume-constrained mean compliance; reads
+"volume_fraction"), "mean_std" (adds m * sigma_C to the objective; reads
+"volume_fraction" and "m", default 2) and "max_compliance" (volume
+minimization under per-scenario compliance bounds; reads "C_t", a number
+or the string "inf" to disable the constraints). Scenarios come either
+from the benchmark sampler ("source": "sample", with "L" and "seed") or
+from a CSV file ("source": "file", with "path").
 
-Every violation, including a key that no section knows, raises
-`ConfigError` naming the offending key.
+The sections "material", "schedule", "mma" and "auglag" are parsed once,
+into the immutable value each configures: `Material`, the schedule of
+`ContinuationSchedule.default(...)`, `MMAConfig` and `AugLagConfig`. A
+section's keys are its constructor's arguments, its defaults and checks
+the constructor's own. "mma" configures the MMA-solved kinds and "auglag"
+the max-compliance kind, so a run reads one of the two. The "mesh"
+section is checked by building its mesh once, but `RunConfig` keeps the
+four mesh values and `build_mesh` builds a fresh mesh on every call: a
+`GroundMesh` caches its DOF map and band layout, so a mesh held here would
+carry that set-up work from one build to the next.
+
+Every violation raises `ConfigError` naming the offending key or section,
+and so does a key that no section knows or that the configured run does
+not read.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .auglag import AugLagState
+from .auglag import AugLagConfig
 from .continuation import (
     ContinuationSchedule,
     ForwardModel,
@@ -49,27 +61,32 @@ from .pipeline import DensityPipeline
 from .scenarios import SVD_REL_TOL, load_scenarios_from_file, sample_cantilever_scenarios
 
 SCHEMA_VERSION = 1
-PROBLEM_KINDS = ("mean", "mean_std", "max_compliance")
 
 _TOP_KEYS = {
     "schema_version", "problem", "mesh", "material", "filter_radius", "x_min",
     "scenarios", "method", "svd_rel_tol", "schedule", "mma", "auglag", "output_dir",
 }
+# the keys each problem kind and each scenario source reads
+_PROBLEM_KEYS = {
+    "mean": {"kind", "volume_fraction"},
+    "mean_std": {"kind", "volume_fraction", "m"},
+    "max_compliance": {"kind", "C_t"},
+}
+PROBLEM_KINDS = tuple(_PROBLEM_KEYS)
+_SCENARIO_KEYS = {"sample": {"source", "L", "seed"}, "file": {"source", "path"}}
 _SECTION_KEYS = {
-    "problem": {"kind", "volume_fraction", "m", "C_t"},
     "mesh": {"dim", "cells", "element_size", "thickness"},
-    "material": {"youngs_modulus", "poissons_ratio"},
-    "scenarios": {"source", "L", "seed", "path"},
-    "schedule": {"p_start", "p_end", "p_step", "beta_end", "beta_step", "tol_start", "tol_end"},
+    "material": {f.name for f in fields(Material)},
+    "schedule": set(inspect.signature(ContinuationSchedule.default).parameters),
     "mma": {f.name for f in fields(MMAConfig)},
-    "auglag": {"trust_region", "dual_iters", "primal_iters"},
+    "auglag": {f.name for f in fields(AugLagConfig)},
 }
 
 
-def _reject_unknown_keys(mapping, allowed, where):
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigError("unknown keys " + ", ".join(f"{where}.{key}" for key in unknown))
+def _reject_keys(mapping, allowed, where, reason="unknown keys"):
+    extra = sorted(set(mapping) - allowed)
+    if extra:
+        raise ConfigError(f"{reason}: " + ", ".join(f"{where}.{key}" for key in extra))
 
 
 def _require(mapping, key, kind, where):
@@ -77,8 +94,9 @@ def _require(mapping, key, kind, where):
         raise ConfigError(f"{where}: missing required key {key!r}")
     value = mapping[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or isinstance(value, float) and not math.isfinite(value)):
+            raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -95,9 +113,28 @@ def _optional(mapping, key, kind, default, where):
     return _require(mapping, key, kind, where)
 
 
+def _construct(where, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, its ValueError or TypeError a ConfigError naming `where`."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _build_section(raw, name, make, where, required=False):
+    """The value section `name` configures: `make(**section)`, keys checked first."""
+    section = (_require(raw, name, dict, where) if required
+               else _optional(raw, name, dict, {}, where))
+    _reject_keys(section, _SECTION_KEYS[name], f"{where}.{name}")
+    return _construct(f"{where}.{name}", make, **section)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration; see the module docstring for the schema."""
+    """Validated run configuration; see the module docstring for the schema.
+
+    `mma` is None on a max-compliance run, `auglag` on the other kinds.
+    """
 
     kind: str
     volume_fraction: float | None
@@ -107,8 +144,7 @@ class RunConfig:
     cells: tuple
     element_size: float
     thickness: float
-    youngs_modulus: float
-    poissons_ratio: float
+    material: Material
     filter_radius: float
     x_min: float
     scenario_source: str     # "sample" or "file"
@@ -117,10 +153,10 @@ class RunConfig:
     scenario_path: str | None
     method: str
     svd_rel_tol: float
-    schedule_params: dict = field(default_factory=dict)
-    mma_params: dict = field(default_factory=dict)
-    auglag_params: dict = field(default_factory=dict)
-    output_dir: str = "out"
+    schedule: ContinuationSchedule
+    mma: MMAConfig | None
+    auglag: AugLagConfig | None
+    output_dir: str
 
 
 def load_config(path) -> RunConfig:
@@ -137,10 +173,7 @@ def load_config(path) -> RunConfig:
 def parse_config(raw: dict, where: str = "config") -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: top level must be a JSON object")
-    _reject_unknown_keys(raw, _TOP_KEYS, where)
-    for section, allowed in _SECTION_KEYS.items():
-        if isinstance(raw.get(section), dict):
-            _reject_unknown_keys(raw[section], allowed, f"{where}.{section}")
+    _reject_keys(raw, _TOP_KEYS, where)
     version = _require(raw, "schema_version", int, where)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"{where}.schema_version: expected {SCHEMA_VERSION}, got {version}")
@@ -150,6 +183,8 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
     kind = _require(prob, "kind", str, f"{where}.problem")
     if kind not in PROBLEM_KINDS:
         raise ConfigError(f"{where}.problem.kind: expected one of {PROBLEM_KINDS}, got {kind!r}")
+    _reject_keys(prob, _PROBLEM_KEYS[kind], f"{where}.problem",
+                 f"keys a {kind!r} problem does not read")
     volume_fraction = m = C_t = None
     if kind in ("mean", "mean_std"):
         volume_fraction = _require(prob, "volume_fraction", float, f"{where}.problem")
@@ -169,19 +204,20 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
         if C_t <= 0:
             raise ConfigError(f"{where}.problem.C_t: must be positive, got {C_t}")
 
-    # mesh and material
+    # mesh, built once here to check its values
     mesh = _require(raw, "mesh", dict, where)
+    _reject_keys(mesh, _SECTION_KEYS["mesh"], f"{where}.mesh")
     dim = _require(mesh, "dim", int, f"{where}.mesh")
     if dim not in (2, 3):
         raise ConfigError(f"{where}.mesh.dim: expected 2 or 3, got {dim}")
     cells = _require(mesh, "cells", list, f"{where}.mesh")
-    if len(cells) != dim or not all(isinstance(c, int) and c >= 1 for c in cells):
+    if len(cells) != dim or not all(isinstance(c, int) and not isinstance(c, bool) and c >= 1
+                                    for c in cells):
         raise ConfigError(f"{where}.mesh.cells: expected {dim} positive integers, got {cells}")
     element_size = _optional(mesh, "element_size", float, 1.0, f"{where}.mesh")
     thickness = _optional(mesh, "thickness", float, 1.0, f"{where}.mesh")
-    mat = _require(raw, "material", dict, where)
-    youngs = _require(mat, "youngs_modulus", float, f"{where}.material")
-    poisson = _require(mat, "poissons_ratio", float, f"{where}.material")
+    _construct(f"{where}.mesh", cantilever_mesh, dim, cells, element_size, thickness)
+    material = _build_section(raw, "material", Material, where, required=True)
 
     filter_radius = _require(raw, "filter_radius", float, where)
     if filter_radius <= 0:
@@ -193,6 +229,10 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
     # scenarios
     scen = _require(raw, "scenarios", dict, where)
     source = _require(scen, "source", str, f"{where}.scenarios")
+    if source not in _SCENARIO_KEYS:
+        raise ConfigError(f'{where}.scenarios.source: expected "sample" or "file", got {source!r}')
+    _reject_keys(scen, _SCENARIO_KEYS[source], f"{where}.scenarios",
+                 f"keys the {source!r} scenario source does not read")
     L = seed = scenario_path = None
     if source == "sample":
         L = _require(scen, "L", int, f"{where}.scenarios")
@@ -201,10 +241,8 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
         seed = _require(scen, "seed", int, f"{where}.scenarios")
         if seed < 0:
             raise ConfigError(f"{where}.scenarios.seed: must be >= 0, got {seed}")
-    elif source == "file":
-        scenario_path = _require(scen, "path", str, f"{where}.scenarios")
     else:
-        raise ConfigError(f'{where}.scenarios.source: expected "sample" or "file", got {source!r}')
+        scenario_path = _require(scen, "path", str, f"{where}.scenarios")
 
     method = _optional(raw, "method", str, "svd", where)
     if method not in ("naive", "svd"):
@@ -213,27 +251,22 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
     if not 0.0 < svd_rel_tol < 1.0:
         raise ConfigError(f"{where}.svd_rel_tol: must lie in (0, 1), got {svd_rel_tol}")
 
-    schedule_params = _optional(raw, "schedule", dict, {}, where)
-    mma_params = _optional(raw, "mma", dict, {}, where)
-    auglag_params = _optional(raw, "auglag", dict, {}, where)
+    # solver settings: MMA for the volume-constrained kinds, AL for the other
+    schedule = _build_section(raw, "schedule", ContinuationSchedule.default, where)
+    unread = "mma" if kind == "max_compliance" else "auglag"
+    if unread in raw:
+        raise ConfigError(f"{where}.{unread}: a {kind!r} problem does not read this section")
+    mma = _build_section(raw, "mma", MMAConfig, where) if unread == "auglag" else None
+    auglag = _build_section(raw, "auglag", AugLagConfig, where) if unread == "mma" else None
     output_dir = _optional(raw, "output_dir", str, "out", where)
-
-    try:
-        ContinuationSchedule.default(**schedule_params)
-        MMAConfig(**mma_params)
-        AugLagState(C_t=math.inf, **auglag_params)  # the section only; C_t is checked above
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
     return RunConfig(
         kind=kind, volume_fraction=volume_fraction, m=m, C_t=C_t,
         dim=dim, cells=tuple(cells), element_size=element_size, thickness=thickness,
-        youngs_modulus=youngs, poissons_ratio=poisson,
-        filter_radius=filter_radius, x_min=x_min,
+        material=material, filter_radius=filter_radius, x_min=x_min,
         scenario_source=source, L=L, seed=seed, scenario_path=scenario_path,
         method=method, svd_rel_tol=svd_rel_tol,
-        schedule_params=dict(schedule_params), mma_params=dict(mma_params),
-        auglag_params=dict(auglag_params), output_dir=output_dir,
+        schedule=schedule, mma=mma, auglag=auglag, output_dir=output_dir,
     )
 
 
@@ -247,26 +280,23 @@ def build_model(cfg: RunConfig, mesh: GroundMesh | None = None,
 
     `method` and `seed` override the config (CLI flags)."""
     mesh = mesh or build_mesh(cfg)
-    material = Material(cfg.youngs_modulus, cfg.poissons_ratio)
     pipeline = DensityPipeline(mesh, cfg.filter_radius, cfg.x_min)
     if cfg.scenario_source == "sample":
         effective_seed = cfg.seed if seed is None else seed
         scenarios = sample_cantilever_scenarios(mesh, cfg.L, effective_seed)
     else:
         scenarios = load_scenarios_from_file(cfg.scenario_path, n_dofs=mesh.n_dofs)
-    return ForwardModel(mesh, material, pipeline, scenarios,
+    return ForwardModel(mesh, cfg.material, pipeline, scenarios,
                         method=method or cfg.method, svd_rel_tol=cfg.svd_rel_tol)
 
 
 def build_problem(cfg: RunConfig, model: ForwardModel):
     if cfg.kind == "mean":
-        return MeanComplianceProblem(model, cfg.volume_fraction,
-                                     mma_config=MMAConfig(**cfg.mma_params))
+        return MeanComplianceProblem(model, cfg.volume_fraction, mma_config=cfg.mma)
     if cfg.kind == "mean_std":
-        return MeanStdProblem(model, cfg.volume_fraction, m=cfg.m,
-                              mma_config=MMAConfig(**cfg.mma_params))
-    return MaxComplianceProblem(model, cfg.C_t, **cfg.auglag_params)
+        return MeanStdProblem(model, cfg.volume_fraction, m=cfg.m, mma_config=cfg.mma)
+    return MaxComplianceProblem(model, cfg.C_t, auglag_config=cfg.auglag)
 
 
 def build_schedule(cfg: RunConfig) -> ContinuationSchedule:
-    return ContinuationSchedule.default(**cfg.schedule_params)
+    return cfg.schedule

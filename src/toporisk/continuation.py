@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compliance as comp
-from .auglag import AugLagState, auglag_minimize
-from .errors import ConfigError
+from .auglag import AugLagConfig, auglag_minimize
+from .errors import ConfigError, check_number
 from .fea import StiffnessSystem, assemble, element_stiffness
 from .mesh import GroundMesh, Material
 from .mma import MMAConfig, mma_minimize
@@ -66,7 +66,17 @@ class ContinuationSchedule:
                 beta_end=20.0, beta_step=4.0,
                 tol_start=1e-3, tol_end=1e-4) -> "ContinuationSchedule":
         """p from 1 to 6 in halves at beta 0, then beta to 20 in fours at p 6,
-        with one geometric tolerance decay from 1e-3 to 1e-4 over all steps."""
+        with one geometric tolerance decay from 1e-3 to 1e-4 over all steps.
+
+        Every argument must be a finite number, the steps and tolerances
+        positive."""
+        params = dict(p_start=p_start, p_end=p_end, p_step=p_step, beta_end=beta_end,
+                      beta_step=beta_step, tol_start=tol_start, tol_end=tol_end)
+        for name, value in params.items():
+            check_number(name, value)
+        for name in ("p_step", "beta_step", "tol_start", "tol_end"):
+            if not params[name] > 0:
+                raise ValueError(f"{name} must be > 0, got {params[name]}")
         n_p = int(round((p_end - p_start) / p_step)) + 1
         penalties = [p_start + k * p_step for k in range(n_p)]
         n_b = int(round(beta_end / beta_step))
@@ -278,17 +288,17 @@ class MaxComplianceProblem:
     must carry no weight, otherwise their summed pull toward stiffness
     can drag the design back to full density. At high beta that is fatal,
     because the projection saturates there and gradients die.
+
+    `auglag_config` holds the trust region and iteration caps of every
+    step; the defaults of `AugLagConfig` if omitted.
     """
 
     def __init__(self, model: ForwardModel, C_t: float,
-                 trust_region: float = 0.1, dual_iters: int = 10,
-                 primal_iters: int = 50):
+                 auglag_config: AugLagConfig | None = None):
         self.model = model
         self.memo = _MemoizedAnalyses(model)
         self.C_t = C_t
-        self.trust_region = trust_region
-        self.dual_iters = dual_iters
-        self.primal_iters = primal_iters
+        self.auglag_config = auglag_config or AugLagConfig()
         self.scale = None
         self.normalization = None
         self.lam = np.zeros(model.scenarios.n_scenarios)
@@ -314,12 +324,9 @@ class MaxComplianceProblem:
         def evaluate(xv):
             return AugLagEvaluation(self.memo.at(xv, step.penalty, step.beta), self.scale)
 
-        state = AugLagState(C_t=self.C_t, lam=self.lam,
-                            trust_region=self.trust_region,
-                            dual_iters=self.dual_iters, primal_iters=self.primal_iters)
         start = evaluate(x)
-        result = auglag_minimize(evaluate, x, state, step.tolerance,
-                                 normalization=self.normalization,
+        result = auglag_minimize(evaluate, x, self.C_t, step.tolerance, self.auglag_config,
+                                 lam=self.lam, normalization=self.normalization,
                                  callback=callback)
         self.lam = result.lam
         record = {

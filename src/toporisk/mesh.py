@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_fields
+
 
 @dataclass(frozen=True)
 class Material:
@@ -41,6 +43,7 @@ class Material:
     poissons_ratio: float
 
     def __post_init__(self):
+        check_fields(self)
         if not self.youngs_modulus > 0:
             raise ValueError(f"youngs_modulus must be > 0, got {self.youngs_modulus}")
         if not -1.0 < self.poissons_ratio < 0.5:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_fields
+
 
 @dataclass(frozen=True)
 class MMAConfig:
@@ -41,13 +43,14 @@ class MMAConfig:
     raa0: float = 1e-5
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 < self.s_init < 1.0:
             raise ValueError(f"s_init must lie in (0, 1), got {self.s_init}")
         if not 0.0 < self.s_decr < 1.0 < self.s_incr:
             raise ValueError("need 0 < s_decr < 1 < s_incr, got "
                              f"s_decr={self.s_decr}, s_incr={self.s_incr}")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         if not 0.0 < self.albefa < 1.0:
             raise ValueError(f"albefa must lie in (0, 1), got {self.albefa}")
         if self.move <= 0.0:

@@ -17,7 +17,7 @@ import pytest
 import toporisk as tr
 from toporisk import cli
 from toporisk import compliance as comp
-from tests.conftest import random_scenarios
+from oracles import random_scenarios
 
 MATERIAL = tr.Material(youngs_modulus=1.0, poissons_ratio=0.3)
 

@@ -55,24 +55,25 @@ def test_projected_gradient_step_box_and_trust_region():
 def test_state_validation():
     with pytest.raises(ValueError):
         tr.auglag_minimize(lambda x: LinearEval(x, [1.5]), np.full(4, 0.5),
-                           tr.AugLagState(C_t=1.0), tol=1e-6, normalization=0.0)
-    for bad in [{"dual_iters": 0}, {"primal_iters": 2.5}, {"dual_iters": True},
-                {"trust_region": 0.0}, {"trust_region": "wide"}]:
+                           1.0, tol=1e-6, normalization=0.0)
+    for bad in [{"dual_iters": 0}, {"trust_region": 0.0}]:
         with pytest.raises(ValueError, match=next(iter(bad))):
-            tr.AugLagState(C_t=1.0, **bad)
-    state = tr.AugLagState(C_t=1.0, lam=np.ones(3))  # wrong length for L=1
-    with pytest.raises(ValueError):
-        tr.auglag_minimize(lambda x: LinearEval(x, [1.5]), np.full(4, 0.5),
-                           state, tol=1e-6)
+            tr.AugLagConfig(**bad)
+    for bad in [{"primal_iters": 2.5}, {"dual_iters": True}, {"trust_region": "wide"}]:
+        with pytest.raises(TypeError, match=next(iter(bad))):
+            tr.AugLagConfig(**bad)
+    for lam in [np.ones(3), -np.ones(1)]:  # wrong length for L=1; negative
+        with pytest.raises(ValueError):
+            tr.auglag_minimize(lambda x: LinearEval(x, [1.5]), np.full(4, 0.5),
+                               1.0, tol=1e-6, lam=lam)
 
 
 def test_linear_problem_reaches_kkt_point():
     c = np.array([1.6, 1.3])
     C_t = 0.8
-    state = tr.AugLagState(C_t=C_t, dual_iters=14, primal_iters=80,
-                           trust_region=0.25)
-    res = tr.auglag_minimize(lambda x: LinearEval(x, c), np.ones(4), state,
-                             tol=1e-7)
+    config = tr.AugLagConfig(dual_iters=14, primal_iters=80, trust_region=0.25)
+    res = tr.auglag_minimize(lambda x: LinearEval(x, c), np.ones(4), C_t,
+                             tol=1e-7, config=config)
     # x_i = c_i - C_t on the constrained coordinates, lower bound elsewhere
     np.testing.assert_allclose(res.x[:2], c - C_t, atol=2e-3)
     np.testing.assert_allclose(res.x[2:], 0.0, atol=1e-6)
@@ -86,9 +87,9 @@ def test_loop_started_at_the_kkt_point_stops_after_one_dual_iteration():
     c = np.array([1.6, 1.3])
     C_t = 0.8
     x_star = np.array([0.8, 0.5, 0.0, 0.0])  # c - C_t, lower bound elsewhere
-    state = tr.AugLagState(C_t=C_t, lam=np.full(2, 0.25), dual_iters=14,
-                           primal_iters=80, trust_region=0.25)
-    res = tr.auglag_minimize(lambda x: LinearEval(x, c), x_star, state, tol=1e-7)
+    config = tr.AugLagConfig(dual_iters=14, primal_iters=80, trust_region=0.25)
+    res = tr.auglag_minimize(lambda x: LinearEval(x, c), x_star, C_t, tol=1e-7,
+                             config=config, lam=np.full(2, 0.25))
     assert res.n_dual_iters == 1
     assert res.n_primal_iters == 0  # stationary at once: no primal step
     assert res.converged
@@ -102,11 +103,10 @@ def test_feasible_start_with_wrong_multipliers_does_not_stop():
     # multipliers on slack constraints break complementarity; a test on
     # the violation alone would stop after dual iteration 0
     c = np.array([1.6, 1.3])
-    state = tr.AugLagState(C_t=0.8, lam=np.ones(2), dual_iters=14,
-                           primal_iters=80, trust_region=0.25)
+    config = tr.AugLagConfig(dual_iters=14, primal_iters=80, trust_region=0.25)
     seen = []
     res = tr.auglag_minimize(lambda x: LinearEval(x, c), np.array([1.0, 1.0, 0.0, 0.0]),
-                             state, tol=1e-7,
+                             0.8, tol=1e-7, config=config, lam=np.ones(2),
                              callback=lambda d, p, x, L: seen.append(d))
     assert res.violation_history[0] == 0.0
     assert seen and 0 not in seen  # dual iteration 0 took no primal step
@@ -118,38 +118,36 @@ def test_unconverged_primal_phase_does_not_stop():
     # one primal step from x = 1 leaves both constraints slack with zero
     # multipliers: feasible and complementary, but not yet stationary
     c = np.array([1.6, 1.3])
-    state = tr.AugLagState(C_t=0.8, lam=np.zeros(2), dual_iters=4,
-                           primal_iters=1, trust_region=0.1)
-    res = tr.auglag_minimize(lambda x: LinearEval(x, c), np.ones(4), state,
-                             tol=1e-7)
+    config = tr.AugLagConfig(dual_iters=4, primal_iters=1, trust_region=0.1)
+    res = tr.auglag_minimize(lambda x: LinearEval(x, c), np.ones(4), 0.8,
+                             tol=1e-7, config=config, lam=np.zeros(2))
     assert res.violation_history[0] == 0.0
     assert not res.converged
-    assert res.n_dual_iters == state.dual_iters
+    assert res.n_dual_iters == config.dual_iters
 
 
 def test_infinite_threshold_reduces_to_unconstrained_descent():
     # C_t = inf drops every constraint term; the volume objective then
     # drives the design to the lower bound
-    state = tr.AugLagState(C_t=np.inf, dual_iters=3, primal_iters=60,
-                           trust_region=0.5)
+    config = tr.AugLagConfig(dual_iters=3, primal_iters=60, trust_region=0.5)
     res = tr.auglag_minimize(lambda x: LinearEval(x, [5.0]), np.full(4, 0.9),
-                             state, tol=1e-9)
+                             np.inf, tol=1e-9, config=config)
     np.testing.assert_allclose(res.x, 0.0, atol=1e-9)
     assert res.max_violation == 0.0
     assert np.all(np.isfinite(res.lam))
 
 
 def test_unsatisfiable_constraints_raise():
-    state = tr.AugLagState(C_t=1.0, dual_iters=4, primal_iters=10)
+    config = tr.AugLagConfig(dual_iters=4, primal_iters=10)
     with pytest.raises(InfeasibleError):
         tr.auglag_minimize(lambda x: ConstantEval(x, 2.0), np.full(3, 0.5),
-                           state, tol=1e-6)
+                           1.0, tol=1e-6, config=config)
 
 
 def test_feasible_constant_constraints_do_not_raise():
-    state = tr.AugLagState(C_t=3.0, dual_iters=3, primal_iters=30)
+    config = tr.AugLagConfig(dual_iters=3, primal_iters=30)
     res = tr.auglag_minimize(lambda x: ConstantEval(x, 2.0), np.full(3, 0.5),
-                             state, tol=1e-9)
+                             3.0, tol=1e-9, config=config)
     assert res.max_violation == 0.0
     np.testing.assert_allclose(res.x, 0.0, atol=1e-9)
 
@@ -157,10 +155,9 @@ def test_feasible_constant_constraints_do_not_raise():
 def test_normalization_scales_threshold():
     # same problem expressed in raw units 100x larger must give the same design
     c = np.array([1.6, 1.3])
-    state = tr.AugLagState(C_t=0.8, dual_iters=14, primal_iters=80,
-                           trust_region=0.25)
-    base = tr.auglag_minimize(lambda x: LinearEval(x, c), np.ones(4), state,
-                              tol=1e-7)
+    config = tr.AugLagConfig(dual_iters=14, primal_iters=80, trust_region=0.25)
+    base = tr.auglag_minimize(lambda x: LinearEval(x, c), np.ones(4), 0.8,
+                              tol=1e-7, config=config)
 
     class Scaled(LinearEval):
         def __init__(self, x):
@@ -170,9 +167,7 @@ def test_normalization_scales_threshold():
         def compliance_weighted_gradient(self, w):
             return super().compliance_weighted_gradient(100.0 * np.asarray(w))
 
-    state2 = tr.AugLagState(C_t=80.0, dual_iters=14, primal_iters=80,
-                            trust_region=0.25)
-    scaled = tr.auglag_minimize(Scaled, np.ones(4), state2, tol=1e-7,
+    scaled = tr.auglag_minimize(Scaled, np.ones(4), 80.0, tol=1e-7, config=config,
                                 normalization=100.0)
     # not bitwise: the x100 round trip rounds differently inside the line
     # search, but the designs must agree to optimization accuracy
@@ -181,9 +176,9 @@ def test_normalization_scales_threshold():
 
 def test_callback_sees_every_primal_iteration():
     seen = []
-    state = tr.AugLagState(C_t=0.8, dual_iters=2, primal_iters=5)
+    config = tr.AugLagConfig(dual_iters=2, primal_iters=5)
     tr.auglag_minimize(lambda x: LinearEval(x, np.array([1.5])), np.ones(3),
-                       state, tol=1e-12,
+                       0.8, tol=1e-12, config=config,
                        callback=lambda d, p, x, L: seen.append((d, p)))
     assert seen
     assert all(d < 2 and p < 5 for d, p in seen)

@@ -135,6 +135,20 @@ def test_bad_auglag_value_exits_2(tmp_path, capsys):
     assert "dual_iters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides,key", [
+    ({"schedule": {"p_step": 0}}, "p_step"),
+    ({"mesh": {"dim": 2, "cells": [6, 3], "thickness": -1}}, "thickness"),
+    ({"material": {"youngs_modulus": 1.0, "poissons_ratio": 0.7}}, "poissons_ratio"),
+    ({"mma": {"max_iters": 2.5}}, "max_iters"),
+])
+def test_bad_section_value_exits_2_without_traceback(tmp_path, capsys, overrides, key):
+    config = write_config(tmp_path, **overrides)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+    assert "Traceback" not in err
+
+
 def test_load_on_fixed_dof_exits_2(tmp_path, capsys):
     loads = tmp_path / "loads.csv"
     loads.write_text("dof,scenario,value\n13,0,-1.0\n2,0,1.0\n")
@@ -177,6 +191,14 @@ def test_invalid_flag_values_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--config", str(config), "--threads", "0"])
     assert exc.value.code == 2
+
+
+def test_method_flag_only_where_it_is_read(tmp_path):
+    config = write_config(tmp_path)
+    for command in ("bench", "sample-scenarios"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(config), "--method", "svd"])
+        assert exc.value.code == 2
 
 
 def test_missing_subcommand_is_usage_error():
@@ -228,6 +250,13 @@ def test_bench_table_and_solve_counts(tmp_path):
         assert naive_solves == 30
         assert svd_solves == 10  # sampler rank caps at ten
         assert abs(svd_val - naive_val) <= 1e-9 * abs(naive_val)
+
+
+def test_bench_uses_the_configured_svd_tolerance(tmp_path, capsys):
+    # 0.5 drops one of the four singular directions, so the routes disagree
+    config = write_config(tmp_path, svd_rel_tol=0.5)
+    assert cli.main(["bench", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert "disagrees between methods" in capsys.readouterr().err
 
 
 def test_sample_scenarios_round_trip(tmp_path, capsys):

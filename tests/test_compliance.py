@@ -10,7 +10,7 @@ import pytest
 
 import toporisk as tr
 
-from conftest import dense_compliances, dense_stiffness, element_quadratics, random_scenarios
+from oracles import dense_compliances, dense_stiffness, element_quadratics, random_scenarios
 
 
 def dense_fd_gradient(mesh, Ke, rho, F, w, h=1e-6):

@@ -31,6 +31,14 @@ def test_valid_config_defaults():
     assert cfg.thickness == 1.0
     assert cfg.output_dir == "out"
     assert cfg.cells == (6, 3)
+    # each section is the value it configures, with its constructor's defaults
+    assert cfg.material == tr.Material(1.0, 0.3)
+    assert cfg.schedule == tr.ContinuationSchedule.default()
+    assert cfg.mma == tr.MMAConfig()
+    assert cfg.auglag is None
+    cfg = tr.parse_config(base_config(problem={"kind": "max_compliance", "C_t": 50.0}))
+    assert cfg.auglag == tr.AugLagConfig()
+    assert cfg.mma is None
 
 
 def test_load_config_round_trip(tmp_path):
@@ -47,6 +55,14 @@ def test_load_config_bad_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         tr.load_config(bad)
+
+
+def max_compliance(c, **sections):
+    c.update(problem={"kind": "max_compliance", "C_t": 50.0}, **sections)
+
+
+def file_scenarios(c, **keys):
+    c.update(scenarios={"source": "file", "path": "loads.csv", **keys})
 
 
 @pytest.mark.parametrize("mutate,fragment", [
@@ -70,10 +86,37 @@ def test_load_config_bad_file(tmp_path):
     (lambda c: c.update(schedule={"p_whoops": 2.0}), "schedule"),
     (lambda c: c["mesh"].update(elemnt_size=2.0), "mesh.elemnt_size"),
     (lambda c: c["problem"].update(volum_fraction=0.3), "problem.volum_fraction"),
-    (lambda c: c.update(auglag={"bogus": 1}), "auglag.bogus"),
-    (lambda c: c.update(auglag={"dual_iters": "ten"}), "dual_iters"),
-    (lambda c: c.update(auglag={"dual_iters": 0}), "dual_iters"),
-    (lambda c: c.update(auglag={"trust_region": -0.2}), "trust_region"),
+    (lambda c: max_compliance(c, auglag={"bogus": 1}), "auglag.bogus"),
+    (lambda c: max_compliance(c, auglag={"dual_iters": "ten"}), "dual_iters"),
+    (lambda c: max_compliance(c, auglag={"dual_iters": 0}), "dual_iters"),
+    (lambda c: max_compliance(c, auglag={"trust_region": -0.2}), "trust_region"),
+    # values the section constructors cannot honour
+    (lambda c: c.update(schedule={"p_step": 0}), "p_step"),
+    (lambda c: c.update(schedule={"p_step": -0.5}), "p_step"),
+    (lambda c: c.update(schedule={"beta_step": -4}), "beta_step"),
+    (lambda c: c.update(schedule={"beta_step": 0}), "beta_step"),
+    (lambda c: c.update(schedule={"tol_start": 0}), "tol_start"),
+    (lambda c: c.update(schedule={"p_end": "six"}), "p_end"),
+    (lambda c: c.update(mma={"max_iters": 2.5}), "max_iters"),
+    (lambda c: c.update(mma={"max_iters": "ten"}), "max_iters"),
+    (lambda c: c["mesh"].update(thickness=-1), "thickness"),
+    (lambda c: c["mesh"].update(element_size=0), "element_size"),
+    (lambda c: c["material"].update(poissons_ratio=0.7), "poissons_ratio"),
+    (lambda c: c["material"].update(youngs_modulus=True), "youngs_modulus"),
+    (lambda c: c["material"].pop("youngs_modulus"), "youngs_modulus"),
+    (lambda c: c["material"].update(youngs_modulus=math.inf), "youngs_modulus"),
+    (lambda c: c.update(filter_radius=math.inf), "config.filter_radius"),
+    # keys the configured run does not read
+    (lambda c: c["problem"].update(C_t=50.0), "problem.C_t"),
+    (lambda c: c["problem"].update(m=2.0), "problem.m"),
+    (lambda c: c.update(problem={"kind": "max_compliance", "C_t": 50.0,
+                                 "volume_fraction": 0.4}), "problem.volume_fraction"),
+    (lambda c: c["scenarios"].update(path="loads.csv"), "scenarios.path"),
+    (lambda c: max_compliance(c, mma={}), "mma"),
+    (lambda c: c.update(auglag={}), "auglag"),
+    (lambda c: file_scenarios(c, L=5), "config.scenarios.L"),
+    (lambda c: file_scenarios(c, seed=0), "config.scenarios.seed"),
+    (lambda c: c["mesh"].update(cells=[True, 3]), "mesh.cells"),
 ])
 def test_rejections_name_the_key(mutate, fragment):
     cfg = base_config()
@@ -163,4 +206,5 @@ def test_build_problem_kinds():
         auglag={"dual_iters": 4}))
     problem = build_problem(cfg, build_model(cfg))
     assert isinstance(problem, tr.MaxComplianceProblem)
-    assert problem.dual_iters == 4
+    assert problem.auglag_config.dual_iters == 4
+    assert problem.auglag_config is cfg.auglag  # built once, in parse_config

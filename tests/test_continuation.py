@@ -55,6 +55,13 @@ def test_schedule_validation():
             tr.ContinuationStep(1.0, 0.0, 1e-3),
             tr.ContinuationStep(2.0, 0.0, 1e-3),  # tolerance not decreasing
         ))
+    # a step of zero would divide by zero; a negative one would drop a phase
+    for bad in [{"p_step": 0.0}, {"p_step": -0.5}, {"beta_step": -4.0},
+                {"tol_end": 0.0}, {"p_end": float("inf")}]:
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            tr.ContinuationSchedule.default(**bad)
+    with pytest.raises(TypeError, match="beta_end"):
+        tr.ContinuationSchedule.default(beta_end="20")
 
 
 def test_forward_model_counts_solves():
@@ -140,9 +147,9 @@ def test_max_compliance_infinite_threshold_drops_material():
     # with C_t = inf the constraints vanish and volume minimization drives
     # the design toward the lower bound
     model = small_model()
-    problem = tr.MaxComplianceProblem(model, C_t=np.inf,
-                                      trust_region=0.5, dual_iters=2,
-                                      primal_iters=40)
+    problem = tr.MaxComplianceProblem(
+        model, C_t=np.inf,
+        auglag_config=tr.AugLagConfig(trust_region=0.5, dual_iters=2, primal_iters=40))
     res = tr.run_continuation(problem, short_schedule())
     final = model.analyze(res.x, 2.0, 0.0)
     assert final.volume < 0.02  # essentially x_min everywhere
@@ -161,14 +168,15 @@ def test_max_compliance_run_is_feasible():
     assert final.volume < 1.0
     # every step ends at a KKT point before the dual iteration cap
     for rec in res.history:
-        assert 1 <= rec["dual_iters"] < problem.dual_iters
+        assert 1 <= rec["dual_iters"] < problem.auglag_config.dual_iters
         assert rec["converged"]
 
 
 def test_max_compliance_converged_flag_reports_the_primal_stop():
     # one primal step per dual phase cannot bring the KKT residual to tol
     model = small_model()
-    problem = tr.MaxComplianceProblem(model, C_t=np.inf, dual_iters=2, primal_iters=1)
+    problem = tr.MaxComplianceProblem(
+        model, C_t=np.inf, auglag_config=tr.AugLagConfig(dual_iters=2, primal_iters=1))
     res = tr.run_continuation(problem, short_schedule())
     assert [rec["converged"] for rec in res.history] == [False, False]
 

@@ -12,7 +12,7 @@ from numpy.polynomial.legendre import leggauss
 import toporisk as tr
 from toporisk.errors import NotPositiveDefiniteError
 
-from conftest import band_to_dense, dense_stiffness
+from oracles import band_to_dense, dense_stiffness
 
 # local corner coordinates on [-1, 1]^dim, same order as element_node_ids
 CORNERS_2D = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)

@@ -15,6 +15,8 @@ def test_material_validation():
         tr.Material(1.0, 0.5)
     with pytest.raises(ValueError):
         tr.Material(1.0, -1.0)
+    with pytest.raises(TypeError, match="poissons_ratio"):
+        tr.Material(1.0, "0.3")
 
 
 def test_mesh_counts_2d():

@@ -54,6 +54,10 @@ def test_config_validation():
         tr.MMAConfig(max_iters=0)
     with pytest.raises(ValueError):
         tr.MMAConfig(move=0.0)
+    # a wrong type names its field, and an iteration cap must be an integer
+    for bad in [{"max_iters": 2.5}, {"max_iters": "ten"}, {"move": True}]:
+        with pytest.raises(TypeError, match=next(iter(bad))):
+            tr.MMAConfig(**bad)
 
 
 def test_quadratic_with_inactive_constraint():

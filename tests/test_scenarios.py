@@ -5,7 +5,7 @@ import pytest
 import toporisk as tr
 from toporisk.errors import ScenarioFormatError
 
-from conftest import random_scenarios
+from oracles import random_scenarios
 
 
 def unit_multipliers(row, L):
