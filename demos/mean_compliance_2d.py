@@ -29,7 +29,8 @@ model = tr.ForwardModel(mesh, material, pipeline, scenarios, method="svd")
 print(f"scenario matrix rank: {model.svd.n_s} "
       f"(so {model.svd.n_s} solves per design instead of {scenarios.n_scenarios})")
 
-problem = tr.MeanComplianceProblem(model, volume_fraction=0.4)
+# mean compliance is the risk-averse objective mu_C + m sigma_C at m = 0
+problem = tr.MeanStdProblem(model, volume_fraction=0.4, m=0.0)
 result = tr.run_continuation(problem)
 
 print(f"\n{'step':>4} {'p':>4} {'beta':>5} {'mu_C (scaled)':>14} {'volume':>7} {'iters':>6}")

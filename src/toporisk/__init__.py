@@ -11,7 +11,6 @@ from .compliance import (
     Solves,
     compliances_naive,
     compliances_svd,
-    pullback_to_x,
     weight_vector,
     weighted_gradient,
     weighted_gradient_naive,
@@ -25,7 +24,6 @@ from .continuation import (
     ContinuationStep,
     ForwardModel,
     MaxComplianceProblem,
-    MeanComplianceProblem,
     MeanStdProblem,
     run_continuation,
 )

@@ -21,7 +21,7 @@ from . import compliance as comp
 from . import io as artifacts
 from .auglag import lagrangian, lagrangian_gradient
 from .config import build_mesh, build_model, build_problem, build_schedule, load_config
-from .continuation import AugLagEvaluation, run_continuation
+from .continuation import METHODS, AugLagEvaluation, run_continuation
 from .errors import ConfigError, TopoRiskError
 from .fea import StiffnessSystem, assemble
 from .scenarios import save_scenarios_to_file, thin_svd
@@ -32,6 +32,9 @@ EXIT_SOLVER = 3
 EXIT_GRADCHECK = 4
 
 GRAD_CHECK_MAX_ELEMENTS = 200
+# check-grad draws its base design from [0.2, 0.8]; a larger central
+# difference step would leave the design box [0, 1]
+GRAD_CHECK_MAX_FD_STEP = 0.2
 # bench times each row as the best of this many runs after a warm-up run: a
 # single cold run mixes one-off costs into the route comparison
 BENCH_REPEATS = 5
@@ -156,7 +159,7 @@ def cmd_bench(args) -> int:
 
     rows = []
     for statistic in ("mu_C", "sigma_C"):
-        for method in ("naive", "svd"):
+        for method in METHODS:
             rows.append(_bench_one(statistic, method, system, model, cfg.svd_rel_tol))
 
     for statistic in ("mu_C", "sigma_C"):
@@ -214,21 +217,38 @@ def _grad_check_functions(model, x, penalty, beta, rng):
             "auglag": lagrangian(*auglag_args(a)),
         }
 
+    def gradient(kind, **params):
+        return base.weighted_gradient(comp.weight_vector(base.stats, kind, **params))
+
     analytic = {
-        "mu_C": base.objective_gradient_for("mean"),
-        "var_C": base.objective_gradient_for("variance"),
-        "sigma_C": base.objective_gradient_for("std"),
-        "mu+2sigma": base.objective_gradient_for("mean_plus_m_std", m=2.0),
+        "mu_C": gradient("mean"),
+        "var_C": gradient("variance"),
+        "sigma_C": gradient("std"),
+        "mu+2sigma": gradient("mean_plus_m_std", m=2.0),
         "w.C": base.weighted_gradient(w_fixed),
         "auglag": lagrangian_gradient(*auglag_args(base)),
     }
     return values, analytic
 
 
+def _check_grad_flags(args) -> None:
+    """Raise ConfigError on a check-grad flag the check cannot use; NaN and
+    infinity fail every range."""
+    h = args.fd_step
+    flags = {
+        "--penalty": (args.penalty, args.penalty >= 1.0, ">= 1"),
+        "--beta": (args.beta, args.beta >= 0.0, ">= 0"),
+        "--tol": (args.tol, args.tol > 0.0, "> 0"),
+        "--fd-step": (h, 0.0 < h <= GRAD_CHECK_MAX_FD_STEP, f"in (0, {GRAD_CHECK_MAX_FD_STEP}]"),
+    }
+    for flag, (value, in_range, expected) in flags.items():
+        if not (in_range and math.isfinite(value)):
+            raise ConfigError(f"{flag} must be finite and {expected}, got {value}")
+
+
 def cmd_check_grad(args) -> int:
     cfg = load_config(args.config)
-    if args.fd_step <= 0:
-        raise ConfigError(f"--fd-step must be > 0, got {args.fd_step}")
+    _check_grad_flags(args)
     mesh = build_mesh(cfg)
     if mesh.n_elements > GRAD_CHECK_MAX_ELEMENTS:
         raise ConfigError(
@@ -298,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the scenario sampler seed")
 
     def add_method(p):
-        p.add_argument("--method", choices=("naive", "svd"),
+        p.add_argument("--method", choices=METHODS,
                        help="override the compliance evaluation method")
 
     p_run = sub.add_parser("run", help="solve the configured optimization problem")

@@ -20,8 +20,8 @@ trace identity of the paper. The kernel costs O(n_offsets n_dofs k) for
 the k columns of Q (L naive, n_s SVD), where n_offsets is the number of
 distinct DOF offsets within an element (at most 11 in 2D, 50 in 3D).
 
-Gradients here are with respect to rho; `pullback_to_x` maps them to the
-design vector through a density pipeline.
+Gradients here are with respect to rho; `DensityPipeline.backward` maps
+them to the design vector.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ import numpy as np
 
 from .fea import StiffnessSystem, form_gradient
 from .mesh import GroundMesh
-from .pipeline import DensityField, DensityPipeline
 from .scenarios import ScenarioMatrix, ThinSVD
 
 WEIGHT_KINDS = ("mean", "variance", "std", "mean_plus_m_std")
@@ -185,8 +184,3 @@ def weighted_gradient(solves: Solves, w: np.ndarray,
     kernel = weighted_gradient_naive if solves.Vt is None else weighted_gradient_svd
     return kernel(solves, w, ke, mesh)
 
-
-def pullback_to_x(grad_rho: np.ndarray, pipeline: DensityPipeline,
-                  field: DensityField) -> np.ndarray:
-    """Map a gradient over physical densities to the design vector."""
-    return pipeline.backward(field, grad_rho)

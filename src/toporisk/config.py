@@ -17,11 +17,12 @@ A run config is a single JSON document, versioned through its required
 
 Problem kinds: "mean" (volume-constrained mean compliance; reads
 "volume_fraction"), "mean_std" (adds m * sigma_C to the objective; reads
-"volume_fraction" and "m", default 2) and "max_compliance" (volume
-minimization under per-scenario compliance bounds; reads "C_t", a number
-or the string "inf" to disable the constraints). Scenarios come either
-from the benchmark sampler ("source": "sample", with "L" and "seed") or
-from a CSV file ("source": "file", with "path").
+"volume_fraction" and "m", default 2; "mean" is this kind at m = 0) and
+"max_compliance" (volume minimization under per-scenario compliance
+bounds; reads "C_t", a number or the string "inf" to disable the
+constraints). Scenarios come either from the benchmark sampler
+("source": "sample", with "L" and "seed") or from a CSV file ("source":
+"file", with "path").
 
 The sections "material", "schedule", "mma" and "auglag" are parsed once,
 into the immutable value each configures: `Material`, the schedule of
@@ -48,10 +49,10 @@ from pathlib import Path
 
 from .auglag import AugLagConfig
 from .continuation import (
+    METHODS,
     ContinuationSchedule,
     ForwardModel,
     MaxComplianceProblem,
-    MeanComplianceProblem,
     MeanStdProblem,
 )
 from .errors import ConfigError
@@ -245,8 +246,8 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
         scenario_path = _require(scen, "path", str, f"{where}.scenarios")
 
     method = _optional(raw, "method", str, "svd", where)
-    if method not in ("naive", "svd"):
-        raise ConfigError(f'{where}.method: expected "naive" or "svd", got {method!r}')
+    if method not in METHODS:
+        raise ConfigError(f"{where}.method: expected one of {METHODS}, got {method!r}")
     svd_rel_tol = _optional(raw, "svd_rel_tol", float, SVD_REL_TOL, where)
     if not 0.0 < svd_rel_tol < 1.0:
         raise ConfigError(f"{where}.svd_rel_tol: must lie in (0, 1), got {svd_rel_tol}")
@@ -291,11 +292,11 @@ def build_model(cfg: RunConfig, mesh: GroundMesh | None = None,
 
 
 def build_problem(cfg: RunConfig, model: ForwardModel):
-    if cfg.kind == "mean":
-        return MeanComplianceProblem(model, cfg.volume_fraction, mma_config=cfg.mma)
-    if cfg.kind == "mean_std":
-        return MeanStdProblem(model, cfg.volume_fraction, m=cfg.m, mma_config=cfg.mma)
-    return MaxComplianceProblem(model, cfg.C_t, auglag_config=cfg.auglag)
+    """The configured problem; kind "mean" is `MeanStdProblem` at m = 0."""
+    if cfg.kind == "max_compliance":
+        return MaxComplianceProblem(model, cfg.C_t, auglag_config=cfg.auglag)
+    m = 0.0 if cfg.kind == "mean" else cfg.m
+    return MeanStdProblem(model, cfg.volume_fraction, m=m, mma_config=cfg.mma)
 
 
 def build_schedule(cfg: RunConfig) -> ContinuationSchedule:

@@ -7,16 +7,15 @@ decreasing tolerance sequence spans both phases. Objectives are scaled
 by the inverse of their value at the initial design of the run, so
 solver tolerances mean the same thing across problems and mesh sizes.
 
-Three problem classes cover the benchmark studies:
+Two problem classes cover the three benchmark kinds:
 
-* `MeanComplianceProblem`:  min mu_C          s.t. volume <= vf
-* `MeanStdProblem`:         min mu_C + m*sigma_C  s.t. volume <= vf
-* `MaxComplianceProblem`:   min volume        s.t. C_i <= C_t for all i
+* `MeanStdProblem`:        min mu_C + m*sigma_C  s.t. volume <= vf
+                           (m = 0 is the mean compliance problem)
+* `MaxComplianceProblem`:  min volume  s.t. C_i <= C_t for all i
 
-The first two are solved per step with MMA, the last with the augmented
-Lagrangian method. All three evaluate compliances either naively or via
-the scenario matrix's thin SVD; the choice only affects cost, never
-values.
+The first is solved per step with MMA, the second with the augmented
+Lagrangian method. Both evaluate compliances either naively or via the
+scenario matrix's thin SVD; the choice only affects cost, never values.
 """
 from __future__ import annotations
 
@@ -34,6 +33,8 @@ from .pipeline import DensityPipeline
 from .scenarios import SVD_REL_TOL, ScenarioMatrix, thin_svd
 
 METHODS = ("naive", "svd")
+# the most steps `ContinuationSchedule.default` builds; its defaults take 16
+MAX_SCHEDULE_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,12 @@ class ContinuationSchedule:
         penalties = [s.penalty for s in self.steps]
         betas = [s.beta for s in self.steps]
         tols = [s.tolerance for s in self.steps]
+        # the density pipeline's own bounds
+        for k, (p, b) in enumerate(zip(penalties, betas)):
+            if not p >= 1.0:
+                raise ValueError(f"penalty must be >= 1, got {p} at step {k}")
+            if not b >= 0.0:
+                raise ValueError(f"beta must be >= 0, got {b} at step {k}")
         # phase 1 raises p at fixed beta, phase 2 raises beta at fixed p;
         # lexicographic (p, beta) must be strictly increasing throughout
         pairs = list(zip(penalties, betas))
@@ -69,7 +76,8 @@ class ContinuationSchedule:
         with one geometric tolerance decay from 1e-3 to 1e-4 over all steps.
 
         Every argument must be a finite number, the steps and tolerances
-        positive."""
+        positive, p_end >= p_start and beta_end >= 0, and the schedule at
+        most `MAX_SCHEDULE_STEPS` steps long."""
         params = dict(p_start=p_start, p_end=p_end, p_step=p_step, beta_end=beta_end,
                       beta_step=beta_step, tol_start=tol_start, tol_end=tol_end)
         for name, value in params.items():
@@ -77,10 +85,19 @@ class ContinuationSchedule:
         for name in ("p_step", "beta_step", "tol_start", "tol_end"):
             if not params[name] > 0:
                 raise ValueError(f"{name} must be > 0, got {params[name]}")
-        n_p = int(round((p_end - p_start) / p_step)) + 1
-        penalties = [p_start + k * p_step for k in range(n_p)]
-        n_b = int(round(beta_end / beta_step))
-        betas = [(k + 1) * beta_step for k in range(n_b)]
+        if p_end < p_start:
+            raise ValueError(f"p_end must be >= p_start ({p_start}), got {p_end}")
+        if beta_end < 0:
+            raise ValueError(f"beta_end must be >= 0, got {beta_end}")
+        # count the steps before building any: a tiny step asks for millions
+        # of them, a denormal one for infinitely many (rint rounds as round)
+        n_p = np.rint((p_end - p_start) / p_step) + 1
+        n_b = np.rint(beta_end / beta_step)
+        if not n_p + n_b <= MAX_SCHEDULE_STEPS:
+            raise ValueError(f"p_step = {p_step} and beta_step = {beta_step} make "
+                             f"{n_p + n_b:g} steps; a schedule takes at most {MAX_SCHEDULE_STEPS}")
+        penalties = [p_start + k * p_step for k in range(int(n_p))]
+        betas = [(k + 1) * beta_step for k in range(int(n_b))]
         pairs = [(p, 0.0) for p in penalties] + [(p_end, b) for b in betas]
         n = len(pairs)
         ratio = (tol_end / tol_start) ** (1.0 / (n - 1)) if n > 1 else 1.0
@@ -110,11 +127,7 @@ class Analysis:
     def weighted_gradient(self, w: np.ndarray) -> np.ndarray:
         """Gradient over x of w^T C from the cached solves."""
         grad_rho = comp.weighted_gradient(self.stats.cache, w, self.model.ke, self.model.mesh)
-        return comp.pullback_to_x(grad_rho, self.model.pipeline, self.field)
-
-    def objective_gradient_for(self, kind: str, **params) -> np.ndarray:
-        w = comp.weight_vector(self.stats, kind, **params)
-        return self.weighted_gradient(w)
+        return self.model.pipeline.backward(self.field, grad_rho)
 
 
 class ForwardModel:
@@ -179,25 +192,28 @@ class _MemoizedAnalyses:
         return self._analysis
 
 
-class _VolumeConstrainedProblem:
-    """Shared machinery of the MMA-solved problems (objective varies)."""
+class MeanStdProblem:
+    """min mu_C + m sigma_C subject to a volume fraction bound, by MMA.
 
-    def __init__(self, model: ForwardModel, volume_fraction: float,
+    m = 0 is the mean compliance problem, exactly: sigma and the std
+    weights are finite (the weights are zero at or below
+    `comp.sigma_floor`), so the value and the weights at m = 0 equal those
+    of the mean bit for bit.
+    """
+
+    def __init__(self, model: ForwardModel, volume_fraction: float, m: float = 2.0,
                  mma_config: MMAConfig | None = None):
         if not 0.0 < volume_fraction <= 1.0:
             raise ConfigError(f"volume fraction must lie in (0, 1], got {volume_fraction}")
         self.model = model
         self.volume_fraction = volume_fraction
+        self.m = m
         self.mma_config = mma_config or MMAConfig()
         self.memo = _MemoizedAnalyses(model)
         self.scale = None
 
-    # subclasses define these two
-    def _value(self, analysis: Analysis) -> float:
-        raise NotImplementedError
-
-    def _gradient(self, analysis: Analysis) -> np.ndarray:
-        raise NotImplementedError
+    def objective_value(self, analysis: Analysis) -> float:
+        return analysis.stats.mean + self.m * analysis.stats.std
 
     def initial_design(self) -> np.ndarray:
         return np.full(self.model.mesh.n_elements, self.volume_fraction)
@@ -205,7 +221,7 @@ class _VolumeConstrainedProblem:
     def prepare(self, x0: np.ndarray, first: ContinuationStep) -> None:
         """Fix the objective scale to 1/|f(x0)| at the first step's stages."""
         analysis = self.memo.at(x0, first.penalty, first.beta)
-        self.scale = 1.0 / abs(self._value(analysis))
+        self.scale = 1.0 / abs(self.objective_value(analysis))
 
     def solve_step(self, x: np.ndarray, step: ContinuationStep, callback=None):
         if self.scale is None:
@@ -213,7 +229,8 @@ class _VolumeConstrainedProblem:
 
         def objective(xv):
             a = self.memo.at(xv, step.penalty, step.beta)
-            return self.scale * self._value(a), self.scale * self._gradient(a)
+            w = comp.weight_vector(a.stats, "mean_plus_m_std", m=self.m)
+            return self.scale * self.objective_value(a), self.scale * a.weighted_gradient(w)
 
         def constraint(xv):
             a = self.memo.at(xv, step.penalty, step.beta)
@@ -232,30 +249,6 @@ class _VolumeConstrainedProblem:
             "converged": result.converged,
         }
         return result.x, record
-
-
-class MeanComplianceProblem(_VolumeConstrainedProblem):
-    """min mu_C subject to a volume fraction bound."""
-
-    def _value(self, analysis):
-        return analysis.stats.mean
-
-    def _gradient(self, analysis):
-        return analysis.objective_gradient_for("mean")
-
-
-class MeanStdProblem(_VolumeConstrainedProblem):
-    """min mu_C + m sigma_C subject to a volume fraction bound."""
-
-    def __init__(self, model, volume_fraction, m: float = 2.0, mma_config=None):
-        super().__init__(model, volume_fraction, mma_config)
-        self.m = m
-
-    def _value(self, analysis):
-        return analysis.stats.mean + self.m * analysis.stats.std
-
-    def _gradient(self, analysis):
-        return analysis.objective_gradient_for("mean_plus_m_std", m=self.m)
 
 
 class AugLagEvaluation:

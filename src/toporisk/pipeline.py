@@ -138,12 +138,8 @@ class DensityPipeline:
         grad_physical = np.asarray(grad_physical, dtype=float)
         chain = heaviside_derivative(field.interpolated, field.beta)
         chain = chain * (1.0 - field.x_min) * field.penalty
-        # filtered^(p-1) with 0^0 = 1 when p = 1
-        if field.penalty == 1.0:
-            power = np.ones_like(field.filtered)
-        else:
-            power = field.filtered ** (field.penalty - 1.0)
-        chain = chain * power
+        # at p = 1 this is filtered^0, which is 1.0 for every value, 0 included
+        chain = chain * field.filtered ** (field.penalty - 1.0)
         return self.filter_matrix.T @ (chain * grad_physical)
 
     def volume_fraction(self, field: DensityField) -> float:

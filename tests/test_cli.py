@@ -140,6 +140,11 @@ def test_bad_auglag_value_exits_2(tmp_path, capsys):
     ({"mesh": {"dim": 2, "cells": [6, 3], "thickness": -1}}, "thickness"),
     ({"material": {"youngs_modulus": 1.0, "poissons_ratio": 0.7}}, "poissons_ratio"),
     ({"mma": {"max_iters": 2.5}}, "max_iters"),
+    ({"schedule": {"p_start": 0.5}}, "penalty"),
+    ({"schedule": {"p_step": 5e-324}}, "p_step"),
+    ({"schedule": {"p_step": 1e-4}}, "p_step"),
+    ({"schedule": {"p_start": 6, "p_end": 1}}, "p_end"),
+    ({"schedule": {"beta_end": -4}}, "beta_end"),
 ])
 def test_bad_section_value_exits_2_without_traceback(tmp_path, capsys, overrides, key):
     config = write_config(tmp_path, **overrides)
@@ -228,9 +233,18 @@ def test_check_grad_rejects_large_mesh(tmp_path):
     assert cli.main(["check-grad", "--config", str(config)]) == 2
 
 
-def test_check_grad_rejects_bad_fd_step(tmp_path):
+@pytest.mark.parametrize("flag,value", [
+    ("--fd-step", "0.0"), ("--fd-step", "nan"), ("--fd-step", "inf"), ("--fd-step", "0.3"),
+    ("--penalty", "0.5"), ("--penalty", "nan"), ("--penalty", "inf"),
+    ("--beta", "-1"), ("--beta", "nan"),
+    ("--tol", "nan"), ("--tol", "0"), ("--tol", "inf"),
+])
+def test_check_grad_rejects_bad_numeric_flags(tmp_path, capsys, flag, value):
     config = write_config(tmp_path)
-    assert cli.main(["check-grad", "--config", str(config), "--fd-step", "0.0"]) == 2
+    assert cli.main(["check-grad", "--config", str(config), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and flag in err
+    assert "Traceback" not in err
 
 
 def test_bench_table_and_solve_counts(tmp_path):

@@ -81,6 +81,9 @@ def test_weight_vectors_hand_worked():
     np.testing.assert_allclose(tr.weight_vector(stats, "std"), [-0.5, 0.0, 0.5])
     np.testing.assert_allclose(tr.weight_vector(stats, "mean_plus_m_std", m=2.0),
                                [1 / 3 - 1.0, 1 / 3, 1 / 3 + 1.0])
+    # m = 0 is the mean objective, bit for bit
+    np.testing.assert_array_equal(tr.weight_vector(stats, "mean_plus_m_std", m=0.0),
+                                  tr.weight_vector(stats, "mean"))
 
 
 def test_weight_vector_validation():
@@ -105,6 +108,8 @@ def test_degenerate_dispersion_gives_zero_std_weights(mesh_4x2, material):
     np.testing.assert_array_equal(w, np.zeros(4))
     w = tr.weight_vector(stats, "mean_plus_m_std", m=2.0)
     np.testing.assert_allclose(w, np.full(4, 0.25))
+    np.testing.assert_array_equal(tr.weight_vector(stats, "mean_plus_m_std", m=0.0),
+                                  tr.weight_vector(stats, "mean"))
 
 
 def test_naive_and_svd_gradients_agree(mesh_6x3, material):
@@ -220,12 +225,3 @@ def test_gradient_weight_shape_is_checked(mesh_4x2, material):
     with pytest.raises(ValueError):
         tr.weighted_gradient_naive(stats.cache, np.ones(6), Ke, mesh_4x2)
 
-
-def test_pullback_to_x_is_the_pipeline_adjoint(mesh_4x2):
-    pipe = tr.DensityPipeline(mesh_4x2, 1.5, x_min=1e-3)
-    rng = np.random.default_rng(14)
-    x = rng.uniform(0.2, 0.8, mesh_4x2.n_elements)
-    field = pipe.apply(x, 3.0, 4.0)
-    g = rng.standard_normal(mesh_4x2.n_elements)
-    np.testing.assert_array_equal(tr.pullback_to_x(g, pipe, field),
-                                  pipe.backward(field, g))

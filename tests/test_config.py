@@ -184,7 +184,9 @@ def test_builders_assemble_consistent_objects():
     assert model.method == "naive"
     assert model.scenarios.n_scenarios == 5
     problem = build_problem(cfg, model)
-    assert isinstance(problem, tr.MeanComplianceProblem)
+    # mean compliance is mu + m sigma at m = 0
+    assert isinstance(problem, tr.MeanStdProblem)
+    assert problem.m == 0.0
     schedule = build_schedule(cfg)
     assert len(schedule.steps) == 16
 

@@ -1,4 +1,4 @@
-"""Continuation schedule, forward model and the three problem wrappers."""
+"""Continuation schedule, forward model and the two problem classes."""
 import numpy as np
 import pytest
 
@@ -55,11 +55,23 @@ def test_schedule_validation():
             tr.ContinuationStep(1.0, 0.0, 1e-3),
             tr.ContinuationStep(2.0, 0.0, 1e-3),  # tolerance not decreasing
         ))
-    # a step of zero would divide by zero; a negative one would drop a phase
-    for bad in [{"p_step": 0.0}, {"p_step": -0.5}, {"beta_step": -4.0},
-                {"tol_end": 0.0}, {"p_end": float("inf")}]:
-        with pytest.raises(ValueError, match=next(iter(bad))):
+    # outside the density pipeline's bounds
+    for p, beta in [(0.5, 0.0), (float("nan"), 0.0), (1.0, -1.0)]:
+        with pytest.raises(ValueError, match="penalty" if beta == 0.0 else "beta"):
+            tr.ContinuationSchedule(steps=(tr.ContinuationStep(p, beta, 1e-3),))
+    # a step of zero would divide by zero; a negative one, a reversed range
+    # or a negative beta_end would drop a phase; a tiny step would build
+    # tens of thousands of steps, a denormal one overflow the count
+    for bad, key in [({"p_step": 0.0}, "p_step"), ({"p_step": -0.5}, "p_step"),
+                     ({"beta_step": -4.0}, "beta_step"), ({"tol_end": 0.0}, "tol_end"),
+                     ({"p_end": float("inf")}, "p_end"), ({"p_start": 0.5}, "penalty"),
+                     ({"p_step": 5e-324}, "p_step"), ({"p_step": 1e-4}, "p_step"),
+                     ({"beta_step": 1e-3}, "beta_step"),
+                     ({"p_step": 0.01, "beta_step": 0.04}, "beta_step"),
+                     ({"p_start": 6.0, "p_end": 1.0}, "p_end"), ({"beta_end": -4.0}, "beta_end")]:
+        with pytest.raises(ValueError, match=key):
             tr.ContinuationSchedule.default(**bad)
+    assert len(tr.ContinuationSchedule.default(p_step=5 / 999, beta_end=0.0).steps) == 1000
     with pytest.raises(TypeError, match="beta_end"):
         tr.ContinuationSchedule.default(beta_end="20")
 
@@ -82,18 +94,9 @@ def test_forward_model_rejects_unknown_method():
         tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method="magic")
 
 
-def test_analysis_gradients_match_between_kind_and_weights():
-    model = small_model()
-    x = np.full(model.mesh.n_elements, 0.5)
-    a = model.analyze(x, 3.0, 4.0)
-    w = tr.weight_vector(a.stats, "mean_plus_m_std", m=2.0)
-    np.testing.assert_array_equal(a.objective_gradient_for("mean_plus_m_std", m=2.0),
-                                  a.weighted_gradient(w))
-
-
 def test_mean_compliance_continuation_small():
     model = small_model()
-    problem = tr.MeanComplianceProblem(model, volume_fraction=0.5)
+    problem = tr.MeanStdProblem(model, volume_fraction=0.5, m=0.0)
     res = tr.run_continuation(problem, short_schedule())
     assert len(res.history) == 2
     rec = res.history[-1]
@@ -111,7 +114,7 @@ def test_mean_compliance_continuation_small():
 def test_volume_fraction_validation():
     model = small_model()
     with pytest.raises(ConfigError):
-        tr.MeanComplianceProblem(model, volume_fraction=0.0)
+        tr.MeanStdProblem(model, volume_fraction=0.0, m=0.0)
     with pytest.raises(ConfigError):
         tr.MeanStdProblem(model, volume_fraction=1.5)
 
@@ -119,7 +122,7 @@ def test_volume_fraction_validation():
 def test_mean_std_objective_is_higher_than_mean():
     # adding m sigma to the objective cannot produce a lower mean+m*std value
     model_a = small_model(L=12, seed=5)
-    mean_res = tr.run_continuation(tr.MeanComplianceProblem(model_a, 0.5),
+    mean_res = tr.run_continuation(tr.MeanStdProblem(model_a, 0.5, m=0.0),
                                    short_schedule())
     model_b = small_model(L=12, seed=5)
     std_res = tr.run_continuation(tr.MeanStdProblem(model_b, 0.5, m=2.0),
@@ -184,9 +187,9 @@ def test_max_compliance_converged_flag_reports_the_primal_stop():
 def test_naive_and_svd_reach_matching_designs():
     sched = short_schedule()
     res_n = tr.run_continuation(
-        tr.MeanComplianceProblem(small_model(method="naive", L=16, seed=3), 0.5), sched)
+        tr.MeanStdProblem(small_model(method="naive", L=16, seed=3), 0.5, m=0.0), sched)
     res_s = tr.run_continuation(
-        tr.MeanComplianceProblem(small_model(method="svd", L=16, seed=3), 0.5), sched)
+        tr.MeanStdProblem(small_model(method="svd", L=16, seed=3), 0.5, m=0.0), sched)
     # same optimization driven by equal gradients: identical iterates
     np.testing.assert_allclose(res_s.x, res_n.x, atol=1e-7)
     assert res_s.total_solves < res_n.total_solves
