@@ -91,7 +91,8 @@ class AugLagResult:
 
     `converged` is true only when the last primal phase stopped on the
     KKT residual reaching `tol`, not on its iteration cap or a stall; it
-    says nothing about the multipliers. A loop that stopped early at a KKT
+    says nothing about the multipliers. `kkt_residual` is the last
+    residual that phase computed. A loop that stopped early at a KKT
     point has `converged` true and `n_dual_iters` below the cap.
     """
 
@@ -101,6 +102,7 @@ class AugLagResult:
     max_violation: float
     lam: np.ndarray
     r: float
+    kkt_residual: float
     n_primal_iters: int
     n_dual_iters: int
     converged: bool
@@ -184,6 +186,7 @@ def auglag_minimize(evaluate, x0, C_t: float, tol, config: AugLagConfig | None =
     ct_norm = C_t / normalization
     max_step = 1.0
     total_primal = 0
+    residual = np.inf
     violation_history = []
 
     converged = False
@@ -241,6 +244,7 @@ def auglag_minimize(evaluate, x0, C_t: float, tol, config: AugLagConfig | None =
         max_violation=max_violation * normalization,
         lam=lam,
         r=r,
+        kkt_residual=residual,
         n_primal_iters=total_primal,
         n_dual_iters=len(violation_history),
         converged=converged,

@@ -37,6 +37,14 @@ METHODS = ("naive", "svd")
 MAX_SCHEDULE_STEPS = 1000
 
 
+def _intervals(span: float, step: float) -> float:
+    """Fewest equal intervals of at most `step` that cover `span`.
+
+    A step that divides the span up to round-off divides it: 5 / 0.1 is
+    50 intervals, not 51."""
+    return np.ceil(span / step * (1.0 - 1e-12))
+
+
 @dataclass(frozen=True)
 class ContinuationStep:
     penalty: float
@@ -75,9 +83,12 @@ class ContinuationSchedule:
         """p from 1 to 6 in halves at beta 0, then beta to 20 in fours at p 6,
         with one geometric tolerance decay from 1e-3 to 1e-4 over all steps.
 
-        Every argument must be a finite number, the steps and tolerances
-        positive, p_end >= p_start and beta_end >= 0, and the schedule at
-        most `MAX_SCHEDULE_STEPS` steps long."""
+        Each phase ends exactly at p_end and beta_end in equal steps of at
+        most p_step and beta_step; a step that does not divide its range is
+        shortened to the next one that does. Every argument must be a
+        finite number, the steps and tolerances positive, p_end >= p_start
+        and beta_end >= 0, and the schedule at most `MAX_SCHEDULE_STEPS`
+        steps long."""
         params = dict(p_start=p_start, p_end=p_end, p_step=p_step, beta_end=beta_end,
                       beta_step=beta_step, tol_start=tol_start, tol_end=tol_end)
         for name, value in params.items():
@@ -90,15 +101,15 @@ class ContinuationSchedule:
         if beta_end < 0:
             raise ValueError(f"beta_end must be >= 0, got {beta_end}")
         # count the steps before building any: a tiny step asks for millions
-        # of them, a denormal one for infinitely many (rint rounds as round)
-        n_p = np.rint((p_end - p_start) / p_step) + 1
-        n_b = np.rint(beta_end / beta_step)
+        # of them, a denormal one for infinitely many
+        n_p = _intervals(p_end - p_start, p_step) + 1
+        n_b = _intervals(beta_end, beta_step)
         if not n_p + n_b <= MAX_SCHEDULE_STEPS:
             raise ValueError(f"p_step = {p_step} and beta_step = {beta_step} make "
                              f"{n_p + n_b:g} steps; a schedule takes at most {MAX_SCHEDULE_STEPS}")
-        penalties = [p_start + k * p_step for k in range(int(n_p))]
-        betas = [(k + 1) * beta_step for k in range(int(n_b))]
-        pairs = [(p, 0.0) for p in penalties] + [(p_end, b) for b in betas]
+        penalties = np.linspace(p_start, p_end, int(n_p))
+        betas = np.linspace(0.0, beta_end, int(n_b) + 1)[1:]
+        pairs = [(float(p), 0.0) for p in penalties] + [(p_end, float(b)) for b in betas]
         n = len(pairs)
         ratio = (tol_end / tol_start) ** (1.0 / (n - 1)) if n > 1 else 1.0
         steps = tuple(
@@ -246,6 +257,8 @@ class MeanStdProblem:
             "max_compliance": float(np.max(final.stats.C)),
             "n_iters": result.n_iters,
             "dual_iters": 0,
+            "multiplier": result.multiplier,
+            "kkt_residual": result.kkt_residual,
             "converged": result.converged,
         }
         return result.x, record
@@ -329,6 +342,8 @@ class MaxComplianceProblem:
             "max_compliance": float(np.max(result.compliances)),
             "n_iters": result.n_primal_iters,
             "dual_iters": result.n_dual_iters,
+            "multiplier": float(np.max(result.lam)),
+            "kkt_residual": result.kkt_residual,
             "converged": result.converged,
         }
         return result.x, record
@@ -349,7 +364,10 @@ def run_continuation(problem, schedule: ContinuationSchedule | None = None,
     The history holds one record per step with the schedule point, the
     scaled objective at the step's start and end, final volume and
     maximum compliance, iteration, dual iteration (0 for MMA), analysis
-    and linear solve counts.
+    and linear solve counts, and the optimizer's state at the step's end:
+    `multiplier` (the MMA volume multiplier, or the largest AL multiplier
+    max_i lambda_i) and `kkt_residual` (MMA's scaled projected KKT
+    residual, or that of the last AL primal phase).
     """
     schedule = schedule or ContinuationSchedule.default()
     x = problem.initial_design()

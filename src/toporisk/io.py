@@ -17,8 +17,8 @@ from .mesh import GroundMesh
 
 HISTORY_COLUMNS = (
     "step", "penalty", "beta", "tolerance", "objective_start", "objective_end",
-    "volume", "max_compliance", "n_iters", "dual_iters", "analyses", "solves",
-    "converged",
+    "volume", "max_compliance", "n_iters", "dual_iters", "multiplier", "kkt_residual",
+    "analyses", "solves", "converged",
 )
 
 

@@ -5,9 +5,11 @@
   * band_to_dense       -- the full symmetric matrix of an upper band, by loops
   * element_quadratics  -- g_e = sum_i w_i u_e,i^T Ke u_e,i, element by element
   * random_scenarios    -- a scenario matrix of known rank on the free surface
-The first four are deliberately written along a different code path than
-the library so agreement is evidence, not tautology. Test modules import
-them as `from oracles import ...`.
+  * mma_dual_slope      -- an MMA subproblem's primal point x(eta) and dual slope g(eta)
+  * mma_dual_bisection  -- the subproblem's dual root by doubling and bisection
+All but `random_scenarios` are deliberately written along a different
+code path than the library so agreement is evidence, not tautology. Test
+modules import them as `from oracles import ...`.
 """
 import numpy as np
 
@@ -70,3 +72,39 @@ def random_scenarios(mesh, L, rank, seed):
     k = min(rank, L)
     weights[:k, :k] += 10.0 * np.eye(k)
     return tr.ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=dofs, block=basis @ weights)
+
+
+def mma_dual_slope(eta, p0, q0, p1, q1, b1, low, upp, alpha, beta):
+    """x(eta) = clip((low sqrt(p) + upp sqrt(q)) / (sqrt(p) + sqrt(q))) with
+    p = p0 + eta p1 and q = q0 + eta q1, and the falling dual slope
+    g(eta) = sum p1/(upp-x) + q1/(x-low) - b1 of a one-constraint MMA subproblem."""
+    sp, sq = np.sqrt(p0 + eta * p1), np.sqrt(q0 + eta * q1)
+    x = np.clip((low * sp + upp * sq) / (sp + sq), alpha, beta)
+    return x, float(np.sum(p1 / (upp - x) + q1 / (x - low)) - b1)
+
+
+def mma_dual_bisection(p0, q0, p1, q1, b1, low, upp, alpha, beta):
+    """(x, eta) of a one-constraint MMA subproblem, eta the root of g by bisection.
+
+    eta = 0 if g(0) <= 0; else the bracket doubles from 1 to at most 2^61,
+    where g > 0 means the constraint is unreachable and that point is
+    returned; then 100 halvings, and the feasible end of the bracket.
+    """
+    def x_and_g(eta):
+        return mma_dual_slope(eta, p0, q0, p1, q1, b1, low, upp, alpha, beta)
+
+    x, g = x_and_g(0.0)
+    if g <= 0.0:
+        return x, 0.0
+    lo, hi = 0.0, 1.0
+    while x_and_g(hi)[1] > 0.0:
+        if hi == 2.0**61:
+            return x_and_g(hi)[0], hi
+        lo, hi = hi, 2.0 * hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if x_and_g(mid)[1] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return x_and_g(hi)[0], hi

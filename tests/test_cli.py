@@ -59,6 +59,7 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
         assert int(row["analyses"]) >= 1
         assert int(row["solves"]) == 4 * int(row["analyses"])
         assert row["dual_iters"] == "0"  # MMA steps run no AL dual loop
+        assert float(row["multiplier"]) >= 0.0 and float(row["kkt_residual"]) >= 0.0
 
 
 def test_run_report_matches_fresh_evaluation(tmp_path):

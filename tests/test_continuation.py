@@ -23,18 +23,32 @@ def short_schedule():
 
 def test_default_schedule_structure():
     sched = tr.ContinuationSchedule.default()
-    assert len(sched.steps) == 16
-    np.testing.assert_allclose([s.penalty for s in sched.steps[:11]],
-                               np.arange(1.0, 6.5, 0.5))
-    assert all(s.beta == 0.0 for s in sched.steps[:11])
-    np.testing.assert_allclose([s.beta for s in sched.steps[11:]],
-                               [4.0, 8.0, 12.0, 16.0, 20.0])
-    assert all(s.penalty == 6.0 for s in sched.steps[11:])
+    # p 1 to 6 in halves at beta 0, then beta 4 to 20 in fours at p 6, bit for bit
+    assert [(s.penalty, s.beta) for s in sched.steps] == (
+        [(1.0 + k * 0.5, 0.0) for k in range(11)] + [(6.0, (k + 1) * 4.0) for k in range(5)])
+    # one geometric tolerance decay from 1e-3 to 1e-4
+    ratio = (1e-4 / 1e-3) ** (1.0 / 15)
     tols = [s.tolerance for s in sched.steps]
-    assert tols[0] == pytest.approx(1e-3)
+    assert tols == [1e-3 * ratio**k for k in range(16)]
     assert tols[-1] == pytest.approx(1e-4)
-    ratios = np.diff(np.log(tols))
-    np.testing.assert_allclose(ratios, ratios[0])  # geometric decay
+
+
+def test_schedule_step_that_does_not_divide_its_range_ends_on_the_end_value():
+    # the step is shortened to the next one that divides; it never overshoots
+    for kwargs, n_p, n_b in [({"p_step": 0.3}, 18, 5), ({"p_step": 2.0}, 4, 5),
+                             ({"beta_step": 6.0}, 11, 4)]:
+        steps = tr.ContinuationSchedule.default(**kwargs).steps
+        penalties = [s.penalty for s in steps[:n_p]]
+        betas = [s.beta for s in steps[n_p:]]
+        assert len(steps) == n_p + n_b
+        assert penalties[0] == 1.0 and penalties[-1] == 6.0
+        assert all(s.beta == 0.0 for s in steps[:n_p])
+        assert all(s.penalty == 6.0 for s in steps[n_p:]) and betas[-1] == 20.0
+        for values, start, limit in [(penalties, 1.0, kwargs.get("p_step", 0.5)),
+                                     ([0.0] + betas, 0.0, kwargs.get("beta_step", 4.0))]:
+            gaps = np.diff(values)
+            assert values[0] == start
+            assert np.all(gaps <= limit) and np.ptp(gaps) < 1e-12
 
 
 def test_schedule_validation():
@@ -109,6 +123,10 @@ def test_mean_compliance_continuation_small():
                 "n_iters", "dual_iters", "analyses", "solves", "tolerance"):
         assert key in rec
     assert rec["dual_iters"] == 0
+    # the optimizer's state at the step's end: the volume multiplier of
+    # the tight constraint and the residual the stop test read
+    assert rec["multiplier"] > 0.0
+    assert 0.0 <= rec["kkt_residual"] <= rec["tolerance"]
 
 
 def test_volume_fraction_validation():
@@ -173,6 +191,9 @@ def test_max_compliance_run_is_feasible():
     for rec in res.history:
         assert 1 <= rec["dual_iters"] < problem.auglag_config.dual_iters
         assert rec["converged"]
+        assert 0.0 <= rec["kkt_residual"] <= rec["tolerance"]
+    # the largest multiplier, carried into the next step
+    assert res.history[-1]["multiplier"] == np.max(problem.lam) > 0.0
 
 
 def test_max_compliance_converged_flag_reports_the_primal_stop():

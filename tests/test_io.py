@@ -122,8 +122,8 @@ def test_history_csv_round_trip(tmp_path):
     records = [{
         "step": 0, "penalty": 1.0, "beta": 0.0, "tolerance": 1e-3,
         "objective_start": 1.0, "objective_end": 0.75, "volume": 0.4,
-        "max_compliance": 123.456, "n_iters": 17, "dual_iters": 4, "analyses": 18,
-        "solves": 170, "converged": True,
+        "max_compliance": 123.456, "n_iters": 17, "dual_iters": 4, "multiplier": 0.25,
+        "kkt_residual": 3e-5, "analyses": 18, "solves": 170, "converged": True,
     }]
     path = tmp_path / "h.csv"
     write_history(path, records)
@@ -133,5 +133,7 @@ def test_history_csv_round_trip(tmp_path):
     assert fields[0] == "0"
     assert float(fields[7]) == 123.456  # shortest round-trip repr
     assert fields[9] == "4"
-    assert fields[10] == "18"
-    assert fields[12] == "1"  # converged flag as 0/1
+    assert float(fields[10]) == 0.25
+    assert float(fields[11]) == 3e-5
+    assert fields[12] == "18"
+    assert fields[14] == "1"  # converged flag as 0/1
