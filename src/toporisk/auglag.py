@@ -94,10 +94,12 @@ class AugLagResult:
     says nothing about the multipliers. `kkt_residual` is the last
     residual that phase computed. A loop that stopped early at a KKT
     point has `converged` true and `n_dual_iters` below the cap.
+    `objective_start` is the objective at the start point x0.
     """
 
     x: np.ndarray
     objective: float
+    objective_start: float
     compliances: np.ndarray
     max_violation: float
     lam: np.ndarray
@@ -109,10 +111,10 @@ class AugLagResult:
     violation_history: list = field(default_factory=list)
 
 
-def projected_gradient_step(x, grad, step, trust_region, lower=0.0, upper=1.0):
-    """One projected step: clip(x - step*grad) onto box AND trust region."""
-    lo = np.maximum(lower, x - trust_region)
-    hi = np.minimum(upper, x + trust_region)
+def projected_gradient_step(x, grad, step, trust_region):
+    """One projected step: clip(x - step*grad) onto [0, 1] AND the trust region."""
+    lo = np.maximum(0.0, x - trust_region)
+    hi = np.minimum(1.0, x + trust_region)
     return np.clip(x - step * grad, lo, hi)
 
 
@@ -176,6 +178,7 @@ def auglag_minimize(evaluate, x0, C_t: float, tol, config: AugLagConfig | None =
     config = config or AugLagConfig()
     x = np.asarray(x0, dtype=float).copy()
     ev = evaluate(x)
+    objective_start = ev.objective
     L_count = ev.compliances.size
     lam = np.ones(L_count) if lam is None else np.array(lam, dtype=float)
     if lam.shape != (L_count,):
@@ -240,6 +243,7 @@ def auglag_minimize(evaluate, x0, C_t: float, tol, config: AugLagConfig | None =
     return AugLagResult(
         x=x,
         objective=ev.objective,
+        objective_start=objective_start,
         compliances=ev.compliances,
         max_violation=max_violation * normalization,
         lam=lam,

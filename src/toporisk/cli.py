@@ -99,6 +99,7 @@ def cmd_run(args) -> int:
         "wall_seconds": wall,
         "analyses": result.total_analyses,
         "total_solves": result.total_solves,
+        "step_seconds": result.step_seconds,
     })
 
     print(f"problem: {cfg.kind}   method: {model.method}")

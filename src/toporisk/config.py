@@ -28,9 +28,10 @@ The sections "material", "schedule", "mma" and "auglag" are parsed once,
 into the immutable value each configures: `Material`, the schedule of
 `ContinuationSchedule.default(...)`, `MMAConfig` and `AugLagConfig`. A
 section's keys are its constructor's arguments, its defaults and checks
-the constructor's own. "mma" configures the MMA-solved kinds and "auglag"
-the max-compliance kind, so a run reads one of the two. The "mesh"
-section is checked by building its mesh once, but `RunConfig` keeps the
+the constructor's own. "mma" configures the MMA-solved kinds (its keys
+are `max_iters` and `move`; MMA's other constants are fixed in `mma.py`)
+and "auglag" the max-compliance kind, so a run reads one of the two. The
+"mesh" section is checked by building its mesh once, but `RunConfig` keeps the
 four mesh values and `build_mesh` builds a fresh mesh on every call: a
 `GroundMesh` caches its DOF map and band layout, so a mesh held here would
 carry that set-up work from one build to the next.

@@ -19,6 +19,7 @@ scenario matrix's thin SVD; the choice only affects cost, never values.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,13 @@ import numpy as np
 from . import compliance as comp
 from .auglag import AugLagConfig, auglag_minimize
 from .errors import ConfigError, check_number
-from .fea import StiffnessSystem, assemble, element_stiffness
+from .fea import (
+    StiffnessSystem,
+    analysis_bytes,
+    assemble,
+    element_stiffness,
+    physical_memory_bytes,
+)
 from .mesh import GroundMesh, Material
 from .mma import MMAConfig, mma_minimize
 from .pipeline import DensityPipeline
@@ -148,6 +155,11 @@ class ForwardModel:
     scenario, "svd" against the scenario matrix's singular directions.
     `total_analyses` counts analyses (one factorization each) and
     `total_solves` tallies their linear solves (right-hand-side columns).
+
+    A model whose analysis would need more than the machine's physical
+    memory (`fea.analysis_bytes` against `fea.physical_memory_bytes`,
+    which does not read a cgroup limit) raises `ConfigError` before any
+    assembly.
     """
 
     def __init__(self, mesh: GroundMesh, material: Material,
@@ -172,6 +184,16 @@ class ForwardModel:
         self.method = method
         self.ke = element_stiffness(mesh, material)
         self.svd = thin_svd(scenarios, svd_rel_tol) if method == "svd" else None
+        k = self.svd.n_s if method == "svd" else scenarios.n_scenarios
+        band, peak = analysis_bytes(mesh, k)
+        memory = physical_memory_bytes()
+        if peak > memory:
+            cells = "x".join(str(c) for c in mesh.cells)
+            raise ConfigError(
+                f"a {cells} mesh needs about {peak / 1e9:.3g} GB per analysis "
+                f"(two {band / 1e9:.3g} GB stiffness bands and {k}-column solves), "
+                f"more than the {memory / 1e9:.3g} GB of physical memory"
+            )
         self.total_analyses = 0
         self.total_solves = 0
 
@@ -234,7 +256,7 @@ class MeanStdProblem:
         analysis = self.memo.at(x0, first.penalty, first.beta)
         self.scale = 1.0 / abs(self.objective_value(analysis))
 
-    def solve_step(self, x: np.ndarray, step: ContinuationStep, callback=None):
+    def solve_step(self, x: np.ndarray, step: ContinuationStep):
         if self.scale is None:
             self.prepare(x, step)
 
@@ -247,11 +269,10 @@ class MeanStdProblem:
             a = self.memo.at(xv, step.penalty, step.beta)
             return a.volume - self.volume_fraction, a.volume_gradient()
 
-        result = mma_minimize(objective, constraint, x, step.tolerance,
-                              self.mma_config, callback=callback)
+        result = mma_minimize(objective, constraint, x, step.tolerance, self.mma_config)
         final = self.memo.at(result.x, step.penalty, step.beta)
         record = {
-            "objective_start": result.objective_history[0],
+            "objective_start": result.objective_start,
             "objective_end": result.objective,
             "volume": final.volume,
             "max_compliance": float(np.max(final.stats.C)),
@@ -259,6 +280,8 @@ class MeanStdProblem:
             "dual_iters": 0,
             "multiplier": result.multiplier,
             "kkt_residual": result.kkt_residual,
+            "max_violation": 0.0,
+            "al_penalty": 0.0,
             "converged": result.converged,
         }
         return result.x, record
@@ -323,20 +346,18 @@ class MaxComplianceProblem:
         analysis = self.memo.at(x0, first.penalty, first.beta)
         self.scale = 1.0 / abs(analysis.volume)
 
-    def solve_step(self, x: np.ndarray, step: ContinuationStep, callback=None):
+    def solve_step(self, x: np.ndarray, step: ContinuationStep):
         if self.scale is None:
             self.prepare(x, step)
 
         def evaluate(xv):
             return AugLagEvaluation(self.memo.at(xv, step.penalty, step.beta), self.scale)
 
-        start = evaluate(x)
         result = auglag_minimize(evaluate, x, self.C_t, step.tolerance, self.auglag_config,
-                                 lam=self.lam, normalization=self.normalization,
-                                 callback=callback)
+                                 lam=self.lam, normalization=self.normalization)
         self.lam = result.lam
         record = {
-            "objective_start": start.objective,
+            "objective_start": result.objective_start,
             "objective_end": result.objective,
             "volume": result.objective / self.scale,
             "max_compliance": float(np.max(result.compliances)),
@@ -344,6 +365,8 @@ class MaxComplianceProblem:
             "dual_iters": result.n_dual_iters,
             "multiplier": float(np.max(result.lam)),
             "kkt_residual": result.kkt_residual,
+            "max_violation": result.max_violation,
+            "al_penalty": result.r,
             "converged": result.converged,
         }
         return result.x, record
@@ -355,10 +378,10 @@ class ContinuationResult:
     history: list
     total_analyses: int
     total_solves: int
+    step_seconds: list
 
 
-def run_continuation(problem, schedule: ContinuationSchedule | None = None,
-                     callback=None) -> ContinuationResult:
+def run_continuation(problem, schedule: ContinuationSchedule | None = None) -> ContinuationResult:
     """Sweep the schedule, warm starting each step from the last solution.
 
     The history holds one record per step with the schedule point, the
@@ -366,17 +389,23 @@ def run_continuation(problem, schedule: ContinuationSchedule | None = None,
     maximum compliance, iteration, dual iteration (0 for MMA), analysis
     and linear solve counts, and the optimizer's state at the step's end:
     `multiplier` (the MMA volume multiplier, or the largest AL multiplier
-    max_i lambda_i) and `kkt_residual` (MMA's scaled projected KKT
-    residual, or that of the last AL primal phase).
+    max_i lambda_i), `kkt_residual` (MMA's scaled projected KKT residual,
+    or that of the last AL primal phase), `max_violation` (the AL's
+    largest constraint violation, in compliance units) and `al_penalty`
+    (the AL's final penalty coefficient r); MMA steps record 0 for the
+    last two. Wall seconds per step go to `step_seconds`, not to the
+    history, so that the history of a run repeats bit for bit.
     """
     schedule = schedule or ContinuationSchedule.default()
     x = problem.initial_design()
     problem.prepare(x, schedule.steps[0])
     model = problem.model
-    history = []
+    history, step_seconds = [], []
     for k, step in enumerate(schedule.steps):
         analyses_before, solves_before = model.total_analyses, model.total_solves
-        x, record = problem.solve_step(x, step, callback=callback)
+        start = time.perf_counter()
+        x, record = problem.solve_step(x, step)
+        step_seconds.append(time.perf_counter() - start)
         record.update(
             step=k,
             penalty=step.penalty,
@@ -387,4 +416,4 @@ def run_continuation(problem, schedule: ContinuationSchedule | None = None,
         )
         history.append(record)
     return ContinuationResult(x=x, history=history, total_analyses=model.total_analyses,
-                              total_solves=model.total_solves)
+                              total_solves=model.total_solves, step_seconds=step_seconds)

@@ -41,6 +41,7 @@ n * eps * max|K_ii|.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,15 +145,41 @@ def element_stiffness(mesh: GroundMesh, material: Material) -> np.ndarray:
     return 0.5 * (Ke + Ke.T)
 
 
+def half_bandwidth(mesh: GroundMesh) -> int:
+    """The half-bandwidth u of K, read off the first element's DOFs.
+
+    Every element's DOFs are one offset pattern shifted by a constant, so
+    one element's DOF span is every element's."""
+    nodes = mesh.node_id_array(*mesh.corner_offsets().T)
+    return int(mesh.dim * (nodes.max() - nodes.min()) + mesh.dim - 1)
+
+
+def analysis_bytes(mesh: GroundMesh, k: int) -> tuple[int, int]:
+    """(band bytes, estimated peak bytes) of one analysis solving k columns.
+
+    The peak adds two (u + 1) x n_dofs bands of doubles (the band that
+    `assemble` returns and the factor `cholesky_banded` copies it into),
+    the scatter index and assembly weights (about 3 n_elements n_pairs
+    eight-byte values, n_pairs the upper triangle of one element
+    stiffness) and three n_dofs x k blocks of solves."""
+    n_element_dofs = mesh.dim * 2**mesh.dim
+    n_pairs = n_element_dofs * (n_element_dofs + 1) // 2
+    band = 8 * (half_bandwidth(mesh) + 1) * mesh.n_dofs
+    return band, 2 * band + 8 * 3 * (mesh.n_elements * n_pairs + mesh.n_dofs * k)
+
+
+def physical_memory_bytes() -> int:
+    """The machine's physical memory (`os.sysconf`); a cgroup limit is not read."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _band_layout(mesh: GroundMesh) -> _BandLayout:
     """The mesh's scatter map into band storage, built once and cached."""
     layout = mesh._cache.get("band_layout")
     if layout is None:
         edof = mesh.element_dof_map()
-        width = int(np.max(edof.max(axis=1) - edof.min(axis=1)))
-        # every element's DOFs are one offset pattern shifted by a constant,
-        # so one element decides which local pairs land on or above the
-        # diagonal
+        width = half_bandwidth(mesh)
+        # one element decides which local pairs land on or above the diagonal
         rows, cols = np.nonzero(edof[0][:, None] <= edof[0][None, :])
         i, j = edof[:, rows], edof[:, cols]
         n = mesh.n_dofs

@@ -18,7 +18,7 @@ from .mesh import GroundMesh
 HISTORY_COLUMNS = (
     "step", "penalty", "beta", "tolerance", "objective_start", "objective_end",
     "volume", "max_compliance", "n_iters", "dual_iters", "multiplier", "kkt_residual",
-    "analyses", "solves", "converged",
+    "max_violation", "al_penalty", "analyses", "solves", "converged",
 )
 
 
@@ -30,8 +30,8 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_vtk(path, mesh: GroundMesh, values: np.ndarray, name: str = "density") -> None:
-    """Legacy ASCII VTK structured-points file with one scalar per cell.
+def write_vtk(path, mesh: GroundMesh, values: np.ndarray) -> None:
+    """Legacy ASCII VTK structured-points file with one scalar per cell, "density".
 
     VTK orders cells x-fastest, then y, then z; element values are
     permuted from the mesh's x-slowest numbering accordingly.
@@ -45,14 +45,14 @@ def write_vtk(path, mesh: GroundMesh, values: np.ndarray, name: str = "density")
     h = mesh.element_size
     lines = [
         "# vtk DataFile Version 3.0",
-        name,
+        "density",
         "ASCII",
         "DATASET STRUCTURED_POINTS",
         "DIMENSIONS " + " ".join(str(p) for p in points),
         "ORIGIN 0 0 0",
         f"SPACING {_fmt(h)} {_fmt(h)} {_fmt(h)}",
         f"CELL_DATA {mesh.n_elements}",
-        f"SCALARS {name} double 1",
+        "SCALARS density double 1",
         "LOOKUP_TABLE default",
     ]
     lines.extend(_fmt(v) for v in ordered)

@@ -19,7 +19,7 @@ max(1, |multiplier| / 100).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,43 +33,32 @@ ETA_REL_TOL = 1e-14
 # until a feasible eta is found, a step at most multiplies eta by this
 # (and goes no further than 1 from eta = 0)
 ETA_GROWTH = 100.0
+# Svanberg's fixed constants (1987, and his reference mmasub): the first
+# asymptotes sit S_INIT box widths from x; later ones widen by S_INCR where
+# the last two steps agreed in sign and narrow by S_DECR where they did
+# not; ALBEFA keeps iterates strictly inside the asymptotes and RAA0 is a
+# small convexity floor
+S_INIT = 0.5
+S_INCR = 1.1
+S_DECR = 0.7
+ALBEFA = 0.1
+RAA0 = 1e-5
 
 
 @dataclass(frozen=True)
 class MMAConfig:
-    """Asymptote dynamics and subproblem safeguards.
+    """Loop cap and step limit: at most `max_iters` iterations, each moving
+    an element by at most `move` box widths."""
 
-    s_init sets the initial asymptote distance as a fraction of the box
-    width; s_incr and s_decr expand or shrink it depending on whether the
-    last two steps agreed in sign. The remaining fields are standard
-    subproblem safeguards: albefa keeps iterates strictly inside the
-    asymptotes, move is a per-iteration move limit, raa0 a small convexity
-    floor.
-    """
-
-    s_init: float = 0.5
-    s_incr: float = 1.1
-    s_decr: float = 0.7
     max_iters: int = 1000
-    albefa: float = 0.1
     move: float = 0.5
-    raa0: float = 1e-5
 
     def __post_init__(self):
         check_fields(self)
-        if not 0.0 < self.s_init < 1.0:
-            raise ValueError(f"s_init must lie in (0, 1), got {self.s_init}")
-        if not 0.0 < self.s_decr < 1.0 < self.s_incr:
-            raise ValueError("need 0 < s_decr < 1 < s_incr, got "
-                             f"s_decr={self.s_decr}, s_incr={self.s_incr}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if not 0.0 < self.albefa < 1.0:
-            raise ValueError(f"albefa must lie in (0, 1), got {self.albefa}")
         if self.move <= 0.0:
             raise ValueError(f"move must be positive, got {self.move}")
-        if self.raa0 <= 0.0:
-            raise ValueError(f"raa0 must be positive, got {self.raa0}")
 
 
 @dataclass
@@ -81,7 +70,7 @@ class MMAResult:
     kkt_residual: float
     n_iters: int
     converged: bool
-    objective_history: list = field(default_factory=list)
+    objective_start: float
 
 
 def scaled_kkt_residual(x, lagrangian_grad, lower, upper, multiplier_scale) -> float:
@@ -91,14 +80,14 @@ def scaled_kkt_residual(x, lagrangian_grad, lower, upper, multiplier_scale) -> f
     return float(np.linalg.norm(x - projected, np.inf) / scale)
 
 
-def _update_asymptotes(iteration, x, xold1, xold2, low, upp, lower, upper, cfg):
+def _update_asymptotes(iteration, x, xold1, xold2, low, upp, lower, upper):
     width = upper - lower
     if iteration <= 2:
-        return x - cfg.s_init * width, x + cfg.s_init * width
+        return x - S_INIT * width, x + S_INIT * width
     trend = (x - xold1) * (xold1 - xold2)
     gamma = np.ones_like(x)
-    gamma[trend > 0] = cfg.s_incr
-    gamma[trend < 0] = cfg.s_decr
+    gamma[trend > 0] = S_INCR
+    gamma[trend < 0] = S_DECR
     low = x - gamma * (xold1 - low)
     upp = x + gamma * (upp - xold1)
     # Svanberg's safeguards: keep asymptotes at sane distances from x
@@ -107,7 +96,7 @@ def _update_asymptotes(iteration, x, xold1, xold2, low, upp, lower, upper, cfg):
     return low, upp
 
 
-def _pq_coefficients(grad, x, low, upp, width, raa0):
+def _pq_coefficients(grad, x, low, upp, width):
     """Numerators of the p/(upp-x) + q/(x-low) approximation of one function.
 
     Built so the approximation matches the true value and gradient at x
@@ -115,7 +104,7 @@ def _pq_coefficients(grad, x, low, upp, width, raa0):
     """
     gp = np.maximum(grad, 0.0)
     gn = np.maximum(-grad, 0.0)
-    floor = raa0 / np.maximum(width, 1e-5)
+    floor = RAA0 / np.maximum(width, 1e-5)
     p = (upp - x) ** 2 * (1.001 * gp + 0.001 * gn + floor)
     q = (x - low) ** 2 * (0.001 * gp + 1.001 * gn + floor)
     return p, q
@@ -197,7 +186,7 @@ def _solve_subproblem(p0, q0, p1, q1, b1, low, upp, alpha, beta):
 
 
 def mma_minimize(objective, constraint, x0, tol, cfg: MMAConfig | None = None,
-                 lower=0.0, upper=1.0, callback=None) -> MMAResult:
+                 lower=0.0, upper=1.0) -> MMAResult:
     """Minimize objective(x) subject to constraint(x) <= 0 over a box.
 
     Parameters
@@ -207,9 +196,6 @@ def mma_minimize(objective, constraint, x0, tol, cfg: MMAConfig | None = None,
         the box.
     tol : float
         Threshold on the scaled projected KKT residual.
-    callback : callable, optional
-        Called as callback(iteration, x, objective_value) after each
-        accepted iterate.
     """
     cfg = cfg or MMAConfig()
     x = np.asarray(x0, dtype=float).copy()
@@ -223,7 +209,7 @@ def mma_minimize(objective, constraint, x0, tol, cfg: MMAConfig | None = None,
 
     f, df = objective(x)
     c, dc = constraint(x)
-    history = [float(f)]
+    f_start = float(f)
     eta = 0.0
     residual = np.inf
 
@@ -232,13 +218,11 @@ def mma_minimize(objective, constraint, x0, tol, cfg: MMAConfig | None = None,
                 and np.isfinite(c) and np.all(np.isfinite(dc))):
             raise ValueError("objective or constraint returned non-finite values")
         low, upp = _update_asymptotes(iteration, x, xold1, xold2, low, upp,
-                                      lower, upper, cfg)
-        alpha = np.maximum.reduce([lower, low + cfg.albefa * (x - low),
-                                   x - cfg.move * width])
-        beta = np.minimum.reduce([upper, upp - cfg.albefa * (upp - x),
-                                  x + cfg.move * width])
-        p0, q0 = _pq_coefficients(df, x, low, upp, width, cfg.raa0)
-        p1, q1 = _pq_coefficients(dc, x, low, upp, width, cfg.raa0)
+                                      lower, upper)
+        alpha = np.maximum.reduce([lower, low + ALBEFA * (x - low), x - cfg.move * width])
+        beta = np.minimum.reduce([upper, upp - ALBEFA * (upp - x), x + cfg.move * width])
+        p0, q0 = _pq_coefficients(df, x, low, upp, width)
+        p1, q1 = _pq_coefficients(dc, x, low, upp, width)
         b1 = float(np.sum(p1 / (upp - x) + q1 / (x - low)) - c)
 
         x_new, eta = _solve_subproblem(p0, q0, p1, q1, b1, low, upp, alpha, beta)
@@ -246,17 +230,12 @@ def mma_minimize(objective, constraint, x0, tol, cfg: MMAConfig | None = None,
 
         f, df = objective(x)
         c, dc = constraint(x)
-        history.append(float(f))
-        if callback is not None:
-            callback(iteration, x, float(f))
         residual = scaled_kkt_residual(x, df + eta * dc, lower, upper, abs(eta))
         if residual <= tol:
             return MMAResult(x=x, objective=float(f), constraint=float(c),
                              multiplier=eta, kkt_residual=residual,
-                             n_iters=iteration, converged=True,
-                             objective_history=history)
+                             n_iters=iteration, converged=True, objective_start=f_start)
 
     return MMAResult(x=x, objective=float(f), constraint=float(c),
                      multiplier=eta, kkt_residual=residual,
-                     n_iters=cfg.max_iters, converged=False,
-                     objective_history=history)
+                     n_iters=cfg.max_iters, converged=False, objective_start=f_start)

@@ -95,7 +95,7 @@ class DensityPipeline:
     without rebuilding anything.
     """
 
-    def __init__(self, mesh: GroundMesh, filter_radius: float, x_min: float = 1e-9):
+    def __init__(self, mesh: GroundMesh, filter_radius: float, x_min: float):
         if not 0.0 < x_min < 1.0:
             raise ValueError(f"x_min must lie in (0, 1), got {x_min}")
         self.mesh = mesh

@@ -124,6 +124,7 @@ def test_unconverged_primal_phase_does_not_stop():
     assert res.violation_history[0] == 0.0
     assert not res.converged
     assert res.n_dual_iters == config.dual_iters
+    assert res.objective_start == 1.0 > res.objective  # mean(x) at x0 = 1
 
 
 def test_infinite_threshold_reduces_to_unconstrained_descent():

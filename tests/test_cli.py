@@ -48,8 +48,10 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     assert len(history) == 1 + 3  # header plus one row per schedule step
     rows = [dict(zip(history[0].split(","), line.split(","))) for line in history[1:]]
     timing = json.loads((out / "timing.json").read_text())
-    assert set(timing) == {"wall_seconds", "analyses", "total_solves"}
+    assert set(timing) == {"wall_seconds", "analyses", "total_solves", "step_seconds"}
     assert timing["wall_seconds"] > 0.0
+    assert len(timing["step_seconds"]) == 3
+    assert 0.0 < sum(timing["step_seconds"]) <= timing["wall_seconds"]
     assert timing["total_solves"] == report["total_solves"]
     # naive route: every analysis solves all 4 scenarios; the run's first
     # analysis fixes the objective scale before step 0
@@ -58,7 +60,9 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     for row in rows:
         assert int(row["analyses"]) >= 1
         assert int(row["solves"]) == 4 * int(row["analyses"])
-        assert row["dual_iters"] == "0"  # MMA steps run no AL dual loop
+        # MMA steps run no AL dual loop
+        assert row["dual_iters"] == "0"
+        assert float(row["max_violation"]) == float(row["al_penalty"]) == 0.0
         assert float(row["multiplier"]) >= 0.0 and float(row["kkt_residual"]) >= 0.0
 
 
@@ -146,6 +150,7 @@ def test_bad_auglag_value_exits_2(tmp_path, capsys):
     ({"schedule": {"p_step": 1e-4}}, "p_step"),
     ({"schedule": {"p_start": 6, "p_end": 1}}, "p_end"),
     ({"schedule": {"beta_end": -4}}, "beta_end"),
+    ({"mma": {"s_init": 0.5}}, "mma.s_init"),  # a fixed constant of mma.py
 ])
 def test_bad_section_value_exits_2_without_traceback(tmp_path, capsys, overrides, key):
     config = write_config(tmp_path, **overrides)
@@ -153,6 +158,19 @@ def test_bad_section_value_exits_2_without_traceback(tmp_path, capsys, overrides
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
     assert "Traceback" not in err
+
+
+def test_mesh_larger_than_physical_memory_exits_2_before_assembly(tmp_path, capsys,
+                                                                  monkeypatch):
+    def assemble(*args):
+        raise AssertionError("assembly reached")
+
+    monkeypatch.setattr("toporisk.continuation.assemble", assemble)
+    monkeypatch.setattr("toporisk.continuation.physical_memory_bytes", lambda: 8 * 2**30)
+    config = write_config(tmp_path, mesh={"dim": 3, "cells": [64, 32, 32]})
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "64x32x32" in err and "physical memory" in err and "Traceback" not in err
 
 
 def test_load_on_fixed_dof_exits_2(tmp_path, capsys):

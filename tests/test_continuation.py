@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import toporisk as tr
+from toporisk import continuation
 from toporisk.errors import ConfigError
 
 
@@ -106,6 +107,19 @@ def test_forward_model_rejects_unknown_method():
     F = tr.sample_cantilever_scenarios(mesh, 3, 0)
     with pytest.raises(ConfigError):
         tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method="magic")
+
+
+def test_model_larger_than_physical_memory_is_refused_before_assembly(monkeypatch):
+    def assemble(*args):
+        raise AssertionError("assembly reached")
+
+    monkeypatch.setattr(continuation, "assemble", assemble)
+    monkeypatch.setattr(continuation, "physical_memory_bytes", lambda: 8 * 2**30)
+    mesh = tr.cantilever_mesh(3, (64, 32, 32))
+    pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
+    F = tr.sample_cantilever_scenarios(mesh, 4, 0)
+    with pytest.raises(ConfigError, match=r"64x32x32 .* 11\.9 GB .* 8\.59 GB"):
+        tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F)
 
 
 def test_mean_compliance_continuation_small():
@@ -214,3 +228,33 @@ def test_naive_and_svd_reach_matching_designs():
     # same optimization driven by equal gradients: identical iterates
     np.testing.assert_allclose(res_s.x, res_n.x, atol=1e-7)
     assert res_s.total_solves < res_n.total_solves
+
+
+@pytest.mark.parametrize("kind", ["naive mean_std", "svd mean", "max_compliance"])
+def test_no_design_point_is_analyzed_twice(monkeypatch, kind):
+    schedule = tr.ContinuationSchedule(steps=(
+        tr.ContinuationStep(penalty=1.0, beta=0.0, tolerance=1e-3),
+        tr.ContinuationStep(penalty=2.0, beta=0.0, tolerance=5e-4),
+        tr.ContinuationStep(penalty=2.0, beta=4.0, tolerance=1e-4),
+    ))
+    if kind == "max_compliance":
+        full = tr.MaxComplianceProblem(small_model(L=6, cells=(8, 4), seed=2), C_t=1.0)
+        problem = tr.MaxComplianceProblem(small_model(L=6, cells=(8, 4), seed=2),
+                                          C_t=1.5 * full.full_design_max_compliance())
+    else:
+        method, name = kind.split()
+        m = 2.0 if name == "mean_std" else 0.0
+        problem = tr.MeanStdProblem(small_model(method, L=12, cells=(10, 4)), 0.5, m=m)
+    keys, analyze = [], tr.ForwardModel.analyze
+
+    def recorded(model, x, penalty, beta):
+        keys.append((x.tobytes(), penalty, beta))
+        return analyze(model, x, penalty, beta)
+
+    monkeypatch.setattr(tr.ForwardModel, "analyze", recorded)
+    res = tr.run_continuation(problem, schedule)
+    assert len(set(keys)) == len(keys) == problem.model.total_analyses
+    if kind != "max_compliance":
+        # the start point of the run, then one analysis per MMA iteration
+        # and one per later step's start
+        assert len(keys) == len(schedule.steps) + sum(rec["n_iters"] for rec in res.history)

@@ -10,6 +10,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 import toporisk as tr
+from toporisk import fea
 from toporisk.errors import NotPositiveDefiniteError
 
 from oracles import band_to_dense, dense_stiffness
@@ -202,6 +203,20 @@ def test_band_width_follows_the_lexicographic_numbering(cells, width, material):
     mesh = tr.cantilever_mesh(len(cells), cells)
     ab = tr.assemble(mesh, tr.element_stiffness(mesh, material), np.ones(mesh.n_elements))
     assert ab.shape == (width + 1, mesh.n_dofs)
+    # read off one element, it is the widest DOF span of all elements
+    edof = mesh.element_dof_map()
+    assert fea.half_bandwidth(mesh) == np.max(edof.max(axis=1) - edof.min(axis=1)) == width
+
+
+def test_analysis_bytes_of_a_mesh_larger_than_this_machine():
+    # nothing of this size is assembled: one band alone is 5.7 GB
+    mesh = tr.cantilever_mesh(3, (64, 32, 32))
+    band, peak = fea.analysis_bytes(mesh, 10)
+    assert fea.half_bandwidth(mesh) == 3371 and mesh.n_dofs == 212355
+    assert band == 8 * 3372 * 212355 and round(band / 1e9, 2) == 5.73
+    # two bands, the scatter index and weights of 300 pairs per element,
+    # three blocks of 10 solved columns
+    assert peak == 2 * band + 8 * 3 * (65536 * 300 + 212355 * 10)
 
 
 def test_solve_matches_dense_solve_on_3d(mesh_3d, material):

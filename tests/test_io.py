@@ -123,7 +123,8 @@ def test_history_csv_round_trip(tmp_path):
         "step": 0, "penalty": 1.0, "beta": 0.0, "tolerance": 1e-3,
         "objective_start": 1.0, "objective_end": 0.75, "volume": 0.4,
         "max_compliance": 123.456, "n_iters": 17, "dual_iters": 4, "multiplier": 0.25,
-        "kkt_residual": 3e-5, "analyses": 18, "solves": 170, "converged": True,
+        "kkt_residual": 3e-5, "max_violation": 0.125, "al_penalty": 2.7,
+        "analyses": 18, "solves": 170, "converged": True,
     }]
     path = tmp_path / "h.csv"
     write_history(path, records)
@@ -135,5 +136,7 @@ def test_history_csv_round_trip(tmp_path):
     assert fields[9] == "4"
     assert float(fields[10]) == 0.25
     assert float(fields[11]) == 3e-5
-    assert fields[12] == "18"
-    assert fields[14] == "1"  # converged flag as 0/1
+    assert float(fields[12]) == 0.125
+    assert float(fields[13]) == 2.7
+    assert fields[14] == "18"
+    assert fields[16] == "1"  # converged flag as 0/1

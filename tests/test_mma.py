@@ -48,12 +48,6 @@ def quadratic_problem(t, vf):
 def test_config_validation():
     tr.MMAConfig()
     with pytest.raises(ValueError):
-        tr.MMAConfig(s_init=0.0)
-    with pytest.raises(ValueError):
-        tr.MMAConfig(s_incr=0.9)
-    with pytest.raises(ValueError):
-        tr.MMAConfig(s_decr=1.1)
-    with pytest.raises(ValueError):
         tr.MMAConfig(max_iters=0)
     with pytest.raises(ValueError):
         tr.MMAConfig(move=0.0)
@@ -145,14 +139,14 @@ def test_kkt_residual_scaling_with_multiplier():
     assert loose < tight  # large multipliers relax the absolute threshold
 
 
-def test_objective_history_and_iteration_cap():
+def test_objective_start_and_iteration_cap():
     t = np.full(8, 0.9)
     objective, constraint = quadratic_problem(t, vf=0.3)
     cfg = tr.MMAConfig(max_iters=3)
     res = tr.mma_minimize(objective, constraint, np.full(8, 0.3), tol=1e-16, cfg=cfg)
     assert not res.converged
     assert res.n_iters == 3
-    assert len(res.objective_history) == 4  # initial value plus one per iterate
+    assert res.objective_start == objective(np.full(8, 0.3))[0]
 
 
 def test_non_finite_oracle_raises():
@@ -201,8 +195,8 @@ def random_subproblem(rng, branch="active"):
     beta = np.minimum.reduce([np.ones(n), upp - 0.1 * (upp - x), x + move])
     df = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
     dc = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 1) + rng.uniform(0.0, 1.0)
-    p0, q0 = _pq_coefficients(df, x, low, upp, np.ones(n), 1e-5)
-    p1, q1 = _pq_coefficients(dc, x, low, upp, np.ones(n), 1e-5)
+    p0, q0 = _pq_coefficients(df, x, low, upp, np.ones(n))
+    p1, q1 = _pq_coefficients(dc, x, low, upp, np.ones(n))
     b1 = float(np.sum(p1 / (upp - x) + q1 / (x - low)))  # c = 0
     args = [p0, q0, p1, q1, b1, low, upp, alpha, beta]
     g_0 = mma_dual_slope(0.0, *args)[1]
