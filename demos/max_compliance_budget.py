@@ -34,7 +34,7 @@ for rec in result.history:
           f"{rec['volume']:>8.4f} {rec['max_compliance'] / C_t:>14.5f} "
           f"{rec['dual_iters']:>5}")
 
-final = model.analyze(result.x, 6.0, 20.0)
+final = result.final  # the last step's analysis at p = 6, beta = 20
 print(f"\nfinal volume fraction: {final.volume:.4f}")
 print(f"worst scenario compliance: {np.max(final.stats.C):.5e} "
       f"({np.max(final.stats.C) / C_t:.4f} of budget)")

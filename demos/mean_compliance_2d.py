@@ -38,7 +38,7 @@ for rec in result.history:
     print(f"{rec['step']:>4} {rec['penalty']:>4.1f} {rec['beta']:>5.1f} "
           f"{rec['objective_end']:>14.6f} {rec['volume']:>7.4f} {rec['n_iters']:>6}")
 
-final = model.analyze(result.x, 6.0, 20.0)
+final = result.final  # the last step's analysis at p = 6, beta = 20
 solid = np.mean(final.field.physical > 0.95)
 print(f"\nfinal mean compliance: {final.stats.mean:.6e}")
 print(f"final volume fraction: {final.volume:.4f}")

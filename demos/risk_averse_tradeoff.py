@@ -20,7 +20,7 @@ for m in (0.0, 1.0, 2.0, 4.0):
     model = tr.ForwardModel(mesh, material, pipeline, scenarios, method="svd")
     problem = tr.MeanStdProblem(model, volume_fraction=0.4, m=m)
     result = tr.run_continuation(problem)
-    stats = model.analyze(result.x, 6.0, 20.0).stats
+    stats = result.final.stats
     designs[m] = result.x
     print(f"{m:>4.1f} {stats.mean:>12.5e} {stats.std:>12.5e} "
           f"{stats.mean + 2 * stats.std:>13.5e} "

@@ -5,22 +5,44 @@ The problem treated is
 
     min V(x)  s.t.  C_i(x) <= C_t  for every scenario i,  x in [0, 1]^n_E
 
-relaxed to the box-constrained augmented Lagrangian
+relaxed to the box-constrained Powell-Hestenes-Rockafellar (PHR)
+augmented Lagrangian
 
-    L(x) = V(x) + sum_i lambda_i (Ct_i - Ct_t) + r sum_i max(Ct_i - Ct_t, 0)^2
+    L(x) = V(x) + r sum_i max(0, g_i + lambda_i / (2 r))^2 - |lambda|^2 / (4 r)
 
-where Ct denotes compliances divided by a fixed normalization (the full
-ground structure's maximum compliance), which keeps lambda and r in a
-mesh-independent scale. The primal problem for fixed (lambda, r) is
-solved by projected gradient descent with a backtracking (Armijo) line
-search and a trust region; after each primal phase the multipliers take
-the projected dual ascent step
+with g = Ct - Ct_t, where Ct denotes compliances divided by a fixed
+normalization (the full ground structure's maximum compliance), which
+keeps lambda and r in a mesh-independent scale. Its gradient weights
+each compliance gradient by max(0, lambda_i + 2 r g_i), the same values
+the multiplier update below takes, so a stationary primal point is
+stationary for exactly the multipliers the KKT stop reads.
 
-    lambda <- max(0, lambda + 2 r (Ct - Ct_t))
+The primal problem for fixed (lambda, r) is solved by the nonmonotone
+spectral projected gradient method (SPG; Birgin, Martinez & Raydan 2000,
+SIAM J. Optim. 10:1196-1211). Each iteration moves along
 
-using the signed constraint values (the gradient of L in lambda), so
-multipliers of slack constraints decay to zero while violated ones grow.
-The penalty coefficient grows geometrically per dual iteration.
+    d = P(x - bb grad L) - x
+
+with P the projection onto the box intersected with the trust region
+(`projected_gradient_step`). A trial x + alpha d is accepted when it
+passes Armijo (`ARMIJO_C`) against the largest of the last `NONMONOTONE_M`
+Lagrangian values of the current dual iteration; otherwise alpha shrinks
+to the minimizer of the quadratic through L(x), its slope along d and
+L(x + alpha d), kept inside [`SHRINK_MIN`, `SHRINK_MAX`] alpha, at most
+`MAX_BACKTRACKS` times. The spectral (Barzilai-Borwein) step is
+bb = s.s / s.y over the last accepted step s and gradient change y,
+clamped to [`BB_MIN`, `BB_MAX`], and `BB_MAX` when s.y <= 0; it starts
+at 1 in every call. The gradient at an accepted trial is computed once
+and serves both as y and as the next direction.
+
+After each primal phase the multipliers take the projected dual ascent
+step
+
+    lambda <- max(0, lambda + 2 r g)
+
+so multipliers of slack constraints decay to zero while violated ones
+grow. The penalty coefficient starts at `R_START` and grows by
+`R_GROWTH` per dual iteration.
 
 The loop settings (trust region, dual and primal iteration caps) are one
 immutable `AugLagConfig` per run, the `auglag` section of a run config;
@@ -46,6 +68,7 @@ test then does not apply.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +77,10 @@ from .errors import InfeasibleError, check_fields
 from .mma import scaled_kkt_residual
 
 ARMIJO_C = 1e-4
-MAX_HALVINGS = 30
-STEP_GROWTH = 1.5
+NONMONOTONE_M = 10  # Lagrangian values the Armijo test compares against
+BB_MIN, BB_MAX = 1e-10, 1e10  # clamp of the spectral step
+SHRINK_MIN, SHRINK_MAX = 0.1, 0.9  # bounds of a backtrack, as fractions of alpha
+MAX_BACKTRACKS = 30  # failed trials before a primal phase stops
 R_START = 0.1       # penalty coefficient r of the first dual iteration
 R_GROWTH = 3.0      # factor on r per dual iteration
 
@@ -89,18 +114,19 @@ class AugLagConfig:
 class AugLagResult:
     """Final point of the dual loop.
 
-    `converged` is true only when the last primal phase stopped on the
-    KKT residual reaching `tol`, not on its iteration cap or a stall; it
-    says nothing about the multipliers. `kkt_residual` is the last
-    residual that phase computed. A loop that stopped early at a KKT
-    point has `converged` true and `n_dual_iters` below the cap.
-    `objective_start` is the objective at the start point x0.
+    `converged` is true only when the last primal phase ended with its
+    KKT residual at or below `tol`, not short of it at its iteration cap
+    or a stall; it says nothing about the multipliers. `kkt_residual` is
+    the last residual that phase computed. A loop that stopped early at a
+    KKT point has `converged` true and `n_dual_iters` below the cap.
+    `objective_start` is the objective at the start point x0 and
+    `evaluation` the one `evaluate` returned at x.
     """
 
     x: np.ndarray
     objective: float
     objective_start: float
-    compliances: np.ndarray
+    evaluation: object
     max_violation: float
     lam: np.ndarray
     r: float
@@ -119,25 +145,44 @@ def projected_gradient_step(x, grad, step, trust_region):
 
 
 def lagrangian(ev, lam, r, ct_norm, norm):
-    """Value of L at an evaluated point; no constraint terms if C_t not finite.
+    """PHR value of L at an evaluated point; no constraint terms if C_t not finite.
 
     `ev` is an evaluation as `auglag_minimize` describes it, `norm` the
     normalization and `ct_norm` the normalized threshold C_t / norm.
     """
     if not np.isfinite(ct_norm):
         return ev.objective
-    violation = ev.compliances / norm - ct_norm
-    M = np.maximum(violation, 0.0)
-    return ev.objective + float(lam @ violation) + r * float(M @ M)
+    shifted = np.maximum(ev.compliances / norm - ct_norm + lam / (2.0 * r), 0.0)
+    return ev.objective + r * float(shifted @ shifted) - float(lam @ lam) / (4.0 * r)
 
 
 def lagrangian_gradient(ev, lam, r, ct_norm, norm):
     """Gradient of `lagrangian` over x, from the evaluation's gradients."""
     if not np.isfinite(ct_norm):
         return ev.objective_gradient()
-    M = np.maximum(ev.compliances / norm - ct_norm, 0.0)
-    w = (lam + 2.0 * r * M) / norm
+    w = np.maximum(lam + 2.0 * r * (ev.compliances / norm - ct_norm), 0.0) / norm
     return ev.objective_gradient() + ev.compliance_weighted_gradient(w)
+
+
+def _nonmonotone_search(evaluate, phr, x, direction, slope, L_val, reference):
+    """First trial along `direction` that passes Armijo against `reference`.
+
+    Returns (x, evaluation, Lagrangian value) of that trial, or None when
+    `MAX_BACKTRACKS` trials all fail. Each failure shrinks alpha to the
+    minimizer of the quadratic through L_val, `slope` and the trial's
+    value, kept inside [SHRINK_MIN, SHRINK_MAX] alpha.
+    """
+    alpha = 1.0
+    for _ in range(MAX_BACKTRACKS):
+        x_trial = np.clip(x + alpha * direction, 0.0, 1.0)
+        ev_trial = evaluate(x_trial)
+        L_trial = phr(ev_trial)
+        if L_trial <= reference + ARMIJO_C * alpha * slope:
+            return x_trial, ev_trial, L_trial
+        curvature = L_trial - L_val - alpha * slope
+        shrink = -0.5 * alpha * slope / curvature if curvature > 0.0 else SHRINK_MIN
+        alpha *= min(max(shrink, SHRINK_MIN), SHRINK_MAX)
+    return None
 
 
 def auglag_minimize(evaluate, x0, C_t: float, tol, config: AugLagConfig | None = None,
@@ -187,43 +232,47 @@ def auglag_minimize(evaluate, x0, C_t: float, tol, config: AugLagConfig | None =
         raise ValueError("multipliers must be nonnegative")
     r = R_START
     ct_norm = C_t / normalization
-    max_step = 1.0
+    bb = 1.0
     total_primal = 0
-    residual = np.inf
     violation_history = []
 
-    converged = False
+    def phr(ev):
+        return lagrangian(ev, lam, r, ct_norm, normalization)
+
+    def phr_gradient(ev):
+        return lagrangian_gradient(ev, lam, r, ct_norm, normalization)
+
+    def kkt_residual(x, grad):
+        return scaled_kkt_residual(x, grad, 0.0, 1.0, float(np.mean(np.abs(lam))))
+
     for dual_iter in range(config.dual_iters):
-        L_val = lagrangian(ev, lam, r, ct_norm, normalization)
-        converged = False
+        L_val = phr(ev)
+        grad = phr_gradient(ev)
+        residual = kkt_residual(x, grad)
+        recent = deque([L_val], maxlen=NONMONOTONE_M)
         for primal_iter in range(config.primal_iters):
-            grad = lagrangian_gradient(ev, lam, r, ct_norm, normalization)
-            residual = scaled_kkt_residual(x, grad, 0.0, 1.0,
-                                           float(np.mean(np.abs(lam))))
             if residual <= tol:
-                converged = True
                 break
-            # Armijo backtracking over the projected step
-            step = max_step
-            stalled = True
-            for _ in range(MAX_HALVINGS):
-                x_trial = projected_gradient_step(x, grad, step, config.trust_region)
-                direction = x_trial - x
-                if not np.any(direction):
-                    break  # projection pinned every coordinate
-                ev_trial = evaluate(x_trial)
-                L_trial = lagrangian(ev_trial, lam, r, ct_norm, normalization)
-                if L_trial <= L_val + ARMIJO_C * float(grad @ direction):
-                    x, ev, L_val = x_trial, ev_trial, L_trial
-                    max_step = STEP_GROWTH * step
-                    stalled = False
-                    break
-                step *= 0.5
+            direction = projected_gradient_step(x, grad, bb, config.trust_region) - x
+            slope = float(grad @ direction)
+            if not slope < 0.0:
+                break  # no descent left in floating point
+            trial = _nonmonotone_search(evaluate, phr, x, direction, slope, L_val, max(recent))
             total_primal += 1
+            if trial is not None:
+                x_trial, ev_trial, L_trial = trial
+                grad_trial = phr_gradient(ev_trial)
+                s = x_trial - x
+                sy = float(s @ (grad_trial - grad))
+                bb = min(max(float(s @ s) / sy, BB_MIN), BB_MAX) if sy > 0.0 else BB_MAX
+                x, ev, L_val, grad = x_trial, ev_trial, L_trial, grad_trial
+                recent.append(L_val)
+                residual = kkt_residual(x, grad)
             if callback is not None:
                 callback(dual_iter, primal_iter, x, L_val)
-            if stalled:
+            if trial is None:
                 break  # no admissible decrease; let the dual update reshape L
+        converged = residual <= tol
         signed = ev.compliances / normalization - ct_norm
         violation_history.append(float(np.max(np.maximum(signed, 0.0), initial=0.0)))
         lam = np.maximum(0.0, lam + 2.0 * r * signed)
@@ -244,7 +293,7 @@ def auglag_minimize(evaluate, x0, C_t: float, tol, config: AugLagConfig | None =
         x=x,
         objective=ev.objective,
         objective_start=objective_start,
-        compliances=ev.compliances,
+        evaluation=ev,
         max_violation=max_violation * normalization,
         lam=lam,
         r=r,

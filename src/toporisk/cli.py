@@ -71,8 +71,7 @@ def cmd_run(args) -> int:
     result = run_continuation(problem, schedule)
     wall = time.perf_counter() - start
 
-    last = schedule.steps[-1]
-    final = model.analyze(result.x, last.penalty, last.beta)
+    final = result.final
     report = {
         "schema_version": 1,
         "problem": cfg.kind,
@@ -196,12 +195,13 @@ def _grad_check_functions(model, x, penalty, beta, rng):
     w_fixed = rng.standard_normal(L)
     lam = rng.uniform(0.5, 1.5, size=L)
     r_pen = 0.5
-    # threshold between the two middle compliances: maximal kink clearance
+    # the PHR term of scenario i kinks where C_i / norm + lam_i / (2 r) = ct;
+    # a threshold between the two middle of those values clears the kinks most
     norm = float(np.max(model.analyze(np.ones(x.size), 1.0, 0.0).stats.C))
     base = model.analyze(x, penalty, beta)
-    C_sorted = np.sort(base.stats.C / norm)
-    ct = float(C_sorted[(L - 1) // 2] + C_sorted[L // 2]) / 2.0 if L > 1 \
-        else float(C_sorted[0]) * 1.1
+    kinks = np.sort(base.stats.C / norm + lam / (2.0 * r_pen))
+    ct = float(kinks[(L - 1) // 2] + kinks[L // 2]) / 2.0 if L > 1 \
+        else float(kinks[0]) * 1.1
 
     def auglag_args(a):
         # the arguments `auglag_minimize` passes to its Lagrangian, unscaled

@@ -55,6 +55,7 @@ from .continuation import (
     ForwardModel,
     MaxComplianceProblem,
     MeanStdProblem,
+    check_analysis_fits,
 )
 from .errors import ConfigError
 from .mesh import GroundMesh, Material, cantilever_mesh
@@ -280,8 +281,12 @@ def build_model(cfg: RunConfig, mesh: GroundMesh | None = None,
                 method: str | None = None, seed: int | None = None) -> ForwardModel:
     """Mesh, pipeline and scenarios assembled into a ForwardModel.
 
-    `method` and `seed` override the config (CLI flags)."""
+    `method` and `seed` override the config (CLI flags). A mesh whose
+    smallest analysis (one solved column) cannot fit in memory is refused
+    before the density filter is built; `ForwardModel` repeats the check
+    with the route's column count."""
     mesh = mesh or build_mesh(cfg)
+    check_analysis_fits(mesh, 1)
     pipeline = DensityPipeline(mesh, cfg.filter_radius, cfg.x_min)
     if cfg.scenario_source == "sample":
         effective_seed = cfg.seed if seed is None else seed

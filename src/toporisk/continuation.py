@@ -126,6 +126,22 @@ class ContinuationSchedule:
         return cls(steps=steps)
 
 
+def check_analysis_fits(mesh: GroundMesh, k: int) -> None:
+    """Raise ConfigError if one analysis solving k columns on `mesh` would
+    need more than the machine's physical memory (`fea.analysis_bytes`
+    against `fea.physical_memory_bytes`, which does not read a cgroup
+    limit)."""
+    band, peak = analysis_bytes(mesh, k)
+    memory = physical_memory_bytes()
+    if peak > memory:
+        cells = "x".join(str(c) for c in mesh.cells)
+        raise ConfigError(
+            f"a {cells} mesh needs about {peak / 1e9:.3g} GB per analysis "
+            f"(two {band / 1e9:.3g} GB stiffness bands and {k}-column solves), "
+            f"more than the {memory / 1e9:.3g} GB of physical memory"
+        )
+
+
 class Analysis:
     """One design point, fully analyzed: densities and compliance statistics.
 
@@ -157,8 +173,7 @@ class ForwardModel:
     `total_solves` tallies their linear solves (right-hand-side columns).
 
     A model whose analysis would need more than the machine's physical
-    memory (`fea.analysis_bytes` against `fea.physical_memory_bytes`,
-    which does not read a cgroup limit) raises `ConfigError` before any
+    memory (`check_analysis_fits`) raises `ConfigError` before any
     assembly.
     """
 
@@ -184,16 +199,7 @@ class ForwardModel:
         self.method = method
         self.ke = element_stiffness(mesh, material)
         self.svd = thin_svd(scenarios, svd_rel_tol) if method == "svd" else None
-        k = self.svd.n_s if method == "svd" else scenarios.n_scenarios
-        band, peak = analysis_bytes(mesh, k)
-        memory = physical_memory_bytes()
-        if peak > memory:
-            cells = "x".join(str(c) for c in mesh.cells)
-            raise ConfigError(
-                f"a {cells} mesh needs about {peak / 1e9:.3g} GB per analysis "
-                f"(two {band / 1e9:.3g} GB stiffness bands and {k}-column solves), "
-                f"more than the {memory / 1e9:.3g} GB of physical memory"
-            )
+        check_analysis_fits(mesh, self.svd.n_s if method == "svd" else scenarios.n_scenarios)
         self.total_analyses = 0
         self.total_solves = 0
 
@@ -220,9 +226,13 @@ class _MemoizedAnalyses:
     def at(self, x: np.ndarray, penalty: float, beta: float) -> Analysis:
         key = (x.tobytes(), penalty, beta)
         if key != self._key:
-            self._analysis = self.model.analyze(x, penalty, beta)
-            self._key = key
+            self.hold(x, penalty, beta, self.model.analyze(x, penalty, beta))
         return self._analysis
+
+    def hold(self, x: np.ndarray, penalty: float, beta: float, analysis: Analysis) -> None:
+        """Make `analysis`, done at (x, penalty, beta), the one `at` reuses."""
+        self._key = (x.tobytes(), penalty, beta)
+        self._analysis = analysis
 
 
 class MeanStdProblem:
@@ -356,11 +366,13 @@ class MaxComplianceProblem:
         result = auglag_minimize(evaluate, x, self.C_t, step.tolerance, self.auglag_config,
                                  lam=self.lam, normalization=self.normalization)
         self.lam = result.lam
+        # a line search may have analyzed rejected trials after the final point
+        self.memo.hold(result.x, step.penalty, step.beta, result.evaluation.analysis)
         record = {
             "objective_start": result.objective_start,
             "objective_end": result.objective,
             "volume": result.objective / self.scale,
-            "max_compliance": float(np.max(result.compliances)),
+            "max_compliance": float(np.max(result.evaluation.compliances)),
             "n_iters": result.n_primal_iters,
             "dual_iters": result.n_dual_iters,
             "multiplier": float(np.max(result.lam)),
@@ -374,7 +386,12 @@ class MaxComplianceProblem:
 
 @dataclass
 class ContinuationResult:
+    """The final design `x` and its analysis `final` at the last schedule
+    point, the per-step history, the run's analysis and solve counts and
+    the wall seconds of each step."""
+
     x: np.ndarray
+    final: Analysis
     history: list
     total_analyses: int
     total_solves: int
@@ -394,7 +411,8 @@ def run_continuation(problem, schedule: ContinuationSchedule | None = None) -> C
     largest constraint violation, in compliance units) and `al_penalty`
     (the AL's final penalty coefficient r); MMA steps record 0 for the
     last two. Wall seconds per step go to `step_seconds`, not to the
-    history, so that the history of a run repeats bit for bit.
+    history, so that the history of a run repeats bit for bit. `final` is
+    the analysis the last step ended on, reused rather than redone.
     """
     schedule = schedule or ContinuationSchedule.default()
     x = problem.initial_design()
@@ -415,5 +433,9 @@ def run_continuation(problem, schedule: ContinuationSchedule | None = None) -> C
             solves=model.total_solves - solves_before,
         )
         history.append(record)
-    return ContinuationResult(x=x, history=history, total_analyses=model.total_analyses,
+    # the analysis the last step ended on, not a new one
+    last = schedule.steps[-1]
+    final = problem.memo.at(x, last.penalty, last.beta)
+    return ContinuationResult(x=x, final=final, history=history,
+                              total_analyses=model.total_analyses,
                               total_solves=model.total_solves, step_seconds=step_seconds)

@@ -1,4 +1,5 @@
-"""Shared fixtures: small meshes, a material and a solve counter.
+"""Shared fixtures: small meshes, a material, a solve counter and an
+analysis recorder.
 
 The dense oracles the tests compare against live in `oracles.py`.
 """
@@ -44,3 +45,20 @@ def solve_spy(monkeypatch):
 
     monkeypatch.setattr(tr.StiffnessSystem, "solve", spy)
     return columns
+
+
+@pytest.fixture
+def analyze_spy(monkeypatch):
+    """(x bytes, penalty, beta) of every `ForwardModel.analyze` call.
+
+    A design point analyzed twice appears twice.
+    """
+    keys = []
+    analyze = tr.ForwardModel.analyze
+
+    def spy(self, x, penalty, beta):
+        keys.append((x.tobytes(), penalty, beta))
+        return analyze(self, x, penalty, beta)
+
+    monkeypatch.setattr(tr.ForwardModel, "analyze", spy)
+    return keys

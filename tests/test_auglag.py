@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import toporisk as tr
-from toporisk.auglag import projected_gradient_step
+from toporisk.auglag import lagrangian, lagrangian_gradient, projected_gradient_step
 from toporisk.errors import InfeasibleError
 
 
@@ -50,6 +50,66 @@ def test_projected_gradient_step_box_and_trust_region():
     np.testing.assert_allclose(out, [0.3, 0.0, 1.0])
     out = projected_gradient_step(x, g, step=1e-3, trust_region=0.2)
     np.testing.assert_allclose(out, x - 1e-3 * g)
+
+
+class RecordingEval(LinearEval):
+    """LinearEval that appends the weights of every compliance gradient it
+    forms to `weights`."""
+
+    def __init__(self, x, c, weights):
+        super().__init__(x, c)
+        self.weights = weights
+
+    def compliance_weighted_gradient(self, w):
+        self.weights.append(np.array(w))
+        return super().compliance_weighted_gradient(w)
+
+
+def test_lagrangian_gradient_matches_finite_differences():
+    # at x the normalized constraints g = (c - x[:2]) / norm - ct are
+    # (-0.15, 0.25): the first slack but inside its PHR term
+    # (lam + 2 r g = 0.15 > 0), the second violated
+    c, norm, ct = np.array([1.0, 1.6]), 2.0, 0.4
+    lam, r = np.array([0.3, 0.2]), 0.5
+    x = np.array([0.5, 0.3, 0.2, 0.7])
+
+    def L(xv):
+        return lagrangian(LinearEval(xv, c), lam, r, ct, norm)
+
+    h = 1e-6
+    fd = [(L(x + h * e) - L(x - h * e)) / (2 * h) for e in np.eye(x.size)]
+    grad = lagrangian_gradient(LinearEval(x, c), lam, r, ct, norm)
+    np.testing.assert_allclose(grad, fd, rtol=1e-8, atol=1e-10)
+    assert grad[0] != 0.25 and grad[1] != 0.25  # both constraint terms act
+
+
+def test_constraint_past_its_phr_kink_has_zero_weight():
+    # g_0 = -0.3 < -lam_0 / (2 r) = -0.1: the multiplier update takes lam_0
+    # to max(0, lam_0 + 2 r g_0) = 0, and the gradient weights it the same
+    c, ct, r = np.array([0.5, 1.3]), 0.8, 0.5
+    lam = np.array([0.1, 0.4])
+    weights = []
+    ev = RecordingEval(np.zeros(4), c, weights)
+    grad = lagrangian_gradient(ev, lam, r, ct, 1.0)
+    g = ev.compliances - ct
+    np.testing.assert_array_equal(weights[0], np.maximum(0.0, lam + 2 * r * g))
+    assert weights[0][0] == 0.0
+    assert grad[0] == 0.25  # the volume term alone
+    # the slack constraint leaves only the constant -lam_0^2 / (4 r) in L
+    assert lagrangian(ev, lam, r, ct, 1.0) == pytest.approx(
+        ev.objective + r * (g[1] + lam[1] / (2 * r)) ** 2 - float(lam @ lam) / (4 * r))
+
+
+def test_gradient_formed_once_per_accepted_trial_and_dual_iteration():
+    c = np.array([1.6, 1.3])
+    config = tr.AugLagConfig(dual_iters=6, primal_iters=40, trust_region=0.25)
+    xs, weights = [np.ones(4)], []
+    res = tr.auglag_minimize(lambda x: RecordingEval(x, c, weights), xs[0], 0.8, tol=1e-7,
+                             config=config, callback=lambda d, p, x, L: xs.append(x))
+    # an accepted trial moves x; a stalled iteration leaves it
+    accepted = sum(not np.array_equal(a, b) for a, b in zip(xs, xs[1:]))
+    assert accepted > 0
+    assert len(weights) == accepted + res.n_dual_iters
 
 
 def test_state_validation():

@@ -100,6 +100,24 @@ def test_run_is_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("kind", ["mean", "max_compliance"])
+def test_run_analyzes_no_design_point_twice(tmp_path, kind, analyze_spy):
+    """The report reuses the last step's analysis, and timing.json counts
+    every analysis the run made."""
+    overrides = {}
+    if kind == "max_compliance":
+        cfg = tr.load_config(write_config(tmp_path, problem={"kind": kind, "C_t": "inf"}))
+        from toporisk.config import build_model
+        full = build_model(cfg).analyze(np.ones(18), 1.0, 0.0)
+        overrides["problem"] = {"kind": kind, "C_t": 1.5 * float(np.max(full.stats.C))}
+    config = write_config(tmp_path, **overrides)
+    analyze_spy.clear()  # the threshold's analysis is not the run's
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    timing = json.loads((out / "timing.json").read_text())
+    assert len(set(analyze_spy)) == len(analyze_spy) == timing["analyses"]
+
+
 def test_run_max_compliance_reports_threshold(tmp_path):
     config = write_config(
         tmp_path,
@@ -162,10 +180,13 @@ def test_bad_section_value_exits_2_without_traceback(tmp_path, capsys, overrides
 
 def test_mesh_larger_than_physical_memory_exits_2_before_assembly(tmp_path, capsys,
                                                                   monkeypatch):
-    def assemble(*args):
-        raise AssertionError("assembly reached")
+    def reached(name):
+        def fail(*args):
+            raise AssertionError(f"{name} reached")
+        return fail
 
-    monkeypatch.setattr("toporisk.continuation.assemble", assemble)
+    monkeypatch.setattr("toporisk.continuation.assemble", reached("assembly"))
+    monkeypatch.setattr("toporisk.pipeline.build_filter", reached("the density filter"))
     monkeypatch.setattr("toporisk.continuation.physical_memory_bytes", lambda: 8 * 2**30)
     config = write_config(tmp_path, mesh={"dim": 3, "cells": [64, 32, 32]})
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2

@@ -210,6 +210,22 @@ def test_max_compliance_run_is_feasible():
     assert res.history[-1]["multiplier"] == np.max(problem.lam) > 0.0
 
 
+def test_max_compliance_default_schedule_converges_before_the_dual_cap():
+    # with the quadratic penalty term weighted by lam + 2 r max(g, 0), the
+    # primal phase was stationary for other multipliers than the update
+    # and the KKT stop read: the last four beta steps of this run ended
+    # unconverged at the dual cap
+    model = small_model(L=6, seed=2)
+    C_t = 1.5 * tr.MaxComplianceProblem(model, C_t=1.0).full_design_max_compliance()
+    problem = tr.MaxComplianceProblem(model, C_t=C_t)
+    res = tr.run_continuation(problem)
+    assert len(res.history) == len(tr.ContinuationSchedule.default().steps)
+    for rec in res.history:
+        assert rec["converged"], rec["step"]
+        assert rec["dual_iters"] < problem.auglag_config.dual_iters, rec["step"]
+    assert float(np.max(res.final.stats.C)) <= 1.01 * C_t
+
+
 def test_max_compliance_converged_flag_reports_the_primal_stop():
     # one primal step per dual phase cannot bring the KKT residual to tol
     model = small_model()
@@ -231,7 +247,7 @@ def test_naive_and_svd_reach_matching_designs():
 
 
 @pytest.mark.parametrize("kind", ["naive mean_std", "svd mean", "max_compliance"])
-def test_no_design_point_is_analyzed_twice(monkeypatch, kind):
+def test_no_design_point_is_analyzed_twice(analyze_spy, kind):
     schedule = tr.ContinuationSchedule(steps=(
         tr.ContinuationStep(penalty=1.0, beta=0.0, tolerance=1e-3),
         tr.ContinuationStep(penalty=2.0, beta=0.0, tolerance=5e-4),
@@ -245,16 +261,32 @@ def test_no_design_point_is_analyzed_twice(monkeypatch, kind):
         method, name = kind.split()
         m = 2.0 if name == "mean_std" else 0.0
         problem = tr.MeanStdProblem(small_model(method, L=12, cells=(10, 4)), 0.5, m=m)
-    keys, analyze = [], tr.ForwardModel.analyze
-
-    def recorded(model, x, penalty, beta):
-        keys.append((x.tobytes(), penalty, beta))
-        return analyze(model, x, penalty, beta)
-
-    monkeypatch.setattr(tr.ForwardModel, "analyze", recorded)
+    keys = analyze_spy
+    keys.clear()  # the max-compliance threshold's analysis is not the run's
     res = tr.run_continuation(problem, schedule)
     assert len(set(keys)) == len(keys) == problem.model.total_analyses
     if kind != "max_compliance":
         # the start point of the run, then one analysis per MMA iteration
         # and one per later step's start
         assert len(keys) == len(schedule.steps) + sum(rec["n_iters"] for rec in res.history)
+
+
+def test_final_analysis_is_the_final_point_after_rejected_trials(monkeypatch, analyze_spy):
+    # a line search may analyze trials after the point it returns; the run's
+    # final analysis must still be that point's, without analyzing it again
+    solve = continuation.auglag_minimize
+
+    def with_rejected_trial(evaluate, x0, *args, **kwargs):
+        result = solve(evaluate, x0, *args, **kwargs)
+        evaluate(0.5 * result.x)
+        return result
+
+    monkeypatch.setattr(continuation, "auglag_minimize", with_rejected_trial)
+    model = small_model(L=6, seed=2)
+    C_t = 2.0 * tr.MaxComplianceProblem(model, C_t=1.0).full_design_max_compliance()
+    analyze_spy.clear()  # the threshold's analysis, outside the run
+    res = tr.run_continuation(tr.MaxComplianceProblem(model, C_t=C_t), short_schedule())
+    assert len(set(analyze_spy)) == len(analyze_spy)
+    fresh = model.analyze(res.x, 2.0, 0.0)
+    np.testing.assert_array_equal(res.final.stats.C, fresh.stats.C)
+    np.testing.assert_array_equal(res.final.field.physical, fresh.field.physical)
