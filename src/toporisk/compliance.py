@@ -12,13 +12,20 @@ agree up to round-off:
 * SVD:   the basis is U S from the thin SVD F = (U S) Vt (exactly n_s
          solves), recombined through Vt.
 
+Either basis is zero off F's loaded rows, so each route hands only those
+rows to `StiffnessSystem.solve(block, rows=F.dofs)`, which scatters them
+into its own work block: no dense n_dofs x L copy of F is built. The
+naive route's L columns take the blocked level-3 sweep and come back
+row-major; the SVD route's few columns take LAPACK's column sweep.
+
 Both routes differentiate w^T C through one kernel, `fea.form_gradient`:
 (grad_rho C^T w)_e = -sum_ab ke_ab M[d_a, d_b] over the DOFs d of element
 e, with M = A Q^T and Q the cached solves. The naive route takes
 A = Q diag(w); the SVD route takes A = Q X with X = Vt diag(w) Vt^T, the
 trace identity of the paper. The kernel costs O(n_offsets n_dofs k) for
 the k columns of Q (L naive, n_s SVD), where n_offsets is the number of
-distinct DOF offsets within an element (at most 11 in 2D, 50 in 3D).
+distinct DOF offsets within an element (at most 11 in 2D, 50 in 3D); it
+reads the naive route's row-major Q in place.
 
 Gradients here are with respect to rho; `DensityPipeline.backward` maps
 them to the design vector.
@@ -76,32 +83,34 @@ class ComplianceStats:
 
 # -- forward evaluations -----------------------------------------------------
 
-def _compliances(sys: StiffnessSystem, F: ScenarioMatrix, basis: np.ndarray,
+def _compliances(sys: StiffnessSystem, F: ScenarioMatrix, block: np.ndarray,
                  Vt: np.ndarray | None) -> ComplianceStats:
     """C_i = f_i^T Q Vt[:, i] with Q = K^-1 basis (Vt = I when None).
 
-    The SVD route takes C = diag(Vt^T G Vt) from the n_s x n_s matrix
-    G = basis^T Q on the loaded rows, never forming an n_loaded x L block.
+    The basis is zero off F's loaded rows and `block` holds it there; the
+    solve scatters it into the block it sweeps. The SVD route takes
+    C = diag(Vt^T G Vt) from the n_s x n_s matrix G = block^T Q on the
+    loaded rows, never forming an n_loaded x L block.
     """
-    Q = sys.solve(basis)
+    Q = sys.solve(block, rows=F.dofs)
     if Vt is None:
         C = np.einsum("ki,ki->i", F.block, Q[F.dofs, :])
     else:
-        G = basis[F.dofs, :].T @ Q[F.dofs, :]
+        G = block.T @ Q[F.dofs, :]
         C = np.einsum("ai,ai->i", Vt, G @ Vt)
     return ComplianceStats.from_compliances(C, Solves(Q, Vt))
 
 
 def compliances_naive(sys: StiffnessSystem, F: ScenarioMatrix) -> ComplianceStats:
-    """All load compliances by L direct solves."""
-    return _compliances(sys, F, F.to_dense(), None)
+    """All load compliances by L direct solves against F's loaded rows."""
+    return _compliances(sys, F, F.block, None)
 
 
 def compliances_svd(sys: StiffnessSystem, F: ScenarioMatrix, svd: ThinSVD) -> ComplianceStats:
     """All load compliances from the thin SVD, by n_s solves against U S."""
     if svd.Vt.shape[1] != F.n_scenarios or not np.array_equal(svd.dofs, F.dofs):
         raise ValueError("SVD does not belong to this scenario matrix")
-    return _compliances(sys, F, svd.U * svd.S[None, :], svd.Vt)
+    return _compliances(sys, F, svd.U[F.dofs, :] * svd.S[None, :], svd.Vt)
 
 
 # -- weight vectors for scalar objectives ------------------------------------

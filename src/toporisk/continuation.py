@@ -137,7 +137,7 @@ def check_analysis_fits(mesh: GroundMesh, k: int) -> None:
         cells = "x".join(str(c) for c in mesh.cells)
         raise ConfigError(
             f"a {cells} mesh needs about {peak / 1e9:.3g} GB per analysis "
-            f"(two {band / 1e9:.3g} GB stiffness bands and {k}-column solves), "
+            f"(one {band / 1e9:.3g} GB stiffness band and {k}-column solves), "
             f"more than the {memory / 1e9:.3g} GB of physical memory"
         )
 

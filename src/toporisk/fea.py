@@ -6,24 +6,30 @@ order is `GroundMesh.corner_offsets`. All elements of a `GroundMesh` are
 congruent, so a single element stiffness matrix is computed once and
 scaled per element by its density during assembly.
 
-K is kept in LAPACK upper band storage. Nodes are numbered
+K is kept in LAPACK upper band storage, column-major. Nodes are numbered
 lexicographically, so every element's DOFs lie within u + 1 consecutive
 indices, with the same half-bandwidth u for all elements: 2 ny + 5
 in 2D and 3 ((ny + 1)(nz + 1) + nz + 2) + 2 in 3D (45 on 80x20, 25 on
 20x10, 173 on 16x6x6). Assembly is one `np.bincount` over a scatter index
 built once per mesh from `element_dof_map` and cached on the mesh, in the
-manner of Andreassen et al. 2011 and Ferrari & Sigmund 2020. The factor is
-a banded Cholesky K = R^T R (LAPACK dpbtrf), whose fill stays inside the
-band.
+manner of Andreassen et al. 2011 and Ferrari & Sigmund 2020; the index is
+column-major, so the flat counts are the band without a copy. The factor
+is a banded Cholesky K = R^T R (LAPACK dpbtrf), whose fill stays inside
+the band; it overwrites the assembled band, so one band is held per
+analysis.
 
 `StiffnessSystem.solve` has two sweeps over R. A vector, or a block of k
 columns with u k below `_BLOCKED_SWEEP_MIN_UK`, goes to LAPACK's dpbtrs,
-which applies the band one column at a time (level-2 BLAS). A wider block,
-such as the naive route's L columns, is swept in blocks of u rows with
-level-3 BLAS: per block one dtrsm against the diagonal u x u triangle and
-one dtrmm against the triangle coupling it to the next block, both read
-from the factor in place, as dpbtrf reads them (Anderson et al., LAPACK
-Users' Guide, 3rd ed., 1999).
+which applies the band one column at a time (level-2 BLAS) and returns a
+column-major block. A wider block, such as the naive route's L columns, is
+swept in blocks of u rows with level-3 BLAS, in place in one row-major
+work block that it returns: per block one dgemm against the dense u x u
+coupling to the neighbouring block and one dtrmm against the inverted
+diagonal triangle (LAPACK dtrtri), both built once per solve from strided
+views of the factor (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999;
+Du Croz & Higham 1992 on the stability of explicit triangular inverses).
+The naive route passes only F's loaded rows, which the sweep scatters into
+its work block, so no dense n_dofs x L copy of F is built.
 
 The same numbering makes the DOF offset j - i of an element's local pairs
 take few distinct values: at most 11 in 2D and 50 in 3D. `form_gradient`,
@@ -31,7 +37,8 @@ the derivative of sum_k a_k^T K b_k with respect to the densities, uses this:
 each needed diagonal of A B^T is one contiguous row-wise dot product over
 all DOFs, and every element reads its pairs through an index cached with
 the scatter map. It costs O(n_offsets n_dofs k) for k columns, plus one
-gather of n_elements x n_pairs values.
+gather of n_elements x n_pairs values. It reads a row-major block (the
+blocked sweep's) in place and copies any other to (k, n_dofs) rows.
 
 A failed Cholesky is not a complete positive definiteness test: on a
 singular K (a structure with no fixed DOFs), round-off can leave a zero
@@ -45,7 +52,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, blas, cho_solve_banded, cholesky_banded
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import blas, cho_solve_banded, lapack
 
 from .errors import NotPositiveDefiniteError
 from .mesh import GroundMesh, Material
@@ -61,7 +69,8 @@ class _BandLayout:
     """Where each element's upper-triangle entries land in band storage.
 
     For element e, rho_e * Ke[rows[k], cols[k]] is added at flat position
-    index[e * n_pairs + k] of the (width + 1, n_dofs) band. Entries that
+    index[e * n_pairs + k] of the column-major (width + 1, n_dofs) band,
+    so `np.bincount`'s flat output is the band without a copy. Entries that
     touch a fixed DOF go to a spill slot one past the end.
 
     The same pairs, read back: the DOF offset j - i of local pair k is one
@@ -157,15 +166,17 @@ def half_bandwidth(mesh: GroundMesh) -> int:
 def analysis_bytes(mesh: GroundMesh, k: int) -> tuple[int, int]:
     """(band bytes, estimated peak bytes) of one analysis solving k columns.
 
-    The peak adds two (u + 1) x n_dofs bands of doubles (the band that
-    `assemble` returns and the factor `cholesky_banded` copies it into),
-    the scatter index and assembly weights (about 3 n_elements n_pairs
+    The peak adds one (u + 1) x n_dofs band of doubles (`assemble`'s band,
+    which `StiffnessSystem.factorize` overwrites with the factor), the
+    scatter index and assembly weights (about 3 n_elements n_pairs
     eight-byte values, n_pairs the upper triangle of one element
-    stiffness) and three n_dofs x k blocks of solves."""
+    stiffness) and two n_dofs x k blocks of solves (the solved block and
+    the weighted copy the gradient reads, or the last design point's
+    solves while the next one is solved)."""
     n_element_dofs = mesh.dim * 2**mesh.dim
     n_pairs = n_element_dofs * (n_element_dofs + 1) // 2
     band = 8 * (half_bandwidth(mesh) + 1) * mesh.n_dofs
-    return band, 2 * band + 8 * 3 * (mesh.n_elements * n_pairs + mesh.n_dofs * k)
+    return band, band + 8 * (3 * mesh.n_elements * n_pairs + 2 * mesh.n_dofs * k)
 
 
 def physical_memory_bytes() -> int:
@@ -183,7 +194,7 @@ def _band_layout(mesh: GroundMesh) -> _BandLayout:
         rows, cols = np.nonzero(edof[0][:, None] <= edof[0][None, :])
         i, j = edof[:, rows], edof[:, cols]
         n = mesh.n_dofs
-        index = (width + i - j) * n + j
+        index = width + i + width * j  # (width + i - j, j), column-major
         offsets, slot = np.unique(edof[0, cols] - edof[0, rows], return_inverse=True)
         pairs = slot[None, :] * n + j
         fixed = np.array(sorted(mesh.fixed_dofs), dtype=np.int64)
@@ -201,7 +212,8 @@ def assemble(mesh: GroundMesh, Ke: np.ndarray, densities: np.ndarray) -> np.ndar
     """Global stiffness K = sum_e rho_e Ke as its upper band, Dirichlet DOFs eliminated.
 
     Returns `ab` of shape (u + 1, n_dofs) with ab[u + i - j, j] = K[i, j]
-    for j - u <= i <= j, the LAPACK upper band layout. Elimination is
+    for j - u <= i <= j, the LAPACK upper band layout, column-major as
+    `StiffnessSystem.factorize` factors it in place. Elimination is
     symmetric: fixed rows and columns are zero and their diagonal entries
     one, which keeps the matrix SPD whenever the free block is.
     """
@@ -214,7 +226,7 @@ def assemble(mesh: GroundMesh, Ke: np.ndarray, densities: np.ndarray) -> np.ndar
     shape = (layout.width + 1, mesh.n_dofs)
     weights = densities[:, None] * Ke[layout.rows, layout.cols][None, :]
     ab = np.bincount(layout.index, weights.ravel(), minlength=shape[0] * shape[1] + 1)
-    ab = ab[:-1].reshape(shape)
+    ab = ab[:-1].reshape(shape, order="F")
     ab[-1, layout.fixed] = 1.0
     return ab
 
@@ -228,12 +240,19 @@ def form_gradient(mesh: GroundMesh, Ke: np.ndarray, A: np.ndarray,
     pairs, each off-diagonal one counted twice). Pairs that touch a fixed
     DOF are left out: those entries of the assembled K do not depend on
     rho.
+
+    Row-major (n_dofs, k) blocks, as the blocked sweep returns them, are
+    read in place, k contiguous values per DOF. Any other layout is copied
+    to (k, n_dofs) rows first, so that each diagonal is a contiguous
+    row-wise dot product: for the few columns of the SVD route that is the
+    faster of the two.
     """
     layout = _band_layout(mesh)
     n = mesh.n_dofs
-    # (k, n_dofs) rows, so each diagonal is a contiguous row-wise dot product
-    At = np.ascontiguousarray(A.T, dtype=float)
-    Bt = np.ascontiguousarray(B.T, dtype=float)
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    At, Bt = A.T, B.T
+    if not (A.flags.c_contiguous and B.flags.c_contiguous):
+        At, Bt = np.ascontiguousarray(At), np.ascontiguousarray(Bt)
     diagonals = np.zeros(layout.offsets.size * n + 1)  # spill slot stays 0
     rows = diagonals[:-1].reshape(layout.offsets.size, n)
     for row, d in zip(rows, layout.offsets):
@@ -244,48 +263,62 @@ def form_gradient(mesh: GroundMesh, Ke: np.ndarray, A: np.ndarray,
 
 # A 2-D right-hand side of k columns on a band of half-width u goes to the
 # blocked sweep when u * k reaches this; narrower blocks and vectors go to
-# LAPACK's column sweep. Two sets of medians (1 OpenBLAS thread, 2-core
-# x86-64 VM; u = 25 on 20x10 and 40x10, 45 on 80x20, 85 on 160x40, 173 on
-# 16x6x6) put the crossover at u k = 1000-2100. The widest is u = 173:
-# k = 9 (u k = 1557) took 3.2-3.6 ms by column against 3.7-4.0 ms blocked,
-# k = 12 (u k = 2076) 4.4-4.6 ms against 3.8-4.2 ms.
+# LAPACK's column sweep. Measured for the sweep with inverted triangles
+# (medians of 31, 1 OpenBLAS thread, 2-core x86-64 VM): u = 25 (20x10)
+# crosses over between k = 30 and 35 (u k = 750-875, 0.51 against
+# 0.55 ms and 0.60 against 0.56 ms); u = 45 (80x20) between k = 30 and 35
+# (u k = 1350-1575, 5.5 against 5.9 ms and 6.8 against 6.1 ms); u = 173
+# (16x6x6) only between k = 60 and 80 (u k = 10380-13840), since
+# inverting its triangles costs about 7 ms per solve: at k = 24 the column
+# sweep took 6.6 ms and the blocked one 18 ms. The threshold stays where
+# it was, which keeps the SVD workloads' 10-column solves (u k = 250 and
+# 1730) on the column sweep; 3D blocks of 12 to about 80 columns at
+# u = 173 now take the slower of the two sweeps.
 _BLOCKED_SWEEP_MIN_UK = 2048
 
 
-def _band_triangles(factor: np.ndarray) -> tuple[list, list]:
-    """R's u x u triangles for a sweep in blocks of u rows.
+def _sweep_operators(factor: np.ndarray) -> tuple[list, list]:
+    """R's inverted diagonal triangles and dense couplings, in blocks of u rows.
 
-    diagonal[b] holds the upper triangle R[I, I] of block I = [b u, b u + u)
-    and coupling[b] the lower triangle R[I, I + u] that couples it to the
-    next block. R[i, j] sits at flat position u + i + u j of the
-    column-major (u + 1, n) band, so a block of R with leading dimension u
-    is a view of the band, as LAPACK's dpbtrf reads it through LDAB - 1.
-    Only the triangle itself is defined: the other half of such a view
-    holds band entries of neighbouring columns, which dtrsm and dtrmm never
-    read. A short last block is padded to u rows with the identity; its two
-    triangles are the only ones copied instead of read in place.
+    For block I = [b u, b u + u), inverse[b] is T_b^-T for the upper
+    triangle T_b = R[I, I], column-major; coupling[b] is the lower
+    triangle R[I, I + u] that couples block b to the next one, zero above
+    its diagonal, row-major, so that its transpose is column-major. BLAS
+    reads both without a copy.
+
+    R[i, j] sits at flat position u + i + u j of the column-major
+    (u + 1, n) band, so block starts lie u (u + 1) apart and one strided
+    view of the band holds every whole block of one kind, as LAPACK's
+    dpbtrf reads them through LDAB - 1. Only the triangle itself is a
+    block of R: the other half of such a view holds band entries of
+    neighbouring columns, which `np.triu` and `np.tril` zero in their
+    copies. A short last block is padded to u rows with the identity.
     """
     u, n = factor.shape[0] - 1, factor.shape[1]
     band = factor.ravel(order="F")
+    item = band.itemsize
 
-    def block(i, j, cols=u):
-        start = u + i + u * j
-        return band[start:start + u * cols].reshape(u, cols, order="F")
+    def blocks(i, j, count, shape=(u, u)):
+        """[b, a, c] = R[i + b u + a, j + b u + c], a view of the band."""
+        return as_strided(band[u + i + u * j:], (count, *shape),
+                          (item * u * (u + 1), item, item * u), writeable=False)
 
     n_full, tail = divmod(n, u)
-    diagonal = [block(i, i) for i in range(0, n_full * u, u)]
-    coupling = [block(i, i + u) for i in range(0, (n_full - 1) * u, u)]
+    diagonal = list(np.triu(blocks(0, 0, n_full)))
+    coupling = list(np.tril(blocks(0, u, max(n_full - 1, 0))))
     if tail:
         i0 = n_full * u
-        rows, cols = np.triu_indices(tail)
         last = np.eye(u)
-        last[rows, cols] = factor[u + rows - cols, i0 + cols]
+        last[:tail, :tail] = np.triu(blocks(i0, i0, 1, (tail, tail))[0])
         diagonal.append(last)
         if n_full:
             into_last = np.zeros((u, u))
-            into_last[:, :tail] = block(i0 - u, i0, tail)
+            into_last[:, :tail] = np.tril(blocks(i0 - u, i0, 1, (u, tail))[0])
             coupling.append(into_last)
-    return diagonal, coupling
+    # R's pivots are positive (`factorize` checks them), so dtrtri cannot
+    # meet a zero on the diagonal
+    inverse = [lapack.dtrtri(T.T, lower=1, overwrite_c=1)[0] for T in diagonal]
+    return inverse, coupling
 
 
 class StiffnessSystem:
@@ -302,69 +335,91 @@ class StiffnessSystem:
     def factorize(cls, ab: np.ndarray) -> "StiffnessSystem":
         """Banded Cholesky K = R^T R of the upper band `ab` from `assemble`.
 
+        The factor overwrites `ab` when it is a column-major float band,
+        as `assemble` returns it; any other band is copied first.
+
         Raises `NotPositiveDefiniteError` when LAPACK meets a non-positive
         pivot, and also when a squared pivot R_ii^2 falls below
         n * eps * max|K_ii|: a mathematically zero pivot can land at
         round-off level instead, which LAPACK accepts.
         """
         ab = np.asarray(ab, dtype=float)
+        # read before the factor overwrites the diagonal
         floor = ab.shape[1] * np.finfo(float).eps * np.max(np.abs(ab[-1]))
-        try:
-            factor = cholesky_banded(ab, lower=False, check_finite=False)
-        except LinAlgError:
-            factor = None
-        if factor is None or not np.all(factor[-1] ** 2 > floor):
+        factor, info = lapack.dpbtrf(ab, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"dpbtrf: argument {-info} is invalid")
+        if info > 0 or not np.all(factor[-1] ** 2 > floor):
             raise NotPositiveDefiniteError(
                 "stiffness matrix is not positive definite; the structure is "
                 "likely unsupported (no fixed DOFs) or densities underflowed"
             )
         return cls(factor)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Solve K u = rhs for one RHS vector or a column block.
+
+        With `rows`, `rhs` holds only those rows of the right-hand side and
+        every other row is zero, as in a `ScenarioMatrix`; the rows are
+        scattered straight into the sweep's work block.
 
         Two sweeps give the same solution up to round-off, chosen by the
         width of the block: a vector, or a block of k columns with
         u k < `_BLOCKED_SWEEP_MIN_UK` for half-bandwidth u, goes to LAPACK's
-        dpbtrs, which sweeps the band one column at a time (level-2
-        BLAS); a wider block goes to `_blocked_solve`, which sweeps it in
-        blocks of u rows with level-3 BLAS. Either way the result of a
-        block is column-major and `rhs` is left untouched.
+        dpbtrs, which sweeps the band one column at a time (level-2 BLAS)
+        and returns a column-major block; a wider block goes to
+        `_blocked_solve`, which sweeps it in blocks of u rows with level-3
+        BLAS and returns a row-major block. Either way `rhs` is left
+        untouched.
         """
         rhs = np.asarray(rhs, dtype=float)
-        u = self._factor.shape[0] - 1
+        u, n = self._factor.shape[0] - 1, self._factor.shape[1]
+        expected = n if rows is None else len(rows)
+        if rhs.shape[0] != expected:  # a single row would broadcast
+            raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {expected}")
         if rhs.ndim == 2 and u * rhs.shape[1] >= _BLOCKED_SWEEP_MIN_UK:
-            return self._blocked_solve(rhs)
+            return self._blocked_solve(rhs, rows)
+        if rows is not None:
+            full = np.zeros((n, *rhs.shape[1:]))
+            full[rows] = rhs
+            rhs = full
         return cho_solve_banded((self._factor, False), rhs, check_finite=False)
 
-    def _blocked_solve(self, rhs: np.ndarray) -> np.ndarray:
+    def _blocked_solve(self, rhs: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
         """R^T R X = rhs for an (n, k) block, in sweeps of u rows.
 
-        Works on a row-major copy Z, zero-padded to whole blocks: the rows
-        of block b, transposed, are a contiguous column-major k x u matrix
-        Z_b. The forward sweep solves Y^T R = rhs^T and the backward sweep
-        X^T R^T = Y^T; each block takes one dtrsm against its diagonal
-        triangle and one dtrmm against the triangle coupling it to the
-        next block.
+        Works in place on a row-major block Z, zero-padded to whole blocks,
+        into which `rhs` (or its `rows`) is scattered: the rows of block b,
+        transposed, are a column-major k x u matrix W_b that BLAS updates
+        without a copy. The forward sweep solves Y^T R = rhs^T and the
+        backward sweep X^T R^T = Y^T, each block with two calls:
+
+            W_b <- (W_b - W_{b-1} C_{b-1}) T_b^-1      forward
+            W_b <- (W_b - W_{b+1} C_b^T) T_b^-T        backward
+
+        a dgemm against the dense coupling C and a dtrmm against the
+        inverted diagonal triangle T^-1 (`_sweep_operators`). An explicit
+        inverse of a small, well-conditioned triangle is as stable as
+        substitution (Du Croz & Higham 1992, IMA J. Numer. Anal. 12) and
+        runs at the rate of dtrmm, about twice that of dtrsm. Returns the
+        first n rows of Z, a row-major view.
         """
         u, n = self._factor.shape[0] - 1, self._factor.shape[1]
-        if rhs.shape[0] != n:  # the copy below would broadcast a single row
-            raise ValueError(f"rhs has {rhs.shape[0]} rows, the system has {n}")
-        diagonal, coupling = _band_triangles(self._factor)
-        n_blocks = len(diagonal)
+        inverse, coupling = _sweep_operators(self._factor)
+        n_blocks = len(inverse)
         Z = np.zeros((n_blocks * u, rhs.shape[1]))
-        Z[:n] = rhs
-        blocks = [Z[i:i + u].T for i in range(0, n_blocks * u, u)]
+        if rows is None:
+            Z[:n] = rhs
+        else:
+            Z[:n][rows] = rhs
+        W = [Z[i:i + u].T for i in range(0, n_blocks * u, u)]
         for b in range(n_blocks):
-            blas.dtrsm(1.0, diagonal[b], blocks[b], side=1, overwrite_b=1)
-            if b + 1 < n_blocks:
-                blocks[b + 1] -= blas.dtrmm(1.0, coupling[b], np.array(blocks[b], order="F"),
-                                            side=1, lower=1, overwrite_b=1)
+            if b:
+                blas.dgemm(-1.0, W[b - 1], coupling[b - 1].T, beta=1.0, c=W[b],
+                           trans_b=1, overwrite_c=1)
+            blas.dtrmm(1.0, inverse[b], W[b], side=1, lower=1, trans_a=1, overwrite_b=1)
         for b in reversed(range(n_blocks)):
             if b + 1 < n_blocks:
-                blocks[b] -= blas.dtrmm(1.0, coupling[b], np.array(blocks[b + 1], order="F"),
-                                        side=1, lower=1, trans_a=1, overwrite_b=1)
-            blas.dtrsm(1.0, diagonal[b], blocks[b], side=1, trans_a=1, overwrite_b=1)
-        # column-major, as dpbtrs returns it: `form_gradient` reads the rows
-        # of Q^T as views of a column-major Q
-        return np.asfortranarray(Z[:n])
+                blas.dgemm(-1.0, W[b + 1], coupling[b].T, beta=1.0, c=W[b], overwrite_c=1)
+            blas.dtrmm(1.0, inverse[b], W[b], side=1, lower=1, overwrite_b=1)
+        return Z[:n]

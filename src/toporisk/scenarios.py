@@ -20,6 +20,7 @@ from .mesh import GroundMesh
 SVD_REL_TOL = 1e-10
 _SKETCH_COLUMNS = 16  # first sketch width of `_truncated_svd`, doubled as needed
 _SKETCH_SEED = 0
+_RESIDUAL_ROWS = 16  # rows per block of the sketch residual, see `_residual_norm`
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,9 @@ class ScenarioMatrix:
     def to_dense(self) -> np.ndarray:
         """Full (n_dofs, L) matrix, zero off the loaded rows.
 
-        The naive route solves against it, so every naive analysis builds
-        one (3402 x 200 on the 80x20 mesh with L = 200).
+        The analyses never build it: both routes hand their loaded rows to
+        `StiffnessSystem.solve(block, rows=dofs)`, which scatters them into
+        its own work block. Tests use it as the dense reference.
         """
         F = np.zeros((self.n_dofs, self.n_scenarios))
         F[self.dofs, :] = self.block
@@ -136,7 +138,7 @@ def _truncated_svd(A: np.ndarray, rel_tol: float):
         omega = np.random.default_rng(_SKETCH_SEED).standard_normal((A.shape[1], k))
         Q, _ = np.linalg.qr(A @ omega)
         B = Q.T @ A
-        margin = np.linalg.norm(A - Q @ B) * (1.0 + rel_tol)
+        margin = _residual_norm(A, Q, B) * (1.0 + rel_tol)
         Ub, S, Vt = np.linalg.svd(B, full_matrices=False)
         cut = rel_tol * S[0]
         if cut > margin and np.all(np.abs(S - cut) > margin):
@@ -146,6 +148,26 @@ def _truncated_svd(A: np.ndarray, rel_tol: float):
     Ub, S, Vt = np.linalg.svd(A, full_matrices=False)
     keep = S >= rel_tol * S[0]
     return Ub[:, keep], S[keep], Vt[keep, :]
+
+
+def _residual_norm(A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> float:
+    """||A - Q B||_F, formed `_RESIDUAL_ROWS` rows at a time.
+
+    No temporary of A's size is made (`A - Q @ B` makes two, and their
+    page faults cost more than the product). Each block's product stays
+    small enough (16 x 16 x 1000 multiply-adds for a first sketch of 1000
+    scenarios) for OpenBLAS to run it on the calling thread, and the sum of
+    squares uses no BLAS: on a 2-vCPU x86-64 VM with 2 OpenBLAS threads, a
+    threaded product issued within a few ms of another threaded call
+    waited 4-16 ms for its second thread, against 0.3 ms on one thread
+    (178 x 1000 block, `toporisk bench` on 40x10 with L = 1000).
+    """
+    squares = 0.0
+    for i in range(0, A.shape[0], _RESIDUAL_ROWS):
+        block = Q[i:i + _RESIDUAL_ROWS] @ B
+        np.subtract(A[i:i + _RESIDUAL_ROWS], block, out=block)
+        squares += np.einsum("ij,ij->", block, block)
+    return float(np.sqrt(squares))
 
 
 def _benchmark_point_loads(mesh: GroundMesh):

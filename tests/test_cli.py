@@ -187,7 +187,7 @@ def test_mesh_larger_than_physical_memory_exits_2_before_assembly(tmp_path, caps
 
     monkeypatch.setattr("toporisk.continuation.assemble", reached("assembly"))
     monkeypatch.setattr("toporisk.pipeline.build_filter", reached("the density filter"))
-    monkeypatch.setattr("toporisk.continuation.physical_memory_bytes", lambda: 8 * 2**30)
+    monkeypatch.setattr("toporisk.continuation.physical_memory_bytes", lambda: 4 * 2**30)
     config = write_config(tmp_path, mesh={"dim": 3, "cells": [64, 32, 32]})
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

@@ -7,6 +7,7 @@ evaluation with respect to the element densities.
 """
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 
 import toporisk as tr
 
@@ -62,6 +63,22 @@ def test_routes_agree_at_benchmark_sizes(cells, L, material):
     np.testing.assert_allclose(fast.C, naive.C, rtol=1e-9)
     assert fast.mean == pytest.approx(naive.mean, rel=1e-9)
     assert fast.std == pytest.approx(naive.std, rel=1e-9)
+
+
+def test_naive_route_round_off_at_high_contrast(material):
+    """SIMP at p = 6 with densities in [1e-3, 1] on 80x20 and 200 scenarios:
+    the blocked sweep (inverted diagonal triangles) against LAPACK's
+    dpbtrs on the same factor."""
+    mesh = tr.cantilever_mesh(2, (80, 20))
+    u = np.random.default_rng(11).uniform(0.0, 1.0, mesh.n_elements)
+    rho = 1e-3 + (1.0 - 1e-3) * u**6
+    _, system = make_system(mesh, material, rho)
+    F = tr.sample_cantilever_scenarios(mesh, 200, seed=0)
+    stats = tr.compliances_naive(system, F)
+    Q = cho_solve_banded((system._factor, False), F.to_dense())
+    C = np.einsum("ki,ki->i", F.block, Q[F.dofs])
+    assert np.linalg.norm(stats.cache.Q - Q) <= 1e-12 * np.linalg.norm(Q)
+    assert np.max(np.abs(stats.C - C) / np.abs(C)) <= 1e-12
 
 
 def test_stats_from_hand_worked_values():

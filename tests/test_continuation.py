@@ -101,6 +101,18 @@ def test_forward_model_counts_solves():
     assert fast.total_solves == fast.svd.n_s == 10
 
 
+def test_naive_analysis_builds_no_dense_scenario_matrix(monkeypatch):
+    """The naive route scatters F's loaded rows straight into the solve."""
+    def to_dense(self):
+        raise AssertionError("ScenarioMatrix.to_dense reached")
+
+    monkeypatch.setattr(tr.ScenarioMatrix, "to_dense", to_dense)
+    for cells, L in [((6, 3), 8), ((20, 10), 200)]:  # LAPACK's sweep and the blocked one
+        model = small_model(method="naive", L=L, cells=cells)
+        analysis = model.analyze(np.full(model.mesh.n_elements, 0.5), 2.0, 0.0)
+        assert analysis.stats.C.shape == (L,)
+
+
 def test_forward_model_rejects_unknown_method():
     mesh = tr.cantilever_mesh(2, (4, 2))
     pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
@@ -114,11 +126,11 @@ def test_model_larger_than_physical_memory_is_refused_before_assembly(monkeypatc
         raise AssertionError("assembly reached")
 
     monkeypatch.setattr(continuation, "assemble", assemble)
-    monkeypatch.setattr(continuation, "physical_memory_bytes", lambda: 8 * 2**30)
+    monkeypatch.setattr(continuation, "physical_memory_bytes", lambda: 4 * 2**30)
     mesh = tr.cantilever_mesh(3, (64, 32, 32))
     pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
     F = tr.sample_cantilever_scenarios(mesh, 4, 0)
-    with pytest.raises(ConfigError, match=r"64x32x32 .* 11\.9 GB .* 8\.59 GB"):
+    with pytest.raises(ConfigError, match=r"64x32x32 .* 6\.21 GB .* 4\.29 GB"):
         tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F)
 
 

@@ -214,9 +214,9 @@ def test_analysis_bytes_of_a_mesh_larger_than_this_machine():
     band, peak = fea.analysis_bytes(mesh, 10)
     assert fea.half_bandwidth(mesh) == 3371 and mesh.n_dofs == 212355
     assert band == 8 * 3372 * 212355 and round(band / 1e9, 2) == 5.73
-    # two bands, the scatter index and weights of 300 pairs per element,
-    # three blocks of 10 solved columns
-    assert peak == 2 * band + 8 * 3 * (65536 * 300 + 212355 * 10)
+    # one band (factored in place), the scatter index and weights of 300
+    # pairs per element, two blocks of 10 solved columns
+    assert peak == band + 8 * (3 * 65536 * 300 + 2 * 212355 * 10)
 
 
 def test_solve_matches_dense_solve_on_3d(mesh_3d, material):
@@ -259,13 +259,38 @@ def test_wide_solve_matches_dense_solve(cells, n_dofs, width, material):
     before = F.copy()
     U = system.solve(F)
     assert np.array_equal(F, before)  # the right-hand side is not touched
-    assert U.flags.f_contiguous
+    assert U.shape == (n_dofs, F.shape[1])
     expected = np.linalg.solve(dense_stiffness(mesh, Ke, rho), F)
     scale = np.max(np.abs(expected))
     np.testing.assert_allclose(U, expected, rtol=0, atol=1e-12 * scale)
     u = system.solve(F[:, 0])
     assert u.shape == (n_dofs,)
     np.testing.assert_allclose(u, expected[:, 0], rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("cells", [(6, 1), (2, 2), (1, 1), (6, 3), (12, 6),
+                                   (7, 3, 4), (2, 1, 1), (3, 2, 2)])
+def test_scattered_solve_matches_dense_solve(cells, material):
+    """`solve(block, rows=dofs)` on the meshes of the wide-solve test: the
+    rows are scattered into the blocked sweep's work block (or LAPACK's
+    column block), as the naive route passes a scenario matrix."""
+    mesh = tr.cantilever_mesh(len(cells), cells)
+    Ke = tr.element_stiffness(mesh, material)
+    rho = np.random.default_rng(5).uniform(1e-3, 1.0, mesh.n_elements)
+    system = tr.StiffnessSystem.factorize(tr.assemble(mesh, Ke, rho))
+    free = np.setdiff1d(np.arange(mesh.n_dofs), sorted(mesh.fixed_dofs))
+    rows = free[::2]  # every other free DOF carries load
+    block = np.random.default_rng(6).standard_normal((rows.size, wide_columns(system)))
+    F = tr.ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=rows, block=block)
+    expected = np.linalg.solve(dense_stiffness(mesh, Ke, rho), F.to_dense())
+    scale = np.max(np.abs(expected))
+    before = F.block.copy()
+    for k in (F.n_scenarios, 1):  # the blocked sweep and LAPACK's
+        U = system.solve(F.block[:, :k], rows=F.dofs)
+        assert np.array_equal(F.block, before) and U.shape == (mesh.n_dofs, k)
+        np.testing.assert_allclose(U, expected[:, :k], rtol=0, atol=1e-12 * scale)
+    with pytest.raises(ValueError):  # rows and rhs disagree: never broadcast
+        system.solve(F.block[:1], rows=F.dofs)
 
 
 def test_wide_solve_of_a_band_wider_than_the_matrix():
@@ -325,3 +350,19 @@ def test_form_gradient_is_the_derivative_of_the_assembled_form(dim, cells, mater
         expected[e] = np.einsum("ik,ij,jk->", A, dK, B)
     np.testing.assert_allclose(tr.fea.form_gradient(mesh, Ke, A, B), expected,
                                rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("dim,cells,k", [(2, (20, 10), 200), (3, (4, 2, 2), 10)])
+def test_form_gradient_reads_either_memory_order(dim, cells, k, material):
+    """Row-major blocks, as the blocked sweep returns them, are read in
+    place; column-major ones, as LAPACK returns them, row by row of their
+    transposes. Both give the same gradient."""
+    mesh = tr.cantilever_mesh(dim, cells)
+    Ke = tr.element_stiffness(mesh, material)
+    rng = np.random.default_rng(9)
+    B = rng.standard_normal((mesh.n_dofs, k))
+    A = B * rng.uniform(-1.0, 1.0, k)
+    row_major = tr.fea.form_gradient(mesh, Ke, A, B)
+    column_major = tr.fea.form_gradient(mesh, Ke, np.asfortranarray(A), np.asfortranarray(B))
+    np.testing.assert_allclose(row_major, column_major, rtol=0,
+                               atol=1e-13 * np.max(np.abs(column_major)))
