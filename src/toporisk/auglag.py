@@ -12,10 +12,12 @@ augmented Lagrangian
 
 with g = Ct - Ct_t, where Ct denotes compliances divided by a fixed
 normalization (the full ground structure's maximum compliance), which
-keeps lambda and r in a mesh-independent scale. Its gradient weights
-each compliance gradient by max(0, lambda_i + 2 r g_i), the same values
-the multiplier update below takes, so a stationary primal point is
-stationary for exactly the multipliers the KKT stop reads.
+keeps lambda and r in a mesh-independent scale. Its gradient is one
+weighted sum, grad V + sum_i w_i grad C_i with w_i = max(0, lambda_i +
+2 r g_i) / norm, formed by one `gradient(w, volume_weight=1.0)` call; the
+weights are the values the multiplier update below takes, so a
+stationary primal point is stationary for exactly the multipliers the
+KKT stop reads.
 
 The primal problem for fixed (lambda, r) is solved by the nonmonotone
 spectral projected gradient method (SPG; Birgin, Martinez & Raydan 2000,
@@ -119,8 +121,8 @@ class AugLagResult:
     or a stall; it says nothing about the multipliers. `kkt_residual` is
     the last residual that phase computed. A loop that stopped early at a
     KKT point has `converged` true and `n_dual_iters` below the cap.
-    `objective_start` is the objective at the start point x0 and
-    `evaluation` the one `evaluate` returned at x.
+    `objective` and `objective_start` are the volumes at x and at the
+    start point x0, and `evaluation` the one `evaluate` returned at x.
     """
 
     x: np.ndarray
@@ -151,17 +153,17 @@ def lagrangian(ev, lam, r, ct_norm, norm):
     normalization and `ct_norm` the normalized threshold C_t / norm.
     """
     if not np.isfinite(ct_norm):
-        return ev.objective
+        return ev.volume
     shifted = np.maximum(ev.compliances / norm - ct_norm + lam / (2.0 * r), 0.0)
-    return ev.objective + r * float(shifted @ shifted) - float(lam @ lam) / (4.0 * r)
+    return ev.volume + r * float(shifted @ shifted) - float(lam @ lam) / (4.0 * r)
 
 
 def lagrangian_gradient(ev, lam, r, ct_norm, norm):
-    """Gradient of `lagrangian` over x, from the evaluation's gradients."""
+    """Gradient of `lagrangian` over x, in one `ev.gradient` call."""
     if not np.isfinite(ct_norm):
-        return ev.objective_gradient()
+        return ev.gradient(volume_weight=1.0)
     w = np.maximum(lam + 2.0 * r * (ev.compliances / norm - ct_norm), 0.0) / norm
-    return ev.objective_gradient() + ev.compliance_weighted_gradient(w)
+    return ev.gradient(w, volume_weight=1.0)
 
 
 def _nonmonotone_search(evaluate, phr, x, direction, slope, L_val, reference):
@@ -192,10 +194,10 @@ def auglag_minimize(evaluate, x0, C_t: float, tol, config: AugLagConfig | None =
     Parameters
     ----------
     evaluate : callable
-        Maps x to an evaluation object exposing `objective` (float),
-        `compliances` (raw, ndarray), `objective_gradient()` and
-        `compliance_weighted_gradient(w)` (both gradients over x; the
-        weights passed in are already normalized).
+        Maps x to an evaluation exposing `volume` (float), `compliances`
+        (raw, ndarray) and `gradient(w=None, volume_weight=0.0)`, the
+        gradient over x of w^T C + volume_weight V (`continuation.Analysis`;
+        the weights passed in are already normalized).
     C_t : float
         Raw (unnormalized) compliance threshold; not finite switches the
         constraints off.
@@ -223,7 +225,7 @@ def auglag_minimize(evaluate, x0, C_t: float, tol, config: AugLagConfig | None =
     config = config or AugLagConfig()
     x = np.asarray(x0, dtype=float).copy()
     ev = evaluate(x)
-    objective_start = ev.objective
+    objective_start = ev.volume
     L_count = ev.compliances.size
     lam = np.ones(L_count) if lam is None else np.array(lam, dtype=float)
     if lam.shape != (L_count,):
@@ -291,7 +293,7 @@ def auglag_minimize(evaluate, x0, C_t: float, tol, config: AugLagConfig | None =
         )
     return AugLagResult(
         x=x,
-        objective=ev.objective,
+        objective=ev.volume,
         objective_start=objective_start,
         evaluation=ev,
         max_violation=max_violation * normalization,

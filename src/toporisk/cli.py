@@ -21,7 +21,7 @@ from . import compliance as comp
 from . import io as artifacts
 from .auglag import lagrangian, lagrangian_gradient
 from .config import build_mesh, build_model, build_problem, build_schedule, load_config
-from .continuation import METHODS, AugLagEvaluation, run_continuation
+from .continuation import METHODS, run_continuation
 from .errors import ConfigError, TopoRiskError
 from .fea import StiffnessSystem, assemble
 from .scenarios import save_scenarios_to_file, thin_svd
@@ -204,8 +204,8 @@ def _grad_check_functions(model, x, penalty, beta, rng):
         else float(kinks[0]) * 1.1
 
     def auglag_args(a):
-        # the arguments `auglag_minimize` passes to its Lagrangian, unscaled
-        return AugLagEvaluation(a, 1.0), lam, r_pen, ct, norm
+        # the arguments `auglag_minimize` passes to its Lagrangian
+        return a, lam, r_pen, ct, norm
 
     def values(xv) -> dict:
         a = model.analyze(xv, penalty, beta)
@@ -219,14 +219,14 @@ def _grad_check_functions(model, x, penalty, beta, rng):
         }
 
     def gradient(kind, **params):
-        return base.weighted_gradient(comp.weight_vector(base.stats, kind, **params))
+        return base.gradient(comp.weight_vector(base.stats, kind, **params))
 
     analytic = {
         "mu_C": gradient("mean"),
         "var_C": gradient("variance"),
         "sigma_C": gradient("std"),
         "mu+2sigma": gradient("mean_plus_m_std", m=2.0),
-        "w.C": base.weighted_gradient(w_fixed),
+        "w.C": base.gradient(w_fixed),
         "auglag": lagrangian_gradient(*auglag_args(base)),
     }
     return values, analytic

@@ -3,9 +3,10 @@
 Continuation first sweeps the SIMP penalty p upward at beta = 0, then
 sharpens the Heaviside projection beta at the final penalty, warm
 starting every step from the previous solution. One geometrically
-decreasing tolerance sequence spans both phases. Objectives are scaled
-by the inverse of their value at the initial design of the run, so
-solver tolerances mean the same thing across problems and mesh sizes.
+decreasing tolerance sequence spans both phases. Objectives start near
+one, so solver tolerances mean the same thing across problems and mesh
+sizes: compliance statistics are scaled by the inverse of their start
+value, and the volume is 1 at its all-ones start design.
 
 Two problem classes cover the three benchmark kinds:
 
@@ -14,8 +15,9 @@ Two problem classes cover the three benchmark kinds:
 * `MaxComplianceProblem`:  min volume  s.t. C_i <= C_t for all i
 
 The first is solved per step with MMA, the second with the augmented
-Lagrangian method. Both evaluate compliances either naively or via the
-scenario matrix's thin SVD; the choice only affects cost, never values.
+Lagrangian method, which reads each `Analysis` directly. Both evaluate
+compliances either naively or via the scenario matrix's thin SVD; the
+choice only affects cost, never values.
 """
 from __future__ import annotations
 
@@ -143,24 +145,30 @@ def check_analysis_fits(mesh: GroundMesh, k: int) -> None:
 
 
 class Analysis:
-    """One design point, fully analyzed: densities and compliance statistics.
+    """One design point, fully analyzed: densities, volume and compliance statistics.
 
-    Gradients are assembled lazily from the cached solves; none of them
-    triggers additional linear solves.
+    `compliances` is `stats.C`. `gradient` forms gradients from the cached
+    solves and triggers no additional linear solves.
     """
 
     def __init__(self, model: "ForwardModel", field, stats: comp.ComplianceStats):
         self.model = model
         self.field = field
         self.stats = stats
+        self.compliances = stats.C
         self.volume = model.pipeline.volume_fraction(field)
 
-    def volume_gradient(self) -> np.ndarray:
-        return self.model.pipeline.volume_gradient(self.field)
+    def gradient(self, w: np.ndarray | None = None, volume_weight: float = 0.0) -> np.ndarray:
+        """Gradient over x of w^T C + volume_weight V (no compliance term if
+        w is None).
 
-    def weighted_gradient(self, w: np.ndarray) -> np.ndarray:
-        """Gradient over x of w^T C from the cached solves."""
-        grad_rho = comp.weighted_gradient(self.stats.cache, w, self.model.ke, self.model.mesh)
+        The gradient over the physical densities is summed first and pulled
+        back through the density pipeline once: its backward map is linear.
+        """
+        n = self.model.mesh.n_elements
+        grad_rho = np.full(n, volume_weight / n)
+        if w is not None:
+            grad_rho += comp.weighted_gradient(self.stats.cache, w, self.model.ke, self.model.mesh)
         return self.model.pipeline.backward(self.field, grad_rho)
 
 
@@ -273,11 +281,11 @@ class MeanStdProblem:
         def objective(xv):
             a = self.memo.at(xv, step.penalty, step.beta)
             w = comp.weight_vector(a.stats, "mean_plus_m_std", m=self.m)
-            return self.scale * self.objective_value(a), self.scale * a.weighted_gradient(w)
+            return self.scale * self.objective_value(a), self.scale * a.gradient(w)
 
         def constraint(xv):
             a = self.memo.at(xv, step.penalty, step.beta)
-            return a.volume - self.volume_fraction, a.volume_gradient()
+            return a.volume - self.volume_fraction, a.gradient(volume_weight=1.0)
 
         result = mma_minimize(objective, constraint, x, step.tolerance, self.mma_config)
         final = self.memo.at(result.x, step.penalty, step.beta)
@@ -297,22 +305,6 @@ class MeanStdProblem:
         return result.x, record
 
 
-class AugLagEvaluation:
-    """Adapter giving `auglag_minimize` its view of one analysis."""
-
-    def __init__(self, analysis: Analysis, scale: float):
-        self.analysis = analysis
-        self.objective = scale * analysis.volume
-        self.compliances = analysis.stats.C
-        self._scale = scale
-
-    def objective_gradient(self) -> np.ndarray:
-        return self._scale * self.analysis.volume_gradient()
-
-    def compliance_weighted_gradient(self, w: np.ndarray) -> np.ndarray:
-        return self.analysis.weighted_gradient(w)
-
-
 class MaxComplianceProblem:
     """min volume subject to every scenario compliance staying below C_t.
 
@@ -328,9 +320,15 @@ class MaxComplianceProblem:
     can drag the design back to full density. At high beta that is fatal,
     because the projection saturates there and gradients die.
 
+    The volume needs no scale: the filter maps the all-ones start design
+    to physical density one, so V(x0) = 1 at every (p, beta) up to
+    round-off. `scale` is 1.0 for code that reads either problem's scale.
+
     `auglag_config` holds the trust region and iteration caps of every
     step; the defaults of `AugLagConfig` if omitted.
     """
+
+    scale = 1.0
 
     def __init__(self, model: ForwardModel, C_t: float,
                  auglag_config: AugLagConfig | None = None):
@@ -338,7 +336,6 @@ class MaxComplianceProblem:
         self.memo = _MemoizedAnalyses(model)
         self.C_t = C_t
         self.auglag_config = auglag_config or AugLagConfig()
-        self.scale = None
         self.normalization = None
         self.lam = np.zeros(model.scenarios.n_scenarios)
 
@@ -352,26 +349,22 @@ class MaxComplianceProblem:
         return self.normalization
 
     def prepare(self, x0: np.ndarray, first: ContinuationStep) -> None:
+        """Fix the constraint normalization; the objective needs no scale."""
         self.full_design_max_compliance()
-        analysis = self.memo.at(x0, first.penalty, first.beta)
-        self.scale = 1.0 / abs(analysis.volume)
 
     def solve_step(self, x: np.ndarray, step: ContinuationStep):
-        if self.scale is None:
-            self.prepare(x, step)
-
         def evaluate(xv):
-            return AugLagEvaluation(self.memo.at(xv, step.penalty, step.beta), self.scale)
+            return self.memo.at(xv, step.penalty, step.beta)
 
         result = auglag_minimize(evaluate, x, self.C_t, step.tolerance, self.auglag_config,
-                                 lam=self.lam, normalization=self.normalization)
+                                 lam=self.lam, normalization=self.full_design_max_compliance())
         self.lam = result.lam
         # a line search may have analyzed rejected trials after the final point
-        self.memo.hold(result.x, step.penalty, step.beta, result.evaluation.analysis)
+        self.memo.hold(result.x, step.penalty, step.beta, result.evaluation)
         record = {
             "objective_start": result.objective_start,
             "objective_end": result.objective,
-            "volume": result.objective / self.scale,
+            "volume": result.objective,
             "max_compliance": float(np.max(result.evaluation.compliances)),
             "n_iters": result.n_primal_iters,
             "dual_iters": result.n_dual_iters,

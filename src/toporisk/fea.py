@@ -18,16 +18,17 @@ is a banded Cholesky K = R^T R (LAPACK dpbtrf), whose fill stays inside
 the band; it overwrites the assembled band, so one band is held per
 analysis.
 
-`StiffnessSystem.solve` has two sweeps over R. A vector, or a block of k
-columns with u k below `_BLOCKED_SWEEP_MIN_UK`, goes to LAPACK's dpbtrs,
-which applies the band one column at a time (level-2 BLAS) and returns a
-column-major block. A wider block, such as the naive route's L columns, is
-swept in blocks of u rows with level-3 BLAS, in place in one row-major
-work block that it returns: per block one dgemm against the dense u x u
-coupling to the neighbouring block and one dtrmm against the inverted
-diagonal triangle (LAPACK dtrtri), both built once per solve from strided
-views of the factor (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999;
-Du Croz & Higham 1992 on the stability of explicit triangular inverses).
+`StiffnessSystem.solve` has two sweeps over R. A vector, or a block of
+fewer than max(36, u // 3) columns (`_blocked_sweep_min_columns`), goes to
+LAPACK's dpbtrs, which applies the band one column at a time (level-2
+BLAS) and returns a column-major block. A wider block, such as the naive
+route's L columns, is swept in blocks of u rows with level-3 BLAS, in
+place in one row-major work block that it returns: per block one dgemm
+against the dense u x u coupling to the neighbouring block and one dtrmm
+against the inverted diagonal triangle (LAPACK dtrtri), both built once
+per solve from strided views of the factor (Anderson et al., LAPACK
+Users' Guide, 3rd ed., 1999; Du Croz & Higham 1992 on the stability of
+explicit triangular inverses).
 The naive route passes only F's loaded rows, which the sweep scatters into
 its work block, so no dense n_dofs x L copy of F is built.
 
@@ -262,19 +263,19 @@ def form_gradient(mesh: GroundMesh, Ke: np.ndarray, A: np.ndarray,
 
 
 # A 2-D right-hand side of k columns on a band of half-width u goes to the
-# blocked sweep when u * k reaches this; narrower blocks and vectors go to
-# LAPACK's column sweep. Measured for the sweep with inverted triangles
-# (medians of 31, 1 OpenBLAS thread, 2-core x86-64 VM): u = 25 (20x10)
-# crosses over between k = 30 and 35 (u k = 750-875, 0.51 against
-# 0.55 ms and 0.60 against 0.56 ms); u = 45 (80x20) between k = 30 and 35
-# (u k = 1350-1575, 5.5 against 5.9 ms and 6.8 against 6.1 ms); u = 173
-# (16x6x6) only between k = 60 and 80 (u k = 10380-13840), since
-# inverting its triangles costs about 7 ms per solve: at k = 24 the column
-# sweep took 6.6 ms and the blocked one 18 ms. The threshold stays where
-# it was, which keeps the SVD workloads' 10-column solves (u k = 250 and
-# 1730) on the column sweep; 3D blocks of 12 to about 80 columns at
-# u = 173 now take the slower of the two sweeps.
-_BLOCKED_SWEEP_MIN_UK = 2048
+# blocked sweep when k >= max(_BLOCKED_SWEEP_MIN_K, u // 3); narrower
+# blocks and vectors go to LAPACK's column sweep. Building the blocked
+# sweep's operators costs O(n u^2) per solve, so the crossover grows with
+# u. Medians of 31, 1 OpenBLAS thread, 2-core x86-64 VM: it lies at
+# k = 30-33 for u = 25 (20x10), k = 36-40 for u = 45 (80x20) and
+# k = 48-52 for u = 173 (16x6x6), where 24 columns took 6.7 ms by column
+# and 17.5 ms blocked.
+_BLOCKED_SWEEP_MIN_K = 36
+
+
+def _blocked_sweep_min_columns(u: int) -> int:
+    """The fewest columns that go to the blocked sweep on half-bandwidth u."""
+    return max(_BLOCKED_SWEEP_MIN_K, u // 3)
 
 
 def _sweep_operators(factor: np.ndarray) -> tuple[list, list]:
@@ -364,20 +365,20 @@ class StiffnessSystem:
         scattered straight into the sweep's work block.
 
         Two sweeps give the same solution up to round-off, chosen by the
-        width of the block: a vector, or a block of k columns with
-        u k < `_BLOCKED_SWEEP_MIN_UK` for half-bandwidth u, goes to LAPACK's
-        dpbtrs, which sweeps the band one column at a time (level-2 BLAS)
-        and returns a column-major block; a wider block goes to
-        `_blocked_solve`, which sweeps it in blocks of u rows with level-3
-        BLAS and returns a row-major block. Either way `rhs` is left
-        untouched.
+        width of the block: a vector, or a block of fewer than
+        `_blocked_sweep_min_columns(u)` columns for half-bandwidth u, goes
+        to LAPACK's dpbtrs, which sweeps the band one column at a time
+        (level-2 BLAS) and returns a column-major block; a wider block goes
+        to `_blocked_solve`, which sweeps it in blocks of u rows with
+        level-3 BLAS and returns a row-major block. Either way `rhs` is
+        left untouched.
         """
         rhs = np.asarray(rhs, dtype=float)
         u, n = self._factor.shape[0] - 1, self._factor.shape[1]
         expected = n if rows is None else len(rows)
         if rhs.shape[0] != expected:  # a single row would broadcast
             raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {expected}")
-        if rhs.ndim == 2 and u * rhs.shape[1] >= _BLOCKED_SWEEP_MIN_UK:
+        if rhs.ndim == 2 and rhs.shape[1] >= _blocked_sweep_min_columns(u):
             return self._blocked_solve(rhs, rows)
         if rows is not None:
             full = np.zeros((n, *rhs.shape[1:]))

@@ -145,8 +145,3 @@ class DensityPipeline:
     def volume_fraction(self, field: DensityField) -> float:
         """Mean physical density."""
         return float(np.mean(field.physical))
-
-    def volume_gradient(self, field: DensityField) -> np.ndarray:
-        """Gradient of the mean physical density with respect to the design."""
-        n = self.mesh.n_elements
-        return self.backward(field, np.full(n, 1.0 / n))

@@ -97,9 +97,9 @@ def test_criterion_2_exact_solve_counts(solve_spy):
         assert model.total_solves == expected, method
         for kind, params in (("mean", {}), ("variance", {}), ("std", {}),
                              ("mean_plus_m_std", {"m": 2.0})):
-            analysis.weighted_gradient(comp.weight_vector(analysis.stats, kind, **params))
-        analysis.weighted_gradient(np.random.default_rng(2).standard_normal(25))
-        analysis.volume_gradient()
+            analysis.gradient(comp.weight_vector(analysis.stats, kind, **params))
+        analysis.gradient(np.random.default_rng(2).standard_normal(25), volume_weight=1.0)
+        analysis.gradient(volume_weight=1.0)
         assert sum(solve_spy) == expected, f"{method} gradients added solves"
         assert model.total_solves == expected, f"{method} gradients added solves"
 

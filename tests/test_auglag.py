@@ -15,21 +15,24 @@ from toporisk.errors import InfeasibleError
 
 
 class LinearEval:
-    """objective = mean(x); compliances C_i = c_i - x_i for the first L coords."""
+    """volume = mean(x); compliances C_i = c_i - x_i for the first L coords.
+
+    Exposes what `auglag_minimize` reads of a `continuation.Analysis`."""
 
     def __init__(self, x, c):
         self.x = np.asarray(x, dtype=float)
         self.c = np.asarray(c, dtype=float)
-        self.objective = float(np.mean(self.x))
+        self.volume = float(np.mean(self.x))
         self.compliances = self.c - self.x[: self.c.size]
 
-    def objective_gradient(self):
-        return np.full(self.x.size, 1.0 / self.x.size)
-
-    def compliance_weighted_gradient(self, w):
+    def compliance_gradient(self, w):
         g = np.zeros(self.x.size)
         g[: self.c.size] = -np.asarray(w)
         return g
+
+    def gradient(self, w=None, volume_weight=0.0):
+        g = np.full(self.x.size, volume_weight / self.x.size)
+        return g if w is None else g + self.compliance_gradient(w)
 
 
 class ConstantEval(LinearEval):
@@ -39,7 +42,7 @@ class ConstantEval(LinearEval):
         super().__init__(x, np.zeros(2))
         self.compliances = np.full(2, value)
 
-    def compliance_weighted_gradient(self, w):
+    def compliance_gradient(self, w):
         return np.zeros(self.x.size)
 
 
@@ -53,16 +56,16 @@ def test_projected_gradient_step_box_and_trust_region():
 
 
 class RecordingEval(LinearEval):
-    """LinearEval that appends the weights of every compliance gradient it
-    forms to `weights`."""
+    """LinearEval that appends the weights of every gradient it forms to
+    `weights`."""
 
     def __init__(self, x, c, weights):
         super().__init__(x, c)
         self.weights = weights
 
-    def compliance_weighted_gradient(self, w):
-        self.weights.append(np.array(w))
-        return super().compliance_weighted_gradient(w)
+    def gradient(self, w=None, volume_weight=0.0):
+        self.weights.append(None if w is None else np.array(w))
+        return super().gradient(w, volume_weight)
 
 
 def test_lagrangian_gradient_matches_finite_differences():
@@ -97,7 +100,7 @@ def test_constraint_past_its_phr_kink_has_zero_weight():
     assert grad[0] == 0.25  # the volume term alone
     # the slack constraint leaves only the constant -lam_0^2 / (4 r) in L
     assert lagrangian(ev, lam, r, ct, 1.0) == pytest.approx(
-        ev.objective + r * (g[1] + lam[1] / (2 * r)) ** 2 - float(lam @ lam) / (4 * r))
+        ev.volume + r * (g[1] + lam[1] / (2 * r)) ** 2 - float(lam @ lam) / (4 * r))
 
 
 def test_gradient_formed_once_per_accepted_trial_and_dual_iteration():
@@ -225,8 +228,8 @@ def test_normalization_scales_threshold():
             super().__init__(x, c)
             self.compliances = 100.0 * self.compliances
 
-        def compliance_weighted_gradient(self, w):
-            return super().compliance_weighted_gradient(100.0 * np.asarray(w))
+        def compliance_gradient(self, w):
+            return super().compliance_gradient(100.0 * np.asarray(w))
 
     scaled = tr.auglag_minimize(Scaled, np.ones(4), 80.0, tol=1e-7, config=config,
                                 normalization=100.0)

@@ -101,6 +101,54 @@ def test_forward_model_counts_solves():
     assert fast.total_solves == fast.svd.n_s == 10
 
 
+@pytest.mark.parametrize("method", ["naive", "svd"])
+@pytest.mark.parametrize("with_w,volume_weight", [(True, 0.0), (True, 0.7), (False, 1.0)],
+                         ids=["compliances", "compliances+volume", "volume"])
+def test_analysis_gradient_matches_finite_differences(method, with_w, volume_weight):
+    """Analysis.gradient(w, volume_weight) is the derivative of
+    w^T C + volume_weight V over x, on either route."""
+    model = small_model(method=method, L=8)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.2, 0.8, model.mesh.n_elements)
+    w = rng.standard_normal(8) if with_w else None
+    base = model.analyze(x, 3.0, 4.0)
+    assert base.volume == pytest.approx(np.mean(base.field.physical))
+    assert base.compliances is base.stats.C
+
+    def value(xv):
+        a = model.analyze(xv, 3.0, 4.0)
+        return (0.0 if w is None else float(w @ a.compliances)) + volume_weight * a.volume
+
+    h = 1e-6
+    fd = [(value(x + h * e) - value(x - h * e)) / (2 * h) for e in np.eye(x.size)]
+    grad = base.gradient(w, volume_weight=volume_weight)
+    np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6 * np.max(np.abs(grad)))
+
+
+def test_each_augmented_lagrangian_gradient_pulls_through_the_pipeline_once(monkeypatch):
+    # the Lagrangian's gradient is one weighted sum over the physical
+    # densities, so one backward pull per gradient, not one per term
+    calls = {"lagrangian_gradient": 0, "backward": 0, "weighted_gradient": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    counted(tr.auglag, "lagrangian_gradient")
+    counted(tr.DensityPipeline, "backward")
+    counted(tr.compliance, "weighted_gradient")
+    model = small_model(L=6, seed=2)
+    C_t = 2.0 * tr.MaxComplianceProblem(model, C_t=1.0).full_design_max_compliance()
+    tr.run_continuation(tr.MaxComplianceProblem(model, C_t=C_t), short_schedule())
+    assert calls["lagrangian_gradient"] > 0
+    assert calls["backward"] == calls["weighted_gradient"] == calls["lagrangian_gradient"]
+
+
 def test_naive_analysis_builds_no_dense_scenario_matrix(monkeypatch):
     """The naive route scatters F's loaded rows straight into the solve."""
     def to_dense(self):

@@ -231,8 +231,7 @@ def test_solve_matches_dense_solve_on_3d(mesh_3d, material):
 
 def wide_columns(system):
     """The fewest columns that send a block to the blocked sweep."""
-    u = system._factor.shape[0] - 1
-    return -(-tr.fea._BLOCKED_SWEEP_MIN_UK // u)
+    return tr.fea._blocked_sweep_min_columns(system._factor.shape[0] - 1)
 
 
 @pytest.mark.parametrize("cells,n_dofs,width", [

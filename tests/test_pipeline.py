@@ -128,22 +128,3 @@ def test_backward_matches_finite_differences(mesh_6x3, p, beta):
                  - g @ pipe.apply(xm, p, beta).physical) / (2 * h)
     scale = np.max(np.abs(grad))
     np.testing.assert_allclose(grad, fd, atol=1e-6 * scale)
-
-
-def test_volume_fraction_and_gradient(mesh_4x2):
-    pipe = tr.DensityPipeline(mesh_4x2, 1.5, x_min=1e-3)
-    rng = np.random.default_rng(9)
-    n = mesh_4x2.n_elements
-    x = rng.uniform(0.2, 0.8, n)
-    field = pipe.apply(x, 3.0, 4.0)
-    assert pipe.volume_fraction(field) == pytest.approx(np.mean(field.physical))
-
-    grad = pipe.volume_gradient(field)
-    h = 1e-7
-    for i in [0, n // 2, n - 1]:
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fd = (np.mean(pipe.apply(xp, 3.0, 4.0).physical)
-              - np.mean(pipe.apply(xm, 3.0, 4.0).physical)) / (2 * h)
-        assert grad[i] == pytest.approx(fd, abs=1e-9)
