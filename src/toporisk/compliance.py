@@ -12,11 +12,12 @@ agree up to round-off:
 * SVD:   the basis is U S from the thin SVD F = (U S) Vt (exactly n_s
          solves), recombined through Vt.
 
-Either basis is zero off F's loaded rows, so each route hands only those
-rows to `StiffnessSystem.solve(block, rows=F.dofs)`, which scatters them
-into its own work block: no dense n_dofs x L copy of F is built. The
-naive route's L columns take the blocked level-3 sweep and come back
-row-major; the SVD route's few columns take LAPACK's column sweep.
+Either basis is zero off F's loaded rows and is held on those rows only
+(F.block, or U S), so each route hands them to
+`StiffnessSystem.solve(block, rows=F.dofs)`, which scatters them into its
+own work block: no dense n_dofs x L copy of F is built. The naive route's
+L columns take the blocked level-3 sweep and come back row-major; the SVD
+route's few columns take LAPACK's column sweep.
 
 Both routes differentiate w^T C through one kernel, `fea.form_gradient`:
 (grad_rho C^T w)_e = -sum_ab ke_ab M[d_a, d_b] over the DOFs d of element
@@ -110,7 +111,7 @@ def compliances_svd(sys: StiffnessSystem, F: ScenarioMatrix, svd: ThinSVD) -> Co
     """All load compliances from the thin SVD, by n_s solves against U S."""
     if svd.Vt.shape[1] != F.n_scenarios or not np.array_equal(svd.dofs, F.dofs):
         raise ValueError("SVD does not belong to this scenario matrix")
-    return _compliances(sys, F, svd.U[F.dofs, :] * svd.S[None, :], svd.Vt)
+    return _compliances(sys, F, svd.U * svd.S[None, :], svd.Vt)
 
 
 # -- weight vectors for scalar objectives ------------------------------------

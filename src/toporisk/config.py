@@ -61,13 +61,13 @@ from .errors import ConfigError
 from .mesh import GroundMesh, Material, cantilever_mesh
 from .mma import MMAConfig
 from .pipeline import DensityPipeline
-from .scenarios import SVD_REL_TOL, load_scenarios_from_file, sample_cantilever_scenarios
+from .scenarios import load_scenarios_from_file, sample_cantilever_scenarios
 
 SCHEMA_VERSION = 1
 
 _TOP_KEYS = {
     "schema_version", "problem", "mesh", "material", "filter_radius", "x_min",
-    "scenarios", "method", "svd_rel_tol", "schedule", "mma", "auglag", "output_dir",
+    "scenarios", "method", "schedule", "mma", "auglag", "output_dir",
 }
 # the keys each problem kind and each scenario source reads
 _PROBLEM_KEYS = {
@@ -155,7 +155,6 @@ class RunConfig:
     seed: int | None
     scenario_path: str | None
     method: str
-    svd_rel_tol: float
     schedule: ContinuationSchedule
     mma: MMAConfig | None
     auglag: AugLagConfig | None
@@ -250,9 +249,6 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
     method = _optional(raw, "method", str, "svd", where)
     if method not in METHODS:
         raise ConfigError(f"{where}.method: expected one of {METHODS}, got {method!r}")
-    svd_rel_tol = _optional(raw, "svd_rel_tol", float, SVD_REL_TOL, where)
-    if not 0.0 < svd_rel_tol < 1.0:
-        raise ConfigError(f"{where}.svd_rel_tol: must lie in (0, 1), got {svd_rel_tol}")
 
     # solver settings: MMA for the volume-constrained kinds, AL for the other
     schedule = _build_section(raw, "schedule", ContinuationSchedule.default, where)
@@ -268,8 +264,7 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
         dim=dim, cells=tuple(cells), element_size=element_size, thickness=thickness,
         material=material, filter_radius=filter_radius, x_min=x_min,
         scenario_source=source, L=L, seed=seed, scenario_path=scenario_path,
-        method=method, svd_rel_tol=svd_rel_tol,
-        schedule=schedule, mma=mma, auglag=auglag, output_dir=output_dir,
+        method=method, schedule=schedule, mma=mma, auglag=auglag, output_dir=output_dir,
     )
 
 
@@ -281,10 +276,14 @@ def build_model(cfg: RunConfig, mesh: GroundMesh | None = None,
                 method: str | None = None, seed: int | None = None) -> ForwardModel:
     """Mesh, pipeline and scenarios assembled into a ForwardModel.
 
-    `method` and `seed` override the config (CLI flags). A mesh whose
+    `method` and `seed` override the config (CLI flags); a seed is refused
+    for scenarios read from a file, which it cannot change. A mesh whose
     smallest analysis (one solved column) cannot fit in memory is refused
     before the density filter is built; `ForwardModel` repeats the check
     with the route's column count."""
+    if seed is not None and cfg.scenario_source == "file":
+        raise ConfigError("--seed overrides the scenario sampler's seed, but this "
+                          "config reads its scenarios from a file")
     mesh = mesh or build_mesh(cfg)
     check_analysis_fits(mesh, 1)
     pipeline = DensityPipeline(mesh, cfg.filter_radius, cfg.x_min)
@@ -293,8 +292,7 @@ def build_model(cfg: RunConfig, mesh: GroundMesh | None = None,
         scenarios = sample_cantilever_scenarios(mesh, cfg.L, effective_seed)
     else:
         scenarios = load_scenarios_from_file(cfg.scenario_path, n_dofs=mesh.n_dofs)
-    return ForwardModel(mesh, cfg.material, pipeline, scenarios,
-                        method=method or cfg.method, svd_rel_tol=cfg.svd_rel_tol)
+    return ForwardModel(mesh, cfg.material, pipeline, scenarios, method=method or cfg.method)
 
 
 def build_problem(cfg: RunConfig, model: ForwardModel):

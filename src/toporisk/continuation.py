@@ -39,7 +39,7 @@ from .fea import (
 from .mesh import GroundMesh, Material
 from .mma import MMAConfig, mma_minimize
 from .pipeline import DensityPipeline
-from .scenarios import SVD_REL_TOL, ScenarioMatrix, thin_svd
+from .scenarios import ScenarioMatrix, thin_svd
 
 METHODS = ("naive", "svd")
 # the most steps `ContinuationSchedule.default` builds; its defaults take 16
@@ -180,14 +180,14 @@ class ForwardModel:
     `total_analyses` counts analyses (one factorization each) and
     `total_solves` tallies their linear solves (right-hand-side columns).
 
-    A model whose analysis would need more than the machine's physical
-    memory (`check_analysis_fits`) raises `ConfigError` before any
-    assembly.
+    Scenarios that load a fixed DOF or load nothing at all, and a model
+    whose analysis would need more than the machine's physical memory
+    (`check_analysis_fits`), raise `ConfigError` before any assembly.
     """
 
     def __init__(self, mesh: GroundMesh, material: Material,
                  pipeline: DensityPipeline, scenarios: ScenarioMatrix,
-                 method: str = "svd", svd_rel_tol: float = SVD_REL_TOL):
+                 method: str = "svd"):
         if method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
         # a load on a support does no work on the structure: the eliminated
@@ -201,12 +201,15 @@ class ForwardModel:
             raise ConfigError(
                 f"scenarios load fixed DOF {listed}{more}; loads must act on free DOFs"
             )
+        # every compliance would be zero: nothing to scale or to normalize by
+        if not np.any(scenarios.block):
+            raise ConfigError("every scenario load is zero; at least one must be nonzero")
         self.mesh = mesh
         self.pipeline = pipeline
         self.scenarios = scenarios
         self.method = method
         self.ke = element_stiffness(mesh, material)
-        self.svd = thin_svd(scenarios, svd_rel_tol) if method == "svd" else None
+        self.svd = thin_svd(scenarios) if method == "svd" else None
         check_analysis_fits(mesh, self.svd.n_s if method == "svd" else scenarios.n_scenarios)
         self.total_analyses = 0
         self.total_solves = 0
@@ -234,13 +237,8 @@ class _MemoizedAnalyses:
     def at(self, x: np.ndarray, penalty: float, beta: float) -> Analysis:
         key = (x.tobytes(), penalty, beta)
         if key != self._key:
-            self.hold(x, penalty, beta, self.model.analyze(x, penalty, beta))
+            self._key, self._analysis = key, self.model.analyze(x, penalty, beta)
         return self._analysis
-
-    def hold(self, x: np.ndarray, penalty: float, beta: float, analysis: Analysis) -> None:
-        """Make `analysis`, done at (x, penalty, beta), the one `at` reuses."""
-        self._key = (x.tobytes(), penalty, beta)
-        self._analysis = analysis
 
 
 class MeanStdProblem:
@@ -249,19 +247,20 @@ class MeanStdProblem:
     m = 0 is the mean compliance problem, exactly: sigma and the std
     weights are finite (the weights are zero at or below
     `comp.sigma_floor`), so the value and the weights at m = 0 equal those
-    of the mean bit for bit.
+    of the mean bit for bit. `final` is the analysis the last step ended on.
     """
 
     def __init__(self, model: ForwardModel, volume_fraction: float, m: float = 2.0,
                  mma_config: MMAConfig | None = None):
-        if not 0.0 < volume_fraction <= 1.0:
-            raise ConfigError(f"volume fraction must lie in (0, 1], got {volume_fraction}")
+        if not 0.0 < volume_fraction < 1.0:
+            raise ConfigError(f"volume fraction must lie in (0, 1), got {volume_fraction}")
         self.model = model
         self.volume_fraction = volume_fraction
         self.m = m
         self.mma_config = mma_config or MMAConfig()
         self.memo = _MemoizedAnalyses(model)
         self.scale = None
+        self.final = None
 
     def objective_value(self, analysis: Analysis) -> float:
         return analysis.stats.mean + self.m * analysis.stats.std
@@ -275,6 +274,9 @@ class MeanStdProblem:
         self.scale = 1.0 / abs(self.objective_value(analysis))
 
     def solve_step(self, x: np.ndarray, step: ContinuationStep):
+        # the memo still holds the last step's analysis; a second reference
+        # would keep its solves alive through this step
+        self.final = None
         if self.scale is None:
             self.prepare(x, step)
 
@@ -288,7 +290,7 @@ class MeanStdProblem:
             return a.volume - self.volume_fraction, a.gradient(volume_weight=1.0)
 
         result = mma_minimize(objective, constraint, x, step.tolerance, self.mma_config)
-        final = self.memo.at(result.x, step.penalty, step.beta)
+        final = self.final = self.memo.at(result.x, step.penalty, step.beta)
         record = {
             "objective_start": result.objective_start,
             "objective_end": result.objective,
@@ -325,7 +327,8 @@ class MaxComplianceProblem:
     round-off. `scale` is 1.0 for code that reads either problem's scale.
 
     `auglag_config` holds the trust region and iteration caps of every
-    step; the defaults of `AugLagConfig` if omitted.
+    step; the defaults of `AugLagConfig` if omitted. `final` is the
+    analysis the last step ended on.
     """
 
     scale = 1.0
@@ -338,6 +341,7 @@ class MaxComplianceProblem:
         self.auglag_config = auglag_config or AugLagConfig()
         self.normalization = None
         self.lam = np.zeros(model.scenarios.n_scenarios)
+        self.final = None
 
     def initial_design(self) -> np.ndarray:
         return np.ones(self.model.mesh.n_elements)
@@ -353,6 +357,8 @@ class MaxComplianceProblem:
         self.full_design_max_compliance()
 
     def solve_step(self, x: np.ndarray, step: ContinuationStep):
+        self.final = None  # its solves need not live through this step
+
         def evaluate(xv):
             return self.memo.at(xv, step.penalty, step.beta)
 
@@ -360,7 +366,7 @@ class MaxComplianceProblem:
                                  lam=self.lam, normalization=self.full_design_max_compliance())
         self.lam = result.lam
         # a line search may have analyzed rejected trials after the final point
-        self.memo.hold(result.x, step.penalty, step.beta, result.evaluation)
+        self.final = result.evaluation
         record = {
             "objective_start": result.objective_start,
             "objective_end": result.objective,
@@ -405,7 +411,7 @@ def run_continuation(problem, schedule: ContinuationSchedule | None = None) -> C
     (the AL's final penalty coefficient r); MMA steps record 0 for the
     last two. Wall seconds per step go to `step_seconds`, not to the
     history, so that the history of a run repeats bit for bit. `final` is
-    the analysis the last step ended on, reused rather than redone.
+    the problem's `final`, the analysis the last step ended on.
     """
     schedule = schedule or ContinuationSchedule.default()
     x = problem.initial_design()
@@ -426,9 +432,6 @@ def run_continuation(problem, schedule: ContinuationSchedule | None = None) -> C
             solves=model.total_solves - solves_before,
         )
         history.append(record)
-    # the analysis the last step ended on, not a new one
-    last = schedule.steps[-1]
-    final = problem.memo.at(x, last.penalty, last.beta)
-    return ContinuationResult(x=x, final=final, history=history,
+    return ContinuationResult(x=x, final=problem.final, history=history,
                               total_analyses=model.total_analyses,
                               total_solves=model.total_solves, step_seconds=step_seconds)

@@ -19,9 +19,9 @@ the band; it overwrites the assembled band, so one band is held per
 analysis.
 
 `StiffnessSystem.solve` has two sweeps over R. A vector, or a block of
-fewer than max(36, u // 3) columns (`_blocked_sweep_min_columns`), goes to
-LAPACK's dpbtrs, which applies the band one column at a time (level-2
-BLAS) and returns a column-major block. A wider block, such as the naive
+fewer than max(36, u // 3) columns (`_blocked_sweep_min_columns`), is
+scattered into one column-major zero block that LAPACK's dpbtrs solves in
+place, one column at a time (level-2 BLAS). A wider block, such as the naive
 route's L columns, is swept in blocks of u rows with level-3 BLAS, in
 place in one row-major work block that it returns: per block one dgemm
 against the dense u x u coupling to the neighbouring block and one dtrmm
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import blas, cho_solve_banded, lapack
+from scipy.linalg import blas, lapack
 
 from .errors import NotPositiveDefiniteError
 from .mesh import GroundMesh, Material
@@ -366,12 +366,12 @@ class StiffnessSystem:
 
         Two sweeps give the same solution up to round-off, chosen by the
         width of the block: a vector, or a block of fewer than
-        `_blocked_sweep_min_columns(u)` columns for half-bandwidth u, goes
-        to LAPACK's dpbtrs, which sweeps the band one column at a time
-        (level-2 BLAS) and returns a column-major block; a wider block goes
-        to `_blocked_solve`, which sweeps it in blocks of u rows with
-        level-3 BLAS and returns a row-major block. Either way `rhs` is
-        left untouched.
+        `_blocked_sweep_min_columns(u)` columns for half-bandwidth u, is
+        scattered into a column-major zero block that LAPACK's dpbtrs
+        sweeps in place one column at a time (level-2 BLAS), and that
+        block is returned; a wider block goes to `_blocked_solve`, which
+        sweeps it in blocks of u rows with level-3 BLAS and returns a
+        row-major block. Either way `rhs` is left untouched.
         """
         rhs = np.asarray(rhs, dtype=float)
         u, n = self._factor.shape[0] - 1, self._factor.shape[1]
@@ -380,11 +380,12 @@ class StiffnessSystem:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {expected}")
         if rhs.ndim == 2 and rhs.shape[1] >= _blocked_sweep_min_columns(u):
             return self._blocked_solve(rhs, rows)
-        if rows is not None:
-            full = np.zeros((n, *rhs.shape[1:]))
-            full[rows] = rhs
-            rhs = full
-        return cho_solve_banded((self._factor, False), rhs, check_finite=False)
+        X = np.zeros((n, *rhs.shape[1:]), order="F")
+        X[slice(None) if rows is None else rows] = rhs
+        X, info = lapack.dpbtrs(self._factor, X, overwrite_b=1)
+        if info < 0:
+            raise ValueError(f"dpbtrs: argument {-info} is invalid")
+        return X
 
     def _blocked_solve(self, rhs: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
         """R^T R X = rhs for an (n, k) block, in sweeps of u rows.

@@ -3,9 +3,10 @@
 A scenario matrix F holds L load vectors as columns. In practice only a
 few DOFs ever carry load, so F is stored as a dense block over the
 loaded DOF rows plus the row index list; the zero rows are never
-materialized. The thin SVD is likewise computed on the block only and
-the left singular vectors are embedded back, so they inherit F's
-sparsity pattern.
+materialized. The thin SVD is likewise computed on the block only, so
+its left singular vectors U hold the loaded rows only. It keeps every
+singular value at or above `SVD_REL_TOL` times the largest: the SVD
+route evaluates F^T K^-1 F exactly.
 """
 from __future__ import annotations
 
@@ -85,10 +86,10 @@ class ScenarioMatrix:
 
 @dataclass(frozen=True)
 class ThinSVD:
-    """Truncated SVD of a scenario matrix: F = U @ diag(S) @ Vt.
+    """Truncated SVD of a scenario matrix: F.block = U @ diag(S) @ Vt.
 
-    U is (n_dofs, n_s) with nonzeros only on the loaded DOF rows, S holds
-    the kept singular values in descending order, Vt is (n_s, L).
+    U is (n_loaded, n_s) on F's loaded rows `dofs`, S holds the kept
+    singular values in descending order, Vt is (n_s, L).
     """
 
     U: np.ndarray
@@ -101,52 +102,48 @@ class ThinSVD:
         return self.S.size
 
 
-def thin_svd(F: ScenarioMatrix, rel_tol: float = SVD_REL_TOL) -> ThinSVD:
-    """Thin SVD of F, truncating singular values below rel_tol * sigma_1.
+def thin_svd(F: ScenarioMatrix) -> ThinSVD:
+    """Thin SVD of F's block, truncating singular values below SVD_REL_TOL * sigma_1.
 
     Only the loaded-DOF block is decomposed, so the cost is independent
     of n_dofs. `_truncated_svd` keeps exactly the singular values that the
     full SVD of the block would keep.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     if not np.any(F.block):
         raise ValueError("scenario matrix is identically zero")
-    Ub, S, Vt = _truncated_svd(F.block, rel_tol)
-    U = np.zeros((F.n_dofs, S.size))
-    U[F.dofs, :] = Ub
+    U, S, Vt = _truncated_svd(F.block)
     return ThinSVD(U=U, S=S, Vt=Vt, dofs=F.dofs.copy())
 
 
-def _truncated_svd(A: np.ndarray, rel_tol: float):
-    """SVD of a nonzero A, truncated at rel_tol * sigma_1, via a verified sketch.
+def _truncated_svd(A: np.ndarray):
+    """SVD of a nonzero A, truncated at SVD_REL_TOL * sigma_1, via a verified sketch.
 
     Randomized range finder (Halko, Martinsson & Tropp 2011): Q spans
     A @ Omega for a fixed-seed Gaussian Omega with k columns, and B = Q^T A
     is small. By Weyl's inequality every singular value of A lies within
     delta = ||A - Q B||_F of the matching one of B, and those past k lie
     below delta. So when zero and every singular value of B are farther
-    than delta * (1 + rel_tol) from the cut rel_tol * S_1 (the cut itself
-    moves by at most rel_tol * delta), B's truncation keeps exactly the
-    singular values the full SVD keeps. Otherwise k doubles; once it
-    reaches min(A.shape), the full SVD is taken. The sampler's rank-10
-    blocks pass with the first k in O(k * A.size) instead of
-    O(min(A.shape) * A.size).
+    than delta * (1 + tol) from the cut tol * S_1 (the cut itself moves by
+    at most tol * delta), B's truncation keeps exactly the singular values
+    the full SVD keeps. Otherwise k doubles; once it reaches min(A.shape),
+    the full SVD is taken. The sampler's rank-10 blocks pass with the first
+    k in O(k * A.size) instead of O(min(A.shape) * A.size).
     """
+    tol = SVD_REL_TOL
     k = _SKETCH_COLUMNS
     while k < min(A.shape):
         omega = np.random.default_rng(_SKETCH_SEED).standard_normal((A.shape[1], k))
         Q, _ = np.linalg.qr(A @ omega)
         B = Q.T @ A
-        margin = _residual_norm(A, Q, B) * (1.0 + rel_tol)
+        margin = _residual_norm(A, Q, B) * (1.0 + tol)
         Ub, S, Vt = np.linalg.svd(B, full_matrices=False)
-        cut = rel_tol * S[0]
+        cut = tol * S[0]
         if cut > margin and np.all(np.abs(S - cut) > margin):
             keep = S >= cut
             return Q @ Ub[:, keep], S[keep], Vt[keep, :]
         k *= 2
     Ub, S, Vt = np.linalg.svd(A, full_matrices=False)
-    keep = S >= rel_tol * S[0]
+    keep = S >= tol * S[0]
     return Ub[:, keep], S[keep], Vt[keep, :]
 
 

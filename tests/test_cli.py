@@ -202,6 +202,38 @@ def test_load_on_fixed_dof_exits_2(tmp_path, capsys):
     assert "fixed DOF 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,method", [("run", "naive"), ("run", "svd"), ("bench", "naive")])
+def test_all_zero_loads_exit_2(tmp_path, capsys, command, method):
+    loads = tmp_path / "loads.csv"
+    loads.write_text("dof,scenario,value\n13,0,0.0\n21,1,0.0\n")
+    config = write_config(tmp_path, method=method,
+                          scenarios={"source": "file", "path": str(loads)})
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "load is zero" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "check-grad"])
+def test_seed_on_a_file_source_exits_2(tmp_path, capsys, command):
+    loads = tmp_path / "loads.csv"
+    loads.write_text("dof,scenario,value\n13,0,-1.0\n21,1,1.0\n")
+    config = write_config(tmp_path, scenarios={"source": "file", "path": str(loads)})
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), "--seed", "7"]
+    assert cli.main(argv) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_check_grad_on_a_file_source_checks_one_point(tmp_path, capsys):
+    loads = tmp_path / "loads.csv"
+    loads.write_text("dof,scenario,value\n13,0,-1.0\n13,1,0.5\n21,1,1.0\n")
+    config = write_config(tmp_path, scenarios={"source": "file", "path": str(loads)})
+    tables = []
+    for _ in range(2):
+        assert cli.main(["check-grad", "--config", str(config)]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+
+
 def test_bench_survives_a_closed_stdout(tmp_path, monkeypatch):
     """`toporisk bench | head`: exit 0 with bench.csv written, stdout sent to devnull."""
 
@@ -306,9 +338,11 @@ def test_bench_table_and_solve_counts(tmp_path):
         assert abs(svd_val - naive_val) <= 1e-9 * abs(naive_val)
 
 
-def test_bench_uses_the_configured_svd_tolerance(tmp_path, capsys):
-    # 0.5 drops one of the four singular directions, so the routes disagree
-    config = write_config(tmp_path, svd_rel_tol=0.5)
+def test_bench_exits_3_when_the_routes_disagree(tmp_path, capsys, monkeypatch):
+    # a cut at 0.5 drops one of the four singular directions, so the SVD
+    # route is no longer exact
+    monkeypatch.setattr(tr.scenarios, "SVD_REL_TOL", 0.5)
+    config = write_config(tmp_path)
     assert cli.main(["bench", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
     assert "disagrees between methods" in capsys.readouterr().err
 

@@ -1,4 +1,6 @@
 """Continuation schedule, forward model and the two problem classes."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,8 @@ def test_volume_fraction_validation():
     with pytest.raises(ConfigError):
         tr.MeanStdProblem(model, volume_fraction=0.0, m=0.0)
     with pytest.raises(ConfigError):
+        tr.MeanStdProblem(model, volume_fraction=1.0)
+    with pytest.raises(ConfigError):
         tr.MeanStdProblem(model, volume_fraction=1.5)
 
 
@@ -329,6 +333,27 @@ def test_no_design_point_is_analyzed_twice(analyze_spy, kind):
         # the start point of the run, then one analysis per MMA iteration
         # and one per later step's start
         assert len(keys) == len(schedule.steps) + sum(rec["n_iters"] for rec in res.history)
+
+
+def test_an_mma_step_keeps_at_most_one_earlier_analysis_alive(monkeypatch):
+    # `fea.analysis_bytes` counts two solve blocks per analysis: the new one
+    # and the memo's last; the previous step's final analysis must not be a
+    # third
+    made = []
+    live_at_call = []
+    analyze = tr.ForwardModel.analyze
+
+    def spy(self, x, penalty, beta):
+        live_at_call.append(sum(ref() is not None for ref in made))
+        analysis = analyze(self, x, penalty, beta)
+        made.append(weakref.ref(analysis))
+        return analysis
+
+    monkeypatch.setattr(tr.ForwardModel, "analyze", spy)
+    problem = tr.MeanStdProblem(small_model("naive", L=6), 0.5, m=2.0)
+    res = tr.run_continuation(problem, short_schedule())
+    assert res.history[1]["n_iters"] >= 1
+    assert max(live_at_call) == 1
 
 
 def test_final_analysis_is_the_final_point_after_rejected_trials(monkeypatch, analyze_spy):

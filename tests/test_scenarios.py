@@ -111,24 +111,18 @@ def test_thin_svd_reconstructs(mesh_6x3):
     svd = tr.thin_svd(F)
     assert svd.n_s == 4
     recon = svd.U @ (svd.S[:, None] * svd.Vt)
-    err = np.linalg.norm(recon - F.to_dense()) / np.linalg.norm(F.block)
+    err = np.linalg.norm(recon - F.block) / np.linalg.norm(F.block)
     assert err <= 1e-10
     # orthonormal factors
     np.testing.assert_allclose(svd.U.T @ svd.U, np.eye(4), atol=1e-12)
     np.testing.assert_allclose(svd.Vt @ svd.Vt.T, np.eye(4), atol=1e-12)
     assert np.all(np.diff(svd.S) <= 0) and np.all(svd.S > 0)
-    # U has support only on the loaded DOFs
-    mask = np.ones(mesh_6x3.n_dofs, dtype=bool)
-    mask[svd.dofs] = False
-    assert np.all(svd.U[mask] == 0.0)
+    # U holds the loaded DOF rows only
+    assert svd.U.shape == (F.n_loaded, 4)
+    np.testing.assert_array_equal(svd.dofs, F.dofs)
 
 
-def test_thin_svd_rejects_bad_inputs(mesh_4x2):
-    F = random_scenarios(mesh_4x2, L=5, rank=2, seed=0)
-    with pytest.raises(ValueError):
-        tr.thin_svd(F, rel_tol=0.0)
-    with pytest.raises(ValueError):
-        tr.thin_svd(F, rel_tol=1.0)
+def test_thin_svd_rejects_bad_inputs():
     zero = tr.ScenarioMatrix(n_dofs=10, dofs=np.array([2]), block=np.zeros((1, 3)))
     with pytest.raises(ValueError):
         tr.thin_svd(zero)
