@@ -8,7 +8,6 @@ SIMP solvers with continuation.
 from .auglag import AugLagConfig, AugLagResult, auglag_minimize, projected_gradient_step
 from .compliance import (
     ComplianceStats,
-    Solves,
     compliances_naive,
     compliances_svd,
     weight_vector,

@@ -245,7 +245,7 @@ def auglag_minimize(evaluate, x0, C_t: float, tol, config: AugLagConfig | None =
         return lagrangian_gradient(ev, lam, r, ct_norm, normalization)
 
     def kkt_residual(x, grad):
-        return scaled_kkt_residual(x, grad, 0.0, 1.0, float(np.mean(np.abs(lam))))
+        return scaled_kkt_residual(x, grad, float(np.mean(np.abs(lam))))
 
     for dual_iter in range(config.dual_iters):
         L_val = phr(ev)

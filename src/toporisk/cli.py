@@ -20,7 +20,8 @@ import numpy as np
 from . import compliance as comp
 from . import io as artifacts
 from .auglag import lagrangian, lagrangian_gradient
-from .config import build_mesh, build_model, build_problem, build_schedule, load_config
+from .config import (build_mesh, build_model, build_problem, build_schedule, load_config,
+                     sample_scenarios)
 from .continuation import METHODS, run_continuation
 from .errors import ConfigError, TopoRiskError
 from .fea import StiffnessSystem, assemble
@@ -130,8 +131,7 @@ def _bench_one(statistic, method, system, model):
             stats = comp.compliances_svd(system, F, thin_svd(F))
         else:
             stats = comp.compliances_naive(system, F)
-        comp.weighted_gradient(stats.cache, comp.weight_vector(stats, kind),
-                               model.ke, model.mesh)
+        comp.weighted_gradient(stats, comp.weight_vector(stats, kind), model.ke, model.mesh)
         return stats
 
     evaluate()
@@ -142,7 +142,7 @@ def _bench_one(statistic, method, system, model):
         seconds = min(seconds, time.perf_counter() - start)
     value = stats.mean if statistic == "mu_C" else stats.std
     return {"statistic": statistic, "method": method, "value": value,
-            "seconds": seconds, "solves": stats.cache.Q.shape[1]}
+            "seconds": seconds, "solves": stats.Q.shape[1]}
 
 
 def cmd_bench(args) -> int:
@@ -290,11 +290,7 @@ def cmd_sample_scenarios(args) -> int:
     if cfg.scenario_source != "sample":
         raise ConfigError("sample-scenarios needs a config with scenarios.source = \"sample\"")
     out = _output_dir(args, cfg)
-    mesh = build_mesh(cfg)
-    from .scenarios import sample_cantilever_scenarios
-
-    seed = cfg.seed if args.seed is None else args.seed
-    F = sample_cantilever_scenarios(mesh, cfg.L, seed)
+    F = sample_scenarios(build_mesh(cfg), cfg.L, cfg.seed if args.seed is None else args.seed)
     path = out / "scenarios.csv"
     save_scenarios_to_file(F, path)
     n_s = thin_svd(F).n_s

@@ -21,12 +21,13 @@ route's few columns take LAPACK's column sweep.
 
 Both routes differentiate w^T C through one kernel, `fea.form_gradient`:
 (grad_rho C^T w)_e = -sum_ab ke_ab M[d_a, d_b] over the DOFs d of element
-e, with M = A Q^T and Q the cached solves. The naive route takes
-A = Q diag(w); the SVD route takes A = Q X with X = Vt diag(w) Vt^T, the
-trace identity of the paper. The kernel costs O(n_offsets n_dofs k) for
-the k columns of Q (L naive, n_s SVD), where n_offsets is the number of
-distinct DOF offsets within an element (at most 11 in 2D, 50 in 3D); it
-reads the naive route's row-major Q in place.
+e, with M = A Q^T and Q the solves kept on `ComplianceStats`. The naive
+route takes A = Q diag(w); the SVD route takes A = Q X with
+X = Vt diag(w) Vt^T, the trace identity of the paper. The kernel costs
+O(n_offsets n_dofs k) for the k columns of Q (L naive, n_s SVD), where
+n_offsets is the number of distinct DOF offsets within an element (at
+most 11 in 2D, 50 in 3D); it reads the naive route's row-major Q in
+place.
 
 Gradients here are with respect to rho; `DensityPipeline.backward` maps
 them to the design vector.
@@ -45,33 +46,25 @@ WEIGHT_KINDS = ("mean", "variance", "std", "mean_plus_m_std")
 
 
 @dataclass(frozen=True)
-class Solves:
-    """Q = K^-1 basis for one route's solve basis, kept for gradients.
-
-    The naive route's basis is F itself and `Vt` is None; the SVD route's
-    basis is U S, with F = (U S) Vt.
-    """
-
-    Q: np.ndarray          # (n_dofs, L) naive, (n_dofs, n_s) SVD
-    Vt: np.ndarray | None  # (n_s, L) SVD, None naive
-
-
-@dataclass(frozen=True)
 class ComplianceStats:
-    """Per-load compliances and their sample statistics.
+    """Per-load compliances, their sample statistics and the route's solves.
 
-    `cache` holds the route's `Solves`, ready for `weighted_gradient`.
-    The sample variance uses the L - 1 denominator and is zero for L = 1.
+    `Q` = K^-1 basis holds the solves that `weighted_gradient` reads:
+    (n_dofs, L) on the naive route, whose basis is F itself, and
+    (n_dofs, n_s) on the SVD route, whose basis is U S with F = (U S) Vt.
+    `Vt` is (n_s, L) on the SVD route and None on the naive one. The
+    sample variance uses the L - 1 denominator and is zero for L = 1.
     """
 
     C: np.ndarray
     mean: float
     variance: float
     std: float
-    cache: Solves | None
+    Q: np.ndarray | None
+    Vt: np.ndarray | None
 
     @classmethod
-    def from_compliances(cls, C: np.ndarray, cache) -> "ComplianceStats":
+    def from_compliances(cls, C: np.ndarray, Q=None, Vt=None) -> "ComplianceStats":
         C = np.asarray(C, dtype=float)
         mean = float(np.mean(C))
         if C.size > 1:
@@ -79,7 +72,7 @@ class ComplianceStats:
             variance = float(centered @ centered / (C.size - 1))
         else:
             variance = 0.0
-        return cls(C=C, mean=mean, variance=variance, std=float(np.sqrt(variance)), cache=cache)
+        return cls(C=C, mean=mean, variance=variance, std=float(np.sqrt(variance)), Q=Q, Vt=Vt)
 
 
 # -- forward evaluations -----------------------------------------------------
@@ -99,7 +92,7 @@ def _compliances(sys: StiffnessSystem, F: ScenarioMatrix, block: np.ndarray,
     else:
         G = block.T @ Q[F.dofs, :]
         C = np.einsum("ai,ai->i", Vt, G @ Vt)
-    return ComplianceStats.from_compliances(C, Solves(Q, Vt))
+    return ComplianceStats.from_compliances(C, Q, Vt)
 
 
 def compliances_naive(sys: StiffnessSystem, F: ScenarioMatrix) -> ComplianceStats:
@@ -164,33 +157,32 @@ def _checked_weights(w: np.ndarray, n_scenarios: int) -> np.ndarray:
     return w
 
 
-def weighted_gradient_naive(solves: Solves, w: np.ndarray,
+def weighted_gradient_naive(stats: ComplianceStats, w: np.ndarray,
                             ke: np.ndarray, mesh: GroundMesh) -> np.ndarray:
     """(grad_rho C^T w)_e = -sum_i w_i u_i^T K_e u_i, with u_i = Q[:, i]."""
-    w = _checked_weights(w, solves.Q.shape[1])
-    return -form_gradient(mesh, ke, solves.Q * w[None, :], solves.Q)
+    w = _checked_weights(w, stats.Q.shape[1])
+    return -form_gradient(mesh, ke, stats.Q * w[None, :], stats.Q)
 
 
-def weighted_gradient_svd(solves: Solves, w: np.ndarray,
+def weighted_gradient_svd(stats: ComplianceStats, w: np.ndarray,
                           ke: np.ndarray, mesh: GroundMesh) -> np.ndarray:
     """(grad_rho C^T w)_e = -tr(X Q_e^T K_e Q_e) with X = Vt diag(w) Vt^T.
 
     Exact (not an approximation): equals the naive route up to round-off,
     at O(L n_s^2) for X on top of the kernel's cost.
     """
-    w = _checked_weights(w, solves.Vt.shape[1])
-    X = (solves.Vt * w[None, :]) @ solves.Vt.T
-    return -form_gradient(mesh, ke, solves.Q @ X, solves.Q)
+    w = _checked_weights(w, stats.Vt.shape[1])
+    X = (stats.Vt * w[None, :]) @ stats.Vt.T
+    return -form_gradient(mesh, ke, stats.Q @ X, stats.Q)
 
 
-def weighted_gradient(solves: Solves, w: np.ndarray,
+def weighted_gradient(stats: ComplianceStats, w: np.ndarray,
                       ke: np.ndarray, mesh: GroundMesh) -> np.ndarray:
-    """grad_rho (w^T C) from either route's solves, without new solves.
+    """grad_rho (w^T C) from either route's solves in `stats`, without new solves.
 
     Both routes run `fea.form_gradient`, at O(n_offsets n_dofs k) for the
     k = L (naive) or n_s (SVD) solved columns; they differ only in the
     matrix A that weights the solves.
     """
-    kernel = weighted_gradient_naive if solves.Vt is None else weighted_gradient_svd
-    return kernel(solves, w, ke, mesh)
-
+    kernel = weighted_gradient_naive if stats.Vt is None else weighted_gradient_svd
+    return kernel(stats, w, ke, mesh)

@@ -19,8 +19,8 @@ Problem kinds: "mean" (volume-constrained mean compliance; reads
 "volume_fraction"), "mean_std" (adds m * sigma_C to the objective; reads
 "volume_fraction" and "m", default 2; "mean" is this kind at m = 0) and
 "max_compliance" (volume minimization under per-scenario compliance
-bounds; reads "C_t", a number or the string "inf" to disable the
-constraints). Scenarios come either from the benchmark sampler
+bounds; reads "C_t", a finite positive number or the string "inf" to
+disable the constraints). Scenarios come either from the benchmark sampler
 ("source": "sample", with "L" and "seed") or from a CSV file ("source":
 "file", with "path").
 
@@ -61,7 +61,7 @@ from .errors import ConfigError
 from .mesh import GroundMesh, Material, cantilever_mesh
 from .mma import MMAConfig
 from .pipeline import DensityPipeline
-from .scenarios import load_scenarios_from_file, sample_cantilever_scenarios
+from .scenarios import ScenarioMatrix, load_scenarios_from_file, sample_cantilever_scenarios
 
 SCHEMA_VERSION = 1
 
@@ -196,15 +196,12 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
     if kind == "mean_std":
         m = _optional(prob, "m", float, 2.0, f"{where}.problem")
     if kind == "max_compliance":
-        raw_ct = prob.get("C_t")
-        if raw_ct == "inf":
+        if prob.get("C_t") == "inf":
             C_t = math.inf
-        elif isinstance(raw_ct, (int, float)) and not isinstance(raw_ct, bool):
-            C_t = float(raw_ct)
         else:
-            raise ConfigError(f'{where}.problem.C_t: expected a number or "inf", got {raw_ct!r}')
-        if C_t <= 0:
-            raise ConfigError(f"{where}.problem.C_t: must be positive, got {C_t}")
+            C_t = _require(prob, "C_t", float, f"{where}.problem")
+            if C_t <= 0:
+                raise ConfigError(f"{where}.problem.C_t: must be positive, got {C_t}")
 
     # mesh, built once here to check its values
     mesh = _require(raw, "mesh", dict, where)
@@ -272,26 +269,35 @@ def build_mesh(cfg: RunConfig) -> GroundMesh:
     return cantilever_mesh(cfg.dim, cfg.cells, cfg.element_size, cfg.thickness)
 
 
+def sample_scenarios(mesh: GroundMesh, L: int, seed: int) -> ScenarioMatrix:
+    """The benchmark sampler's L scenarios on `mesh`, for every command that
+    samples. A mesh whose smallest analysis (one solved column) cannot fit
+    in memory beside the sampler's n_loaded x L block of loads is refused
+    before anything is sampled, and a mesh the sampler cannot load (its
+    ValueError) is a ConfigError too."""
+    check_analysis_fits(mesh, 1, mesh.free_surface_dofs().size * L)
+    return _construct("scenarios", sample_cantilever_scenarios, mesh, L, seed)
+
+
 def build_model(cfg: RunConfig, mesh: GroundMesh | None = None,
                 method: str | None = None, seed: int | None = None) -> ForwardModel:
     """Mesh, pipeline and scenarios assembled into a ForwardModel.
 
     `method` and `seed` override the config (CLI flags); a seed is refused
     for scenarios read from a file, which it cannot change. A mesh whose
-    smallest analysis (one solved column) cannot fit in memory is refused
-    before the density filter is built; `ForwardModel` repeats the check
-    with the route's column count."""
+    smallest analysis (one solved column) cannot fit in memory, with the
+    sampled loads if any, is refused before the density filter is built;
+    `ForwardModel` repeats the check with the route's column count."""
     if seed is not None and cfg.scenario_source == "file":
         raise ConfigError("--seed overrides the scenario sampler's seed, but this "
                           "config reads its scenarios from a file")
     mesh = mesh or build_mesh(cfg)
-    check_analysis_fits(mesh, 1)
-    pipeline = DensityPipeline(mesh, cfg.filter_radius, cfg.x_min)
     if cfg.scenario_source == "sample":
-        effective_seed = cfg.seed if seed is None else seed
-        scenarios = sample_cantilever_scenarios(mesh, cfg.L, effective_seed)
+        scenarios = sample_scenarios(mesh, cfg.L, cfg.seed if seed is None else seed)
     else:
+        check_analysis_fits(mesh, 1)
         scenarios = load_scenarios_from_file(cfg.scenario_path, n_dofs=mesh.n_dofs)
+    pipeline = DensityPipeline(mesh, cfg.filter_radius, cfg.x_min)
     return ForwardModel(mesh, cfg.material, pipeline, scenarios, method=method or cfg.method)
 
 

@@ -128,18 +128,21 @@ class ContinuationSchedule:
         return cls(steps=steps)
 
 
-def check_analysis_fits(mesh: GroundMesh, k: int) -> None:
-    """Raise ConfigError if one analysis solving k columns on `mesh` would
-    need more than the machine's physical memory (`fea.analysis_bytes`
-    against `fea.physical_memory_bytes`, which does not read a cgroup
-    limit)."""
+def check_analysis_fits(mesh: GroundMesh, k: int, load_values: int = 0) -> None:
+    """Raise ConfigError if one analysis solving k columns on `mesh`, with
+    `load_values` scenario values held beside it, would need more than the
+    machine's physical memory (`fea.analysis_bytes` plus eight bytes per
+    value, against `fea.physical_memory_bytes`, which does not read a
+    cgroup limit)."""
     band, peak = analysis_bytes(mesh, k)
+    loads = 8 * load_values
     memory = physical_memory_bytes()
-    if peak > memory:
+    if peak + loads > memory:
         cells = "x".join(str(c) for c in mesh.cells)
+        held = f" beside {loads / 1e9:.3g} GB of scenario loads" if loads else ""
         raise ConfigError(
-            f"a {cells} mesh needs about {peak / 1e9:.3g} GB per analysis "
-            f"(one {band / 1e9:.3g} GB stiffness band and {k}-column solves), "
+            f"a {cells} mesh needs about {(peak + loads) / 1e9:.3g} GB per analysis "
+            f"(one {band / 1e9:.3g} GB stiffness band and {k}-column solves{held}), "
             f"more than the {memory / 1e9:.3g} GB of physical memory"
         )
 
@@ -147,8 +150,8 @@ def check_analysis_fits(mesh: GroundMesh, k: int) -> None:
 class Analysis:
     """One design point, fully analyzed: densities, volume and compliance statistics.
 
-    `compliances` is `stats.C`. `gradient` forms gradients from the cached
-    solves and triggers no additional linear solves.
+    `compliances` is `stats.C`. `gradient` forms gradients from the solves
+    kept on `stats` and triggers no additional linear solves.
     """
 
     def __init__(self, model: "ForwardModel", field, stats: comp.ComplianceStats):
@@ -168,7 +171,7 @@ class Analysis:
         n = self.model.mesh.n_elements
         grad_rho = np.full(n, volume_weight / n)
         if w is not None:
-            grad_rho += comp.weighted_gradient(self.stats.cache, w, self.model.ke, self.model.mesh)
+            grad_rho += comp.weighted_gradient(self.stats, w, self.model.ke, self.model.mesh)
         return self.model.pipeline.backward(self.field, grad_rho)
 
 
@@ -222,7 +225,7 @@ class ForwardModel:
         else:
             stats = comp.compliances_naive(system, self.scenarios)
         self.total_analyses += 1
-        self.total_solves += stats.cache.Q.shape[1]
+        self.total_solves += stats.Q.shape[1]
         return Analysis(self, field, stats)
 
 
@@ -326,6 +329,7 @@ class MaxComplianceProblem:
     to physical density one, so V(x0) = 1 at every (p, beta) up to
     round-off. `scale` is 1.0 for code that reads either problem's scale.
 
+    `C_t` must be positive; inf drops the constraints.
     `auglag_config` holds the trust region and iteration caps of every
     step; the defaults of `AugLagConfig` if omitted. `final` is the
     analysis the last step ended on.
@@ -335,6 +339,8 @@ class MaxComplianceProblem:
 
     def __init__(self, model: ForwardModel, C_t: float,
                  auglag_config: AugLagConfig | None = None):
+        if not C_t > 0.0:
+            raise ConfigError(f"C_t must be positive or inf, got {C_t}")
         self.model = model
         self.memo = _MemoizedAnalyses(model)
         self.C_t = C_t

@@ -18,19 +18,20 @@ is a banded Cholesky K = R^T R (LAPACK dpbtrf), whose fill stays inside
 the band; it overwrites the assembled band, so one band is held per
 analysis.
 
-`StiffnessSystem.solve` has two sweeps over R. A vector, or a block of
-fewer than max(36, u // 3) columns (`_blocked_sweep_min_columns`), is
-scattered into one column-major zero block that LAPACK's dpbtrs solves in
-place, one column at a time (level-2 BLAS). A wider block, such as the naive
-route's L columns, is swept in blocks of u rows with level-3 BLAS, in
-place in one row-major work block that it returns: per block one dgemm
-against the dense u x u coupling to the neighbouring block and one dtrmm
+`StiffnessSystem.solve` takes a right-hand side block on its loaded rows
+(the only rows that may be nonzero, as in a `ScenarioMatrix`) and
+scatters them into the block it sweeps, so no dense n_dofs x L copy of
+F is built. It has two sweeps over R. A block of fewer than
+max(36, u // 3) columns (`_blocked_sweep_min_columns`) goes to one
+column-major zero block that LAPACK's dpbtrs solves in place, one column
+at a time (level-2 BLAS). A wider block, such as the naive route's L
+columns, is swept in blocks of u rows with level-3 BLAS, in place in one
+row-major n_dofs x k work block that it returns: per block one dgemm
+against the dense coupling to the neighbouring block and one dtrmm
 against the inverted diagonal triangle (LAPACK dtrtri), both built once
 per solve from strided views of the factor (Anderson et al., LAPACK
 Users' Guide, 3rd ed., 1999; Du Croz & Higham 1992 on the stability of
-explicit triangular inverses).
-The naive route passes only F's loaded rows, which the sweep scatters into
-its work block, so no dense n_dofs x L copy of F is built.
+explicit triangular inverses). A short last block keeps its short shape.
 
 The same numbering makes the DOF offset j - i of an element's local pairs
 take few distinct values: at most 11 in 2D and 50 in 3D. `form_gradient`,
@@ -262,11 +263,11 @@ def form_gradient(mesh: GroundMesh, Ke: np.ndarray, A: np.ndarray,
     return diagonals[layout.pairs] @ coef
 
 
-# A 2-D right-hand side of k columns on a band of half-width u goes to the
-# blocked sweep when k >= max(_BLOCKED_SWEEP_MIN_K, u // 3); narrower
-# blocks and vectors go to LAPACK's column sweep. Building the blocked
-# sweep's operators costs O(n u^2) per solve, so the crossover grows with
-# u. Medians of 31, 1 OpenBLAS thread, 2-core x86-64 VM: it lies at
+# A right-hand side block of k columns on a band of half-width u goes to
+# the blocked sweep when k >= max(_BLOCKED_SWEEP_MIN_K, u // 3); narrower
+# blocks go to LAPACK's column sweep. Building the blocked sweep's
+# operators costs O(n u^2) per solve, so the crossover grows with u.
+# Medians of 31, 1 OpenBLAS thread, 2-core x86-64 VM: it lies at
 # k = 30-33 for u = 25 (20x10), k = 36-40 for u = 45 (80x20) and
 # k = 48-52 for u = 173 (16x6x6), where 24 columns took 6.7 ms by column
 # and 17.5 ms blocked.
@@ -293,7 +294,8 @@ def _sweep_operators(factor: np.ndarray) -> tuple[list, list]:
     dpbtrf reads them through LDAB - 1. Only the triangle itself is a
     block of R: the other half of such a view holds band entries of
     neighbouring columns, which `np.triu` and `np.tril` zero in their
-    copies. A short last block is padded to u rows with the identity.
+    copies. A short last block of t < u rows has a t x t triangle and a
+    u x t coupling into it.
     """
     u, n = factor.shape[0] - 1, factor.shape[1]
     band = factor.ravel(order="F")
@@ -309,13 +311,9 @@ def _sweep_operators(factor: np.ndarray) -> tuple[list, list]:
     coupling = list(np.tril(blocks(0, u, max(n_full - 1, 0))))
     if tail:
         i0 = n_full * u
-        last = np.eye(u)
-        last[:tail, :tail] = np.triu(blocks(i0, i0, 1, (tail, tail))[0])
-        diagonal.append(last)
+        diagonal.append(np.triu(blocks(i0, i0, 1, (tail, tail))[0]))
         if n_full:
-            into_last = np.zeros((u, u))
-            into_last[:, :tail] = np.tril(blocks(i0 - u, i0, 1, (u, tail))[0])
-            coupling.append(into_last)
+            coupling.append(np.tril(blocks(i0 - u, i0, 1, (u, tail))[0]))
     # R's pivots are positive (`factorize` checks them), so dtrtri cannot
     # meet a zero on the diagonal
     inverse = [lapack.dtrtri(T.T, lower=1, overwrite_c=1)[0] for T in diagonal]
@@ -357,44 +355,43 @@ class StiffnessSystem:
             )
         return cls(factor)
 
-    def solve(self, rhs: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Solve K u = rhs for one RHS vector or a column block.
+    def solve(self, block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Solve K X = F for the k columns of F, given on its rows `rows`.
 
-        With `rows`, `rhs` holds only those rows of the right-hand side and
-        every other row is zero, as in a `ScenarioMatrix`; the rows are
-        scattered straight into the sweep's work block.
+        `block` is (len(rows), k) and holds those rows of F; every other
+        row is zero, as in a `ScenarioMatrix`. The rows are scattered
+        straight into the sweep's work block, and `block` is left
+        untouched.
 
         Two sweeps give the same solution up to round-off, chosen by the
-        width of the block: a vector, or a block of fewer than
-        `_blocked_sweep_min_columns(u)` columns for half-bandwidth u, is
-        scattered into a column-major zero block that LAPACK's dpbtrs
-        sweeps in place one column at a time (level-2 BLAS), and that
-        block is returned; a wider block goes to `_blocked_solve`, which
-        sweeps it in blocks of u rows with level-3 BLAS and returns a
-        row-major block. Either way `rhs` is left untouched.
+        width of the block: fewer than `_blocked_sweep_min_columns(u)`
+        columns for half-bandwidth u go to a column-major zero block that
+        LAPACK's dpbtrs sweeps in place one column at a time (level-2
+        BLAS), and that block is returned; a wider block goes to
+        `_blocked_solve`, which sweeps it in blocks of u rows with level-3
+        BLAS and returns a row-major block. Either way X is (n_dofs, k).
         """
-        rhs = np.asarray(rhs, dtype=float)
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[0] != len(rows):  # a single row would broadcast
+            raise ValueError(f"block must have shape ({len(rows)}, k), got {block.shape}")
         u, n = self._factor.shape[0] - 1, self._factor.shape[1]
-        expected = n if rows is None else len(rows)
-        if rhs.shape[0] != expected:  # a single row would broadcast
-            raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {expected}")
-        if rhs.ndim == 2 and rhs.shape[1] >= _blocked_sweep_min_columns(u):
-            return self._blocked_solve(rhs, rows)
-        X = np.zeros((n, *rhs.shape[1:]), order="F")
-        X[slice(None) if rows is None else rows] = rhs
+        if block.shape[1] >= _blocked_sweep_min_columns(u):
+            return self._blocked_solve(block, rows)
+        X = np.zeros((n, block.shape[1]), order="F")
+        X[rows] = block
         X, info = lapack.dpbtrs(self._factor, X, overwrite_b=1)
         if info < 0:
             raise ValueError(f"dpbtrs: argument {-info} is invalid")
         return X
 
-    def _blocked_solve(self, rhs: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-        """R^T R X = rhs for an (n, k) block, in sweeps of u rows.
+    def _blocked_solve(self, block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """R^T R X = F for F's rows `rows` in `block`, in sweeps of u rows.
 
-        Works in place on a row-major block Z, zero-padded to whole blocks,
-        into which `rhs` (or its `rows`) is scattered: the rows of block b,
-        transposed, are a column-major k x u matrix W_b that BLAS updates
-        without a copy. The forward sweep solves Y^T R = rhs^T and the
-        backward sweep X^T R^T = Y^T, each block with two calls:
+        Works in place on a row-major (n, k) block Z into which `block` is
+        scattered: the rows of block b, transposed, are a column-major
+        k x u matrix W_b (k x t for a short last block of t rows) that BLAS
+        updates without a copy. The forward sweep solves Y^T R = F^T and
+        the backward sweep X^T R^T = Y^T, each block with two calls:
 
             W_b <- (W_b - W_{b-1} C_{b-1}) T_b^-1      forward
             W_b <- (W_b - W_{b+1} C_b^T) T_b^-T        backward
@@ -403,18 +400,14 @@ class StiffnessSystem:
         inverted diagonal triangle T^-1 (`_sweep_operators`). An explicit
         inverse of a small, well-conditioned triangle is as stable as
         substitution (Du Croz & Higham 1992, IMA J. Numer. Anal. 12) and
-        runs at the rate of dtrmm, about twice that of dtrsm. Returns the
-        first n rows of Z, a row-major view.
+        runs at the rate of dtrmm, about twice that of dtrsm. Returns Z.
         """
         u, n = self._factor.shape[0] - 1, self._factor.shape[1]
         inverse, coupling = _sweep_operators(self._factor)
-        n_blocks = len(inverse)
-        Z = np.zeros((n_blocks * u, rhs.shape[1]))
-        if rows is None:
-            Z[:n] = rhs
-        else:
-            Z[:n][rows] = rhs
-        W = [Z[i:i + u].T for i in range(0, n_blocks * u, u)]
+        Z = np.zeros((n, block.shape[1]))
+        Z[rows] = block
+        W = [Z[i:i + u].T for i in range(0, n, u)]
+        n_blocks = len(W)
         for b in range(n_blocks):
             if b:
                 blas.dgemm(-1.0, W[b - 1], coupling[b - 1].T, beta=1.0, c=W[b],
@@ -424,4 +417,4 @@ class StiffnessSystem:
             if b + 1 < n_blocks:
                 blas.dgemm(-1.0, W[b + 1], coupling[b].T, beta=1.0, c=W[b], overwrite_c=1)
             blas.dtrmm(1.0, inverse[b], W[b], side=1, lower=1, overwrite_b=1)
-        return Z[:n]
+        return Z

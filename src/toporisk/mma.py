@@ -2,9 +2,10 @@
 
 Implements the original MMA update rules (Svanberg 1987) for
 
-    min f(x)  s.t.  c(x) <= 0,  x in [lower, upper]^n
+    min f(x)  s.t.  c(x) <= 0,  x in [0, 1]^n
 
-which covers volume-constrained compliance minimization. With a single
+which covers volume-constrained compliance minimization over the unit
+design box; the box width 1 drops out of Svanberg's rules. With a single
 constraint the dual of each convex subproblem is a concave function of
 one multiplier eta >= 0 (Svanberg 1987; Svanberg 2007, "MMA and GCMMA"),
 so it is maximized by Newton's method on the dual slope, safeguarded by
@@ -73,17 +74,16 @@ class MMAResult:
     objective_start: float
 
 
-def scaled_kkt_residual(x, lagrangian_grad, lower, upper, multiplier_scale) -> float:
-    """Infinity norm of x - proj_box(x - grad L), divided by max(1, s/100)."""
-    projected = np.clip(x - lagrangian_grad, lower, upper)
+def scaled_kkt_residual(x, lagrangian_grad, multiplier_scale) -> float:
+    """Infinity norm of x - proj_[0,1](x - grad L), divided by max(1, s/100)."""
+    projected = np.clip(x - lagrangian_grad, 0.0, 1.0)
     scale = max(1.0, multiplier_scale / 100.0)
     return float(np.linalg.norm(x - projected, np.inf) / scale)
 
 
-def _update_asymptotes(iteration, x, xold1, xold2, low, upp, lower, upper):
-    width = upper - lower
+def _update_asymptotes(iteration, x, xold1, xold2, low, upp):
     if iteration <= 2:
-        return x - S_INIT * width, x + S_INIT * width
+        return x - S_INIT, x + S_INIT
     trend = (x - xold1) * (xold1 - xold2)
     gamma = np.ones_like(x)
     gamma[trend > 0] = S_INCR
@@ -91,12 +91,12 @@ def _update_asymptotes(iteration, x, xold1, xold2, low, upp, lower, upper):
     low = x - gamma * (xold1 - low)
     upp = x + gamma * (upp - xold1)
     # Svanberg's safeguards: keep asymptotes at sane distances from x
-    low = np.clip(low, x - 10.0 * width, x - 0.01 * width)
-    upp = np.clip(upp, x + 0.01 * width, x + 10.0 * width)
+    low = np.clip(low, x - 10.0, x - 0.01)
+    upp = np.clip(upp, x + 0.01, x + 10.0)
     return low, upp
 
 
-def _pq_coefficients(grad, x, low, upp, width):
+def _pq_coefficients(grad, x, low, upp):
     """Numerators of the p/(upp-x) + q/(x-low) approximation of one function.
 
     Built so the approximation matches the true value and gradient at x
@@ -104,9 +104,8 @@ def _pq_coefficients(grad, x, low, upp, width):
     """
     gp = np.maximum(grad, 0.0)
     gn = np.maximum(-grad, 0.0)
-    floor = RAA0 / np.maximum(width, 1e-5)
-    p = (upp - x) ** 2 * (1.001 * gp + 0.001 * gn + floor)
-    q = (x - low) ** 2 * (0.001 * gp + 1.001 * gn + floor)
+    p = (upp - x) ** 2 * (1.001 * gp + 0.001 * gn + RAA0)
+    q = (x - low) ** 2 * (0.001 * gp + 1.001 * gn + RAA0)
     return p, q
 
 
@@ -185,9 +184,8 @@ def _solve_subproblem(p0, q0, p1, q1, b1, low, upp, alpha, beta):
     return x_hi, hi
 
 
-def mma_minimize(objective, constraint, x0, tol, cfg: MMAConfig | None = None,
-                 lower=0.0, upper=1.0) -> MMAResult:
-    """Minimize objective(x) subject to constraint(x) <= 0 over a box.
+def mma_minimize(objective, constraint, x0, tol, cfg: MMAConfig | None = None) -> MMAResult:
+    """Minimize objective(x) subject to constraint(x) <= 0 over [0, 1]^n.
 
     Parameters
     ----------
@@ -199,10 +197,6 @@ def mma_minimize(objective, constraint, x0, tol, cfg: MMAConfig | None = None,
     """
     cfg = cfg or MMAConfig()
     x = np.asarray(x0, dtype=float).copy()
-    n = x.size
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,))
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,))
-    width = upper - lower
     xold1 = x.copy()
     xold2 = x.copy()
     low = upp = None
@@ -217,12 +211,11 @@ def mma_minimize(objective, constraint, x0, tol, cfg: MMAConfig | None = None,
         if not (np.isfinite(f) and np.all(np.isfinite(df))
                 and np.isfinite(c) and np.all(np.isfinite(dc))):
             raise ValueError("objective or constraint returned non-finite values")
-        low, upp = _update_asymptotes(iteration, x, xold1, xold2, low, upp,
-                                      lower, upper)
-        alpha = np.maximum.reduce([lower, low + ALBEFA * (x - low), x - cfg.move * width])
-        beta = np.minimum.reduce([upper, upp - ALBEFA * (upp - x), x + cfg.move * width])
-        p0, q0 = _pq_coefficients(df, x, low, upp, width)
-        p1, q1 = _pq_coefficients(dc, x, low, upp, width)
+        low, upp = _update_asymptotes(iteration, x, xold1, xold2, low, upp)
+        alpha = np.maximum(np.maximum(0.0, low + ALBEFA * (x - low)), x - cfg.move)
+        beta = np.minimum(np.minimum(1.0, upp - ALBEFA * (upp - x)), x + cfg.move)
+        p0, q0 = _pq_coefficients(df, x, low, upp)
+        p1, q1 = _pq_coefficients(dc, x, low, upp)
         b1 = float(np.sum(p1 / (upp - x) + q1 / (x - low)) - c)
 
         x_new, eta = _solve_subproblem(p0, q0, p1, q1, b1, low, upp, alpha, beta)
@@ -230,7 +223,7 @@ def mma_minimize(objective, constraint, x0, tol, cfg: MMAConfig | None = None,
 
         f, df = objective(x)
         c, dc = constraint(x)
-        residual = scaled_kkt_residual(x, df + eta * dc, lower, upper, abs(eta))
+        residual = scaled_kkt_residual(x, df + eta * dc, abs(eta))
         if residual <= tol:
             return MMAResult(x=x, objective=float(f), constraint=float(c),
                              multiplier=eta, kkt_residual=residual,

@@ -213,7 +213,8 @@ def sample_cantilever_scenarios(
     per call with independent standard normal entries on every surface
     DOF without a Dirichlet condition, s_1..s_3 ~ U(-2, 2) and
     s_4..s_10 ~ N(0, 1) independently per scenario. The construction
-    bounds rank(F) by 10.
+    bounds rank(F) by 10. The mesh needs at least 2 cells along x, or the
+    top-face load would sit on the fixed face; ValueError otherwise.
 
     Randomness comes from `numpy.random.default_rng(seed)` (PCG64); the
     draw order is: the seven basis vectors first (row-major), then the
@@ -229,6 +230,9 @@ def sample_cantilever_scenarios(
     """
     if L < 1:
         raise ValueError(f"need at least one scenario, got L={L}")
+    if mesh.cells[0] < 2:
+        raise ValueError(f"the cantilever sampler needs at least 2 cells along x, "
+                         f"got {mesh.cells[0]}")
     rng = np.random.default_rng(seed)
     surface = mesh.free_surface_dofs()
     basis = rng.standard_normal((7, surface.size))

@@ -39,9 +39,9 @@ def solve_spy(monkeypatch):
     columns = []
     solve = tr.StiffnessSystem.solve
 
-    def spy(self, rhs, **kwargs):
-        columns.append(1 if np.ndim(rhs) == 1 else np.shape(rhs)[1])
-        return solve(self, rhs, **kwargs)
+    def spy(self, block, **kwargs):
+        columns.append(np.shape(block)[1])
+        return solve(self, block, **kwargs)
 
     monkeypatch.setattr(tr.StiffnessSystem, "solve", spy)
     return columns

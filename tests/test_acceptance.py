@@ -63,8 +63,8 @@ def test_criterion_1_naive_svd_equivalence_randomized():
                              ("mean_plus_m_std", {"m": 2.0})):
             w_n = comp.weight_vector(naive, kind, **params)
             w_s = comp.weight_vector(fast, kind, **params)
-            g_n = comp.weighted_gradient_naive(naive.cache, w_n, ke, mesh)
-            g_s = comp.weighted_gradient_svd(fast.cache, w_s, ke, mesh)
+            g_n = comp.weighted_gradient_naive(naive, w_n, ke, mesh)
+            g_s = comp.weighted_gradient_svd(fast, w_s, ke, mesh)
             g_scale = np.max(np.abs(g_n))
             assert np.max(np.abs(g_s - g_n)) <= 1e-9 * g_scale, f"{tag}, {kind}"
             if kind == "mean":

@@ -194,6 +194,38 @@ def test_mesh_larger_than_physical_memory_exits_2_before_assembly(tmp_path, caps
     assert "64x32x32" in err and "physical memory" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "sample-scenarios"])
+def test_sampled_loads_larger_than_physical_memory_exit_2_before_sampling(tmp_path, capsys,
+                                                                          monkeypatch, command):
+    """L = 10^6 scenarios on the 6x3 mesh's 28 free surface DOFs are 224 MB
+    of loads, against a mocked 16 MB of memory that one analysis fits in."""
+    def sampler(*args):
+        raise AssertionError("the sampler was reached")
+
+    monkeypatch.setattr("toporisk.config.sample_cantilever_scenarios", sampler)
+    monkeypatch.setattr("toporisk.continuation.physical_memory_bytes", lambda: 16 * 2**20)
+    config = write_config(tmp_path, scenarios={"source": "sample", "L": 10**6, "seed": 0})
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "scenario loads" in err and "physical memory" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "check-grad", "sample-scenarios"])
+def test_one_cell_long_sampled_cantilever_exits_2(tmp_path, capsys, command):
+    config = write_config(tmp_path, mesh={"dim": 2, "cells": [1, 4]})
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "at least 2 cells along x" in err and "Traceback" not in err
+
+
+def test_nan_threshold_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, problem={"kind": "max_compliance", "C_t": float("nan")})
+    assert "NaN" in config.read_text()  # what `json` writes, and reads back
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "problem.C_t" in err and "Traceback" not in err
+
+
 def test_load_on_fixed_dof_exits_2(tmp_path, capsys):
     loads = tmp_path / "loads.csv"
     loads.write_text("dof,scenario,value\n13,0,-1.0\n2,0,1.0\n")

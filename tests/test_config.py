@@ -147,6 +147,13 @@ def test_max_compliance_threshold_forms():
         tr.parse_config(base_config(problem={"kind": "max_compliance", "C_t": "huge"}))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, True])
+def test_max_compliance_threshold_must_be_a_finite_positive_number_or_inf(value):
+    # `json` reads NaN and Infinity; only the string "inf" turns the constraints off
+    with pytest.raises(ConfigError, match="problem.C_t"):
+        tr.parse_config(base_config(problem={"kind": "max_compliance", "C_t": value}))
+
+
 def test_scenario_file_source(tmp_path):
     csv = tmp_path / "loads.csv"
     csv.write_text("dof,scenario,value\n13,0,-1.0\n")

@@ -232,6 +232,12 @@ def test_mean_std_objective_is_higher_than_mean():
     assert value_b <= value_a * 1.05
 
 
+@pytest.mark.parametrize("C_t", [np.nan, 0.0, -1.0])
+def test_max_compliance_threshold_validation(C_t):
+    with pytest.raises(ConfigError, match="C_t"):
+        tr.MaxComplianceProblem(small_model(), C_t=C_t)
+
+
 def test_max_compliance_problem_normalization_is_cached():
     model = small_model()
     problem = tr.MaxComplianceProblem(model, C_t=1e6)

@@ -167,14 +167,15 @@ def test_solve_residual_and_counter(mesh_6x3, material, solve_spy):
     f = np.zeros(mesh_6x3.n_dofs)
     free = mesh_6x3.free_surface_dofs()
     f[free] = rng.standard_normal(free.size)
-    u = system.solve(f)
+    every = np.arange(mesh_6x3.n_dofs)
+    u = system.solve(f[:, None], rows=every)[:, 0]
     assert sum(solve_spy) == 1
     resid = dense_stiffness(mesh_6x3, Ke, rho) @ u - f
     assert np.max(np.abs(resid)) < 1e-10 * np.max(np.abs(f))
     # fixed DOFs carry the identity rows, so u there equals f there (zero)
     assert all(u[d] == 0.0 for d in mesh_6x3.fixed_dofs)
 
-    U = system.solve(np.column_stack([f, 2 * f, 3 * f]))
+    U = system.solve(np.column_stack([f, 2 * f, 3 * f]), rows=every)
     assert sum(solve_spy) == 4
     np.testing.assert_allclose(U[:, 2], 3 * u, rtol=1e-12, atol=1e-14)
 
@@ -225,7 +226,7 @@ def test_solve_matches_dense_solve_on_3d(mesh_3d, material):
     system = tr.StiffnessSystem.factorize(tr.assemble(mesh_3d, Ke, rho))
     F = np.random.default_rng(6).standard_normal((mesh_3d.n_dofs, 4))
     expected = np.linalg.solve(dense_stiffness(mesh_3d, Ke, rho), F)
-    np.testing.assert_allclose(system.solve(F), expected,
+    np.testing.assert_allclose(system.solve(F, rows=np.arange(mesh_3d.n_dofs)), expected,
                                rtol=1e-9, atol=1e-9 * np.max(np.abs(expected)))
 
 
@@ -256,15 +257,15 @@ def test_wide_solve_matches_dense_solve(cells, n_dofs, width, material):
     F = np.random.default_rng(6).standard_normal((n_dofs, wide_columns(system)))
     F[sorted(mesh.fixed_dofs)] = 0.0
     before = F.copy()
-    U = system.solve(F)
+    every = np.arange(n_dofs)
+    U = system.solve(F, rows=every)
     assert np.array_equal(F, before)  # the right-hand side is not touched
     assert U.shape == (n_dofs, F.shape[1])
     expected = np.linalg.solve(dense_stiffness(mesh, Ke, rho), F)
     scale = np.max(np.abs(expected))
     np.testing.assert_allclose(U, expected, rtol=0, atol=1e-12 * scale)
-    u = system.solve(F[:, 0])
-    assert u.shape == (n_dofs,)
-    np.testing.assert_allclose(u, expected[:, 0], rtol=0, atol=1e-12 * scale)
+    with pytest.raises(ValueError):  # one shape: a vector is not a block
+        system.solve(F[:, 0], rows=every)
 
 
 @pytest.mark.parametrize("cells", [(6, 1), (2, 2), (1, 1), (6, 3), (12, 6),
@@ -293,7 +294,7 @@ def test_scattered_solve_matches_dense_solve(cells, material):
 
 
 def test_wide_solve_of_a_band_wider_than_the_matrix():
-    """n <= u: the blocked sweep is one short, padded block."""
+    """n <= u: the blocked sweep is one short block."""
     rng = np.random.default_rng(8)
     n, u = 30, 40
     M = rng.standard_normal((n, n))
@@ -305,13 +306,14 @@ def test_wide_solve_of_a_band_wider_than_the_matrix():
     system = tr.StiffnessSystem.factorize(ab)
     F = rng.standard_normal((n, wide_columns(system)))
     expected = np.linalg.solve(K, F)
-    np.testing.assert_allclose(system.solve(F), expected, rtol=0,
+    every = np.arange(n)
+    np.testing.assert_allclose(system.solve(F, rows=every), expected, rtol=0,
                                atol=1e-12 * np.max(np.abs(expected)))
     for rows in (1, n - 1):  # rejected by both sweeps, never broadcast
         with pytest.raises(ValueError):
-            system.solve(F[:rows])
+            system.solve(F[:rows], rows=every)
         with pytest.raises(ValueError):
-            system.solve(F[:rows, :1])
+            system.solve(F[:rows, :1], rows=every)
 
 
 @pytest.mark.parametrize("cells", [(20, 10), (4, 2, 2)])
@@ -323,8 +325,9 @@ def test_solves_on_either_side_of_the_sweep_switch_agree(cells, material):
     k = wide_columns(system)
     F = np.random.default_rng(4).standard_normal((mesh.n_dofs, k))
     F[sorted(mesh.fixed_dofs)] = 0.0
-    wide = system.solve(F)
-    narrow = system.solve(F[:, :k - 1])
+    every = np.arange(mesh.n_dofs)
+    wide = system.solve(F, rows=every)
+    narrow = system.solve(F[:, :k - 1], rows=every)
     np.testing.assert_allclose(wide[:, :k - 1], narrow, rtol=0,
                                atol=1e-12 * np.max(np.abs(narrow)))
 

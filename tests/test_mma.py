@@ -120,22 +120,22 @@ def test_linear_objective_fills_best_elements():
 def test_kkt_residual_zero_at_projected_stationary_point():
     # interior point with zero gradient
     x = np.array([0.5, 0.5])
-    assert scaled_kkt_residual(x, np.zeros(2), 0.0, 1.0, 0.0) == 0.0
+    assert scaled_kkt_residual(x, np.zeros(2), 0.0) == 0.0
     # at the lower bound, positive gradients are stationary
     x = np.array([0.0, 1.0])
     g = np.array([2.0, -3.0])
-    assert scaled_kkt_residual(x, g, 0.0, 1.0, 0.0) == 0.0
+    assert scaled_kkt_residual(x, g, 0.0) == 0.0
     # pointing inward from the bound is not stationary; the projection
     # caps the reported residual at the box width
     g = np.array([-2.0, 0.0])
-    assert scaled_kkt_residual(x, g, 0.0, 1.0, 0.0) == 1.0
+    assert scaled_kkt_residual(x, g, 0.0) == 1.0
 
 
 def test_kkt_residual_scaling_with_multiplier():
     x = np.array([0.5])
     g = np.array([1e-3])
-    loose = scaled_kkt_residual(x, g, 0.0, 1.0, 1e3)
-    tight = scaled_kkt_residual(x, g, 0.0, 1.0, 0.0)
+    loose = scaled_kkt_residual(x, g, 1e3)
+    tight = scaled_kkt_residual(x, g, 0.0)
     assert loose < tight  # large multipliers relax the absolute threshold
 
 
@@ -160,22 +160,6 @@ def test_non_finite_oracle_raises():
         tr.mma_minimize(objective, constraint, np.full(3, 0.5), tol=1e-6)
 
 
-def test_custom_bounds_are_respected():
-    t = np.array([2.0, -1.0, 0.5])
-
-    def objective(x):
-        d = x - t
-        return float(d @ d), 2.0 * d
-
-    def constraint(x):
-        return -1.0, np.zeros(3)  # never active
-
-    res = tr.mma_minimize(objective, constraint, np.array([0.3, 0.3, 0.5]),
-                          tol=1e-8, lower=0.2, upper=0.8)
-    assert res.converged
-    np.testing.assert_allclose(res.x, [0.8, 0.2, 0.5], atol=1e-6)
-
-
 def random_subproblem(rng, branch="active"):
     """One MMA subproblem as `mma_minimize` builds it, from random data.
 
@@ -195,8 +179,8 @@ def random_subproblem(rng, branch="active"):
     beta = np.minimum.reduce([np.ones(n), upp - 0.1 * (upp - x), x + move])
     df = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
     dc = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 1) + rng.uniform(0.0, 1.0)
-    p0, q0 = _pq_coefficients(df, x, low, upp, np.ones(n))
-    p1, q1 = _pq_coefficients(dc, x, low, upp, np.ones(n))
+    p0, q0 = _pq_coefficients(df, x, low, upp)
+    p1, q1 = _pq_coefficients(dc, x, low, upp)
     b1 = float(np.sum(p1 / (upp - x) + q1 / (x - low)))  # c = 0
     args = [p0, q0, p1, q1, b1, low, upp, alpha, beta]
     g_0 = mma_dual_slope(0.0, *args)[1]

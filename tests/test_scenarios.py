@@ -90,6 +90,13 @@ def test_random_basis_lives_on_free_surface():
         assert f[d] == 0.0
 
 
+@pytest.mark.parametrize("cells", [(1, 4), (1, 2, 2)])
+def test_sampler_refuses_a_one_cell_long_cantilever(cells):
+    # the top-face load at x = round(1 / 2) = 0 would sit on the fixed face
+    with pytest.raises(ValueError, match="at least 2 cells along x"):
+        tr.sample_cantilever_scenarios(tr.cantilever_mesh(len(cells), cells), 4, seed=0)
+
+
 def test_sampler_is_deterministic():
     mesh = tr.cantilever_mesh(2, (10, 5))
     A = tr.sample_cantilever_scenarios(mesh, 40, seed=123)
