@@ -22,7 +22,7 @@ from . import io as artifacts
 from .auglag import lagrangian, lagrangian_gradient
 from .config import (build_mesh, build_model, build_problem, build_schedule, load_config,
                      sample_scenarios)
-from .continuation import METHODS, run_continuation
+from .continuation import METHODS, check_analysis_fits, run_continuation
 from .errors import ConfigError, TopoRiskError
 from .fea import StiffnessSystem, assemble
 from .scenarios import save_scenarios_to_file, thin_svd
@@ -55,7 +55,10 @@ def _setup_logging() -> None:
 
 def _output_dir(args, cfg) -> Path:
     out = Path(args.out) if args.out else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out} as the output directory: {exc}") from None
     return out
 
 
@@ -149,6 +152,8 @@ def cmd_bench(args) -> int:
     cfg = load_config(args.config)
     out = _output_dir(args, cfg)
     model = build_model(cfg, seed=args.seed)
+    # the naive rows solve all L columns, whichever route the config picks
+    check_analysis_fits(model.mesh, model.scenarios.n_scenarios)
     # full ground structure: the filter is row-stochastic, so x = 1 maps to
     # physical density 1 regardless of penalty and beta
     field = model.pipeline.apply(np.ones(model.mesh.n_elements), 1.0, 0.0)

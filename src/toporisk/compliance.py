@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TopoRiskError
 from .fea import StiffnessSystem, form_gradient
 from .mesh import GroundMesh
 from .scenarios import ScenarioMatrix, ThinSVD
@@ -84,7 +85,9 @@ def _compliances(sys: StiffnessSystem, F: ScenarioMatrix, block: np.ndarray,
     The basis is zero off F's loaded rows and `block` holds it there; the
     solve scatters it into the block it sweeps. The SVD route takes
     C = diag(Vt^T G Vt) from the n_s x n_s matrix G = block^T Q on the
-    loaded rows, never forming an n_loaded x L block.
+    loaded rows, never forming an n_loaded x L block. A compliance that is
+    not finite (loads so large that the solve overflows) raises
+    TopoRiskError: no statistic or gradient is defined from it.
     """
     Q = sys.solve(block, rows=F.dofs)
     if Vt is None:
@@ -92,6 +95,10 @@ def _compliances(sys: StiffnessSystem, F: ScenarioMatrix, block: np.ndarray,
     else:
         G = block.T @ Q[F.dofs, :]
         C = np.einsum("ai,ai->i", Vt, G @ Vt)
+    if not np.isfinite(C).all():
+        bad = np.flatnonzero(~np.isfinite(C))
+        raise TopoRiskError(f"the compliance of scenario {bad[0]} is {C[bad[0]]} "
+                            f"({bad.size} of {C.size} are not finite)")
     return ComplianceStats.from_compliances(C, Q, Vt)
 
 

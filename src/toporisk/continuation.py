@@ -250,7 +250,8 @@ class MeanStdProblem:
     m = 0 is the mean compliance problem, exactly: sigma and the std
     weights are finite (the weights are zero at or below
     `comp.sigma_floor`), so the value and the weights at m = 0 equal those
-    of the mean bit for bit. `final` is the analysis the last step ended on.
+    of the mean bit for bit. `prepare` sets a run's memo and objective
+    `scale`; `final` is the analysis the last step ended on.
     """
 
     def __init__(self, model: ForwardModel, volume_fraction: float, m: float = 2.0,
@@ -261,9 +262,6 @@ class MeanStdProblem:
         self.volume_fraction = volume_fraction
         self.m = m
         self.mma_config = mma_config or MMAConfig()
-        self.memo = _MemoizedAnalyses(model)
-        self.scale = None
-        self.final = None
 
     def objective_value(self, analysis: Analysis) -> float:
         return analysis.stats.mean + self.m * analysis.stats.std
@@ -272,7 +270,9 @@ class MeanStdProblem:
         return np.full(self.model.mesh.n_elements, self.volume_fraction)
 
     def prepare(self, x0: np.ndarray, first: ContinuationStep) -> None:
-        """Fix the objective scale to 1/|f(x0)| at the first step's stages."""
+        """Start a run: a fresh memo and the objective scale 1/|f(x0)| at
+        the first step's stages. The memo keeps this analysis for step 0."""
+        self.memo = _MemoizedAnalyses(self.model)
         analysis = self.memo.at(x0, first.penalty, first.beta)
         self.scale = 1.0 / abs(self.objective_value(analysis))
 
@@ -280,8 +280,6 @@ class MeanStdProblem:
         # the memo still holds the last step's analysis; a second reference
         # would keep its solves alive through this step
         self.final = None
-        if self.scale is None:
-            self.prepare(x, step)
 
         def objective(xv):
             a = self.memo.at(xv, step.penalty, step.beta)
@@ -293,12 +291,10 @@ class MeanStdProblem:
             return a.volume - self.volume_fraction, a.gradient(volume_weight=1.0)
 
         result = mma_minimize(objective, constraint, x, step.tolerance, self.mma_config)
-        final = self.final = self.memo.at(result.x, step.penalty, step.beta)
+        self.final = self.memo.at(result.x, step.penalty, step.beta)
         record = {
             "objective_start": result.objective_start,
             "objective_end": result.objective,
-            "volume": final.volume,
-            "max_compliance": float(np.max(final.stats.C)),
             "n_iters": result.n_iters,
             "dual_iters": 0,
             "multiplier": result.multiplier,
@@ -314,13 +310,13 @@ class MaxComplianceProblem:
     """min volume subject to every scenario compliance staying below C_t.
 
     Constraints are normalized by the maximum compliance of the full
-    ground structure (computed once; it is independent of penalty and
+    ground structure (set by `prepare`; it is independent of penalty and
     beta because the filter is row-stochastic, so the full design maps
     to physical density one everywhere).
 
     Multipliers warm start across continuation steps while the penalty
-    coefficient restarts each step. The run itself begins from zero
-    multipliers: the full-design start is feasible, so slack constraints
+    coefficient restarts each step. Each run begins from the zero `lam`
+    `prepare` sets: the full-design start is feasible, so slack constraints
     must carry no weight, otherwise their summed pull toward stiffness
     can drag the design back to full density. At high beta that is fatal,
     because the projection saturates there and gradients die.
@@ -342,25 +338,19 @@ class MaxComplianceProblem:
         if not C_t > 0.0:
             raise ConfigError(f"C_t must be positive or inf, got {C_t}")
         self.model = model
-        self.memo = _MemoizedAnalyses(model)
         self.C_t = C_t
         self.auglag_config = auglag_config or AugLagConfig()
-        self.normalization = None
-        self.lam = np.zeros(model.scenarios.n_scenarios)
-        self.final = None
 
     def initial_design(self) -> np.ndarray:
         return np.ones(self.model.mesh.n_elements)
 
-    def full_design_max_compliance(self) -> float:
-        if self.normalization is None:
-            full = self.memo.at(np.ones(self.model.mesh.n_elements), 1.0, 0.0)
-            self.normalization = float(np.max(full.stats.C))
-        return self.normalization
-
     def prepare(self, x0: np.ndarray, first: ContinuationStep) -> None:
-        """Fix the constraint normalization; the objective needs no scale."""
-        self.full_design_max_compliance()
+        """Start a run: a fresh memo holding the full design at p = 1, beta = 0,
+        the normalization from it and zero multipliers; no objective scale."""
+        self.memo = _MemoizedAnalyses(self.model)
+        full = self.memo.at(np.ones(self.model.mesh.n_elements), 1.0, 0.0)
+        self.normalization = float(np.max(full.stats.C))
+        self.lam = np.zeros(self.model.scenarios.n_scenarios)
 
     def solve_step(self, x: np.ndarray, step: ContinuationStep):
         self.final = None  # its solves need not live through this step
@@ -369,15 +359,13 @@ class MaxComplianceProblem:
             return self.memo.at(xv, step.penalty, step.beta)
 
         result = auglag_minimize(evaluate, x, self.C_t, step.tolerance, self.auglag_config,
-                                 lam=self.lam, normalization=self.full_design_max_compliance())
+                                 lam=self.lam, normalization=self.normalization)
         self.lam = result.lam
         # a line search may have analyzed rejected trials after the final point
         self.final = result.evaluation
         record = {
             "objective_start": result.objective_start,
             "objective_end": result.objective,
-            "volume": result.objective,
-            "max_compliance": float(np.max(result.evaluation.compliances)),
             "n_iters": result.n_primal_iters,
             "dual_iters": result.n_dual_iters,
             "multiplier": float(np.max(result.lam)),
@@ -393,7 +381,8 @@ class MaxComplianceProblem:
 class ContinuationResult:
     """The final design `x` and its analysis `final` at the last schedule
     point, the per-step history, the run's analysis and solve counts and
-    the wall seconds of each step."""
+    the wall seconds of each step. The counts are this run's alone, from
+    `prepare` on, not those the model made before it."""
 
     x: np.ndarray
     final: Analysis
@@ -417,12 +406,15 @@ def run_continuation(problem, schedule: ContinuationSchedule | None = None) -> C
     (the AL's final penalty coefficient r); MMA steps record 0 for the
     last two. Wall seconds per step go to `step_seconds`, not to the
     history, so that the history of a run repeats bit for bit. `final` is
-    the problem's `final`, the analysis the last step ended on.
+    the problem's `final`, the analysis the last step ended on, and each
+    record's `volume` and `max_compliance` are read from it. `prepare`
+    starts every run, so a second run of one problem repeats a fresh one.
     """
     schedule = schedule or ContinuationSchedule.default()
+    model = problem.model
+    analyses_start, solves_start = model.total_analyses, model.total_solves
     x = problem.initial_design()
     problem.prepare(x, schedule.steps[0])
-    model = problem.model
     history, step_seconds = [], []
     for k, step in enumerate(schedule.steps):
         analyses_before, solves_before = model.total_analyses, model.total_solves
@@ -434,10 +426,13 @@ def run_continuation(problem, schedule: ContinuationSchedule | None = None) -> C
             penalty=step.penalty,
             beta=step.beta,
             tolerance=step.tolerance,
+            volume=problem.final.volume,
+            max_compliance=float(np.max(problem.final.stats.C)),
             analyses=model.total_analyses - analyses_before,
             solves=model.total_solves - solves_before,
         )
         history.append(record)
     return ContinuationResult(x=x, final=problem.final, history=history,
-                              total_analyses=model.total_analyses,
-                              total_solves=model.total_solves, step_seconds=step_seconds)
+                              total_analyses=model.total_analyses - analyses_start,
+                              total_solves=model.total_solves - solves_start,
+                              step_seconds=step_seconds)

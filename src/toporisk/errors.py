@@ -24,8 +24,9 @@ class NotPositiveDefiniteError(TopoRiskError):
     """
 
 
-class ScenarioFormatError(TopoRiskError):
-    """A scenario CSV file is malformed (bad header, duplicates, bad index)."""
+class ScenarioFormatError(ConfigError):
+    """A scenario CSV file cannot be read or is malformed (bad header,
+    duplicates, bad value or index)."""
 
 
 class InfeasibleError(TopoRiskError):

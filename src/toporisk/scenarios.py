@@ -275,35 +275,37 @@ def load_scenarios_from_file(path, n_dofs: int | None = None) -> ScenarioMatrix:
     The loaded-DOF list is inferred from the rows present in the file;
     the scenario count is the largest scenario index plus one. Pass
     `n_dofs` to validate DOF indices against a known structure size
-    (otherwise the largest index present defines it).
+    (otherwise the largest index present defines it). A file that cannot
+    be read, is not UTF-8 or is not CSV raises ScenarioFormatError too.
     """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ScenarioFormatError(f"cannot read {path}: {exc}") from None
+    if not rows:
+        raise ScenarioFormatError(f"{path}: empty file")
+    if rows[0] != ["dof", "scenario", "value"]:
+        raise ScenarioFormatError(
+            f"{path}: expected header 'dof,scenario,value', got {','.join(rows[0])!r}"
+        )
     entries = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ScenarioFormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ScenarioFormatError(f"{path}: empty file") from None
-        if header != ["dof", "scenario", "value"]:
-            raise ScenarioFormatError(
-                f"{path}: expected header 'dof,scenario,value', got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ScenarioFormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                dof, scen, value = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise ScenarioFormatError(f"{path}:{lineno}: {exc}") from None
-            if dof < 0 or scen < 0:
-                raise ScenarioFormatError(f"{path}:{lineno}: negative index")
-            if not np.isfinite(value):
-                raise ScenarioFormatError(f"{path}:{lineno}: non-finite value")
-            if (dof, scen) in entries:
-                raise ScenarioFormatError(f"{path}:{lineno}: duplicate entry for dof {dof}, scenario {scen}")
-            entries[(dof, scen)] = value
+            dof, scen, value = int(row[0]), int(row[1]), float(row[2])
+        except ValueError as exc:
+            raise ScenarioFormatError(f"{path}:{lineno}: {exc}") from None
+        if dof < 0 or scen < 0:
+            raise ScenarioFormatError(f"{path}:{lineno}: negative index")
+        if not np.isfinite(value):
+            raise ScenarioFormatError(f"{path}:{lineno}: non-finite value")
+        if (dof, scen) in entries:
+            raise ScenarioFormatError(f"{path}:{lineno}: duplicate entry for dof {dof}, scenario {scen}")
+        entries[(dof, scen)] = value
     if not entries:
         raise ScenarioFormatError(f"{path}: no scenario entries")
     max_dof = max(d for d, _ in entries)

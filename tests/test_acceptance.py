@@ -81,27 +81,32 @@ def test_criterion_2_exact_solve_counts(solve_spy):
     """Naive costs exactly L solves, SVD exactly n_s; gradients cost none.
 
     Solves are counted by a spy around `StiffnessSystem.solve` that sums
-    the right-hand-side columns, and checked against `total_solves`.
+    the right-hand-side columns, and checked against `total_solves`. The
+    inputs reach both sweeps: L = 25 naive columns take LAPACK's column
+    sweep, L = 200 on 8x4 and L = 50 on the 3D mesh the blocked one.
     """
-    mesh = tr.cantilever_mesh(2, (8, 4))
-    F = tr.sample_cantilever_scenarios(mesh, 25, seed=0)
-    svd = tr.thin_svd(F)
-    assert svd.n_s == 10
+    x_rng = np.random.default_rng(1)
+    for dim, cells, L in ((2, (8, 4), 25), (2, (8, 4), 200), (3, (4, 2, 2), 50)):
+        mesh = tr.cantilever_mesh(dim, cells)
+        F = tr.sample_cantilever_scenarios(mesh, L, seed=0)
+        svd = tr.thin_svd(F)
+        assert svd.n_s == 10
 
-    x = np.random.default_rng(1).uniform(0.3, 0.9, mesh.n_elements)
-    for method, expected in (("naive", 25), ("svd", svd.n_s)):
-        model = _model(mesh, F, method)
-        solve_spy.clear()
-        analysis = model.analyze(x, 3.0, 4.0)
-        assert sum(solve_spy) == expected, method
-        assert model.total_solves == expected, method
-        for kind, params in (("mean", {}), ("variance", {}), ("std", {}),
-                             ("mean_plus_m_std", {"m": 2.0})):
-            analysis.gradient(comp.weight_vector(analysis.stats, kind, **params))
-        analysis.gradient(np.random.default_rng(2).standard_normal(25), volume_weight=1.0)
-        analysis.gradient(volume_weight=1.0)
-        assert sum(solve_spy) == expected, f"{method} gradients added solves"
-        assert model.total_solves == expected, f"{method} gradients added solves"
+        x = x_rng.uniform(0.3, 0.9, mesh.n_elements)
+        for method, expected in (("naive", L), ("svd", svd.n_s)):
+            tag = f"{method}, {cells}, L = {L}"
+            model = _model(mesh, F, method)
+            solve_spy.clear()
+            analysis = model.analyze(x, 3.0, 4.0)
+            assert sum(solve_spy) == expected, tag
+            assert model.total_solves == expected, tag
+            for kind, params in (("mean", {}), ("variance", {}), ("std", {}),
+                                 ("mean_plus_m_std", {"m": 2.0})):
+                analysis.gradient(comp.weight_vector(analysis.stats, kind, **params))
+            analysis.gradient(np.random.default_rng(2).standard_normal(L), volume_weight=1.0)
+            analysis.gradient(volume_weight=1.0)
+            assert sum(solve_spy) == expected, f"{tag}: gradients added solves"
+            assert model.total_solves == expected, f"{tag}: gradients added solves"
 
 
 def test_criterion_3_sampler_rank_ten_at_thousand_scenarios():

@@ -234,6 +234,83 @@ def test_load_on_fixed_dof_exits_2(tmp_path, capsys):
     assert "fixed DOF 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "bench", "check-grad"])
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read"),
+    (b"dof,scenario,value\n13,0,-1.0\xff\n", "cannot read"),
+    (b"dof,scenario,value\n13,0,heavy\n", "loads.csv:2"),
+    (b"dof,scenario,value\n13,0,-1.0\n500,1,1.0\n", "out of range"),
+    (b"dof,scenario,value\n13,0," + b"1" * 200_000 + b"\n", "field limit"),
+], ids=["missing", "not-utf8", "bad-value", "dof-out-of-range", "field-over-csv-limit"])
+def test_unusable_scenario_file_exits_2(tmp_path, capsys, command, content, message):
+    loads = tmp_path / "loads.csv"
+    if content is not None:
+        loads.write_bytes(content)
+    config = write_config(tmp_path, scenarios={"source": "file", "path": str(loads)})
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err and "Traceback" not in err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path)
+    config.write_bytes(config.read_bytes().replace(b'"naive"', b'"na\xefve"'))
+    assert cli.main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "sample-scenarios"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
+    config = write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert cli.main([command, "--config", str(config), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert "output directory" in err and "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command,problem", [
+    ("run", {"kind": "mean", "volume_fraction": 0.4}),
+    ("run", {"kind": "max_compliance", "C_t": 1.0}),
+    ("bench", {"kind": "mean", "volume_fraction": 0.4}),
+], ids=["run-mean", "run-max-compliance", "bench"])
+@pytest.mark.parametrize("method", ["naive", "svd"])
+def test_non_finite_compliances_exit_3_at_the_first_analysis(tmp_path, capsys, analyze_spy,
+                                                             command, problem, method):
+    """Loads of 1e308 overflow the solve: C_i is not finite on either route."""
+    loads = tmp_path / "loads.csv"
+    loads.write_text("dof,scenario,value\n13,0,-1e308\n21,1,1e308\n13,2,1e308\n")
+    config = write_config(tmp_path, problem=problem, method=method,
+                          scenarios={"source": "file", "path": str(loads)})
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "solver error" in err and "not finite" in err and "Traceback" not in err
+    assert len(analyze_spy) == (1 if command == "run" else 0)  # bench analyzes directly
+
+
+def test_bench_checks_memory_for_all_scenario_columns(tmp_path, capsys, monkeypatch):
+    """An SVD config's model needs memory for n_s = 10 solved columns; bench
+    solves all L = 1000 on its naive rows, so it checks for those first."""
+    def assemble(*args):
+        raise AssertionError("assembly reached")
+
+    mesh = tr.cantilever_mesh(2, (6, 3))
+    svd_need = max(tr.fea.analysis_bytes(mesh, 10)[1],
+                   tr.fea.analysis_bytes(mesh, 1)[1] + 8 * mesh.free_surface_dofs().size * 1000)
+    naive_need = tr.fea.analysis_bytes(mesh, 1000)[1]
+    assert svd_need < naive_need
+    monkeypatch.setattr("toporisk.continuation.physical_memory_bytes",
+                        lambda: (svd_need + naive_need) // 2)
+    monkeypatch.setattr("toporisk.cli.assemble", assemble)
+    config = write_config(tmp_path, method="svd",
+                          scenarios={"source": "sample", "L": 1000, "seed": 0})
+    assert cli.main(["bench", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "1000-column solves" in err and "physical memory" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command,method", [("run", "naive"), ("run", "svd"), ("bench", "naive")])
 def test_all_zero_loads_exit_2(tmp_path, capsys, command, method):
     loads = tmp_path / "loads.csv"

@@ -17,6 +17,12 @@ def small_model(method="svd", L=8, cells=(6, 3), seed=0):
     return tr.ForwardModel(mesh, material, pipeline, F, method=method)
 
 
+def full_design_max_compliance(model):
+    """The full design's largest compliance at p = 1, beta = 0: the scale
+    of C_t, as the benchmark harness and the demos compute it."""
+    return float(np.max(model.analyze(np.ones(model.mesh.n_elements), 1.0, 0.0).stats.C))
+
+
 def short_schedule():
     return tr.ContinuationSchedule(steps=(
         tr.ContinuationStep(penalty=1.0, beta=0.0, tolerance=2e-2),
@@ -145,7 +151,7 @@ def test_each_augmented_lagrangian_gradient_pulls_through_the_pipeline_once(monk
     counted(tr.DensityPipeline, "backward")
     counted(tr.compliance, "weighted_gradient")
     model = small_model(L=6, seed=2)
-    C_t = 2.0 * tr.MaxComplianceProblem(model, C_t=1.0).full_design_max_compliance()
+    C_t = 2.0 * full_design_max_compliance(model)
     tr.run_continuation(tr.MaxComplianceProblem(model, C_t=C_t), short_schedule())
     assert calls["lagrangian_gradient"] > 0
     assert calls["backward"] == calls["weighted_gradient"] == calls["lagrangian_gradient"]
@@ -238,16 +244,6 @@ def test_max_compliance_threshold_validation(C_t):
         tr.MaxComplianceProblem(small_model(), C_t=C_t)
 
 
-def test_max_compliance_problem_normalization_is_cached():
-    model = small_model()
-    problem = tr.MaxComplianceProblem(model, C_t=1e6)
-    first = problem.full_design_max_compliance()
-    solves = model.total_solves
-    second = problem.full_design_max_compliance()
-    assert second == first
-    assert model.total_solves == solves  # cached, no new analysis
-
-
 def test_max_compliance_infinite_threshold_drops_material():
     # with C_t = inf the constraints vanish and volume minimization drives
     # the design toward the lower bound
@@ -264,8 +260,7 @@ def test_max_compliance_infinite_threshold_drops_material():
 
 def test_max_compliance_run_is_feasible():
     model = small_model(L=6, seed=2)
-    base = tr.MaxComplianceProblem(model, C_t=1.0)
-    C_t = 2.0 * base.full_design_max_compliance()
+    C_t = 2.0 * full_design_max_compliance(model)
     problem = tr.MaxComplianceProblem(model, C_t=C_t)
     res = tr.run_continuation(problem, short_schedule())
     final = model.analyze(res.x, 2.0, 0.0)
@@ -286,7 +281,7 @@ def test_max_compliance_default_schedule_converges_before_the_dual_cap():
     # and the KKT stop read: the last four beta steps of this run ended
     # unconverged at the dual cap
     model = small_model(L=6, seed=2)
-    C_t = 1.5 * tr.MaxComplianceProblem(model, C_t=1.0).full_design_max_compliance()
+    C_t = 1.5 * full_design_max_compliance(model)
     problem = tr.MaxComplianceProblem(model, C_t=C_t)
     res = tr.run_continuation(problem)
     assert len(res.history) == len(tr.ContinuationSchedule.default().steps)
@@ -324,9 +319,8 @@ def test_no_design_point_is_analyzed_twice(analyze_spy, kind):
         tr.ContinuationStep(penalty=2.0, beta=4.0, tolerance=1e-4),
     ))
     if kind == "max_compliance":
-        full = tr.MaxComplianceProblem(small_model(L=6, cells=(8, 4), seed=2), C_t=1.0)
-        problem = tr.MaxComplianceProblem(small_model(L=6, cells=(8, 4), seed=2),
-                                          C_t=1.5 * full.full_design_max_compliance())
+        C_t = 1.5 * full_design_max_compliance(small_model(L=6, cells=(8, 4), seed=2))
+        problem = tr.MaxComplianceProblem(small_model(L=6, cells=(8, 4), seed=2), C_t=C_t)
     else:
         method, name = kind.split()
         m = 2.0 if name == "mean_std" else 0.0
@@ -339,6 +333,31 @@ def test_no_design_point_is_analyzed_twice(analyze_spy, kind):
         # the start point of the run, then one analysis per MMA iteration
         # and one per later step's start
         assert len(keys) == len(schedule.steps) + sum(rec["n_iters"] for rec in res.history)
+
+
+@pytest.mark.parametrize("kind", ["mean_std", "max_compliance"])
+def test_a_second_run_of_one_problem_repeats_a_fresh_run(kind):
+    # `prepare` starts every run: a second run neither counts the model's
+    # earlier analyses nor starts from the first run's multipliers
+    schedule = tr.ContinuationSchedule.default(p_end=3, p_step=1, beta_end=4, beta_step=4)
+
+    def problem_on_a_fresh_model():
+        model = small_model(L=10, cells=(12, 6), seed=2)
+        if kind == "mean_std":
+            return tr.MeanStdProblem(model, 0.5, m=2.0)
+        # one analysis of the model before the run, for C_t
+        return tr.MaxComplianceProblem(model, C_t=1.5 * full_design_max_compliance(model))
+
+    problem = problem_on_a_fresh_model()
+    tr.run_continuation(problem, schedule)
+    second = tr.run_continuation(problem, schedule)
+    fresh = tr.run_continuation(problem_on_a_fresh_model(), schedule)
+    np.testing.assert_array_equal(second.x, fresh.x)
+    assert second.history == fresh.history
+    assert second.total_solves == fresh.total_solves
+    for res in (second, fresh):
+        # `prepare`'s analysis, then the steps' own
+        assert res.total_analyses == 1 + sum(rec["analyses"] for rec in res.history)
 
 
 def test_an_mma_step_keeps_at_most_one_earlier_analysis_alive(monkeypatch):
@@ -374,7 +393,7 @@ def test_final_analysis_is_the_final_point_after_rejected_trials(monkeypatch, an
 
     monkeypatch.setattr(continuation, "auglag_minimize", with_rejected_trial)
     model = small_model(L=6, seed=2)
-    C_t = 2.0 * tr.MaxComplianceProblem(model, C_t=1.0).full_design_max_compliance()
+    C_t = 2.0 * full_design_max_compliance(model)
     analyze_spy.clear()  # the threshold's analysis, outside the run
     res = tr.run_continuation(tr.MaxComplianceProblem(model, C_t=C_t), short_schedule())
     assert len(set(analyze_spy)) == len(analyze_spy)
