@@ -2,7 +2,9 @@
 loading scenarios: exact naive and SVD-accelerated evaluation and
 differentiation of the mean, variance and standard deviation of per-load
 compliances, plus volume-constrained and maximum-compliance-constrained
-SIMP solvers with continuation.
+SIMP solvers with continuation. The scalar functions of the compliances
+and their weights live in `toporisk.compliance` (`mean`, `variance`,
+`std`, `mean_plus_m_std`) and `toporisk.auglag` (`phr`).
 """
 
 from .auglag import AugLagConfig, AugLagResult, auglag_minimize, projected_gradient_step
@@ -10,7 +12,6 @@ from .compliance import (
     ComplianceStats,
     compliances_naive,
     compliances_svd,
-    weight_vector,
     weighted_gradient,
     weighted_gradient_naive,
     weighted_gradient_svd,

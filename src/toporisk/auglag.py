@@ -12,12 +12,12 @@ augmented Lagrangian
 
 with g = Ct - Ct_t, where Ct denotes compliances divided by a fixed
 normalization (the full ground structure's maximum compliance), which
-keeps lambda and r in a mesh-independent scale. Its gradient is one
-weighted sum, grad V + sum_i w_i grad C_i with w_i = max(0, lambda_i +
-2 r g_i) / norm, formed by one `gradient(w, volume_weight=1.0)` call; the
-weights are the values the multiplier update below takes, so a
-stationary primal point is stationary for exactly the multipliers the
-KKT stop reads.
+keeps lambda and r in a mesh-independent scale. `phr` returns its value
+and its weights w = dL/dC, w_i = max(0, lambda_i + 2 r g_i) / norm, from
+one g. The gradient is one weighted sum, grad V + sum_i w_i grad C_i,
+formed by one `gradient(w, volume_weight=1.0)` call; the weights are the
+values the multiplier update below takes, so a stationary primal point is
+stationary for exactly the multipliers the KKT stop reads.
 
 The primal problem for fixed (lambda, r) is solved by the nonmonotone
 spectral projected gradient method (SPG; Birgin, Martinez & Raydan 2000,
@@ -34,8 +34,9 @@ L(x + alpha d), kept inside [`SHRINK_MIN`, `SHRINK_MAX`] alpha, at most
 `MAX_BACKTRACKS` times. The spectral (Barzilai-Borwein) step is
 bb = s.s / s.y over the last accepted step s and gradient change y,
 clamped to [`BB_MIN`, `BB_MAX`], and `BB_MAX` when s.y <= 0; it starts
-at 1 in every call. The gradient at an accepted trial is computed once
-and serves both as y and as the next direction.
+at 1 in every call. The gradient at an accepted trial is computed once,
+from the weights `phr` gave with its value, and serves both as y and as
+the next direction.
 
 After each primal phase the multipliers take the projected dual ascent
 step
@@ -146,30 +147,27 @@ def projected_gradient_step(x, grad, step, trust_region):
     return np.clip(x - step * grad, lo, hi)
 
 
-def lagrangian(ev, lam, r, ct_norm, norm):
-    """PHR value of L at an evaluated point; no constraint terms if C_t not finite.
+def phr(ev, lam, r, ct_norm, norm):
+    """PHR value L and its weights w = dL/dC at an evaluated point.
 
     `ev` is an evaluation as `auglag_minimize` describes it, `norm` the
-    normalization and `ct_norm` the normalized threshold C_t / norm.
+    normalization and `ct_norm` the normalized threshold C_t / norm. The
+    gradient of L over x is `ev.gradient(w, volume_weight=1.0)`. A C_t that
+    is not finite drops the constraint terms: L = V and w is None.
     """
     if not np.isfinite(ct_norm):
-        return ev.volume
-    shifted = np.maximum(ev.compliances / norm - ct_norm + lam / (2.0 * r), 0.0)
-    return ev.volume + r * float(shifted @ shifted) - float(lam @ lam) / (4.0 * r)
+        return ev.volume, None
+    g = ev.compliances / norm - ct_norm
+    shifted = np.maximum(g + lam / (2.0 * r), 0.0)
+    value = ev.volume + r * float(shifted @ shifted) - float(lam @ lam) / (4.0 * r)
+    return value, np.maximum(lam + 2.0 * r * g, 0.0) / norm
 
 
-def lagrangian_gradient(ev, lam, r, ct_norm, norm):
-    """Gradient of `lagrangian` over x, in one `ev.gradient` call."""
-    if not np.isfinite(ct_norm):
-        return ev.gradient(volume_weight=1.0)
-    w = np.maximum(lam + 2.0 * r * (ev.compliances / norm - ct_norm), 0.0) / norm
-    return ev.gradient(w, volume_weight=1.0)
-
-
-def _nonmonotone_search(evaluate, phr, x, direction, slope, L_val, reference):
+def _nonmonotone_search(evaluate, value_and_weights, x, direction, slope, L_val, reference):
     """First trial along `direction` that passes Armijo against `reference`.
 
-    Returns (x, evaluation, Lagrangian value) of that trial, or None when
+    `value_and_weights` maps an evaluation to its `phr` pair. Returns (x,
+    evaluation, Lagrangian value, weights) of that trial, or None when
     `MAX_BACKTRACKS` trials all fail. Each failure shrinks alpha to the
     minimizer of the quadratic through L_val, `slope` and the trial's
     value, kept inside [SHRINK_MIN, SHRINK_MAX] alpha.
@@ -178,9 +176,9 @@ def _nonmonotone_search(evaluate, phr, x, direction, slope, L_val, reference):
     for _ in range(MAX_BACKTRACKS):
         x_trial = np.clip(x + alpha * direction, 0.0, 1.0)
         ev_trial = evaluate(x_trial)
-        L_trial = phr(ev_trial)
+        L_trial, w_trial = value_and_weights(ev_trial)
         if L_trial <= reference + ARMIJO_C * alpha * slope:
-            return x_trial, ev_trial, L_trial
+            return x_trial, ev_trial, L_trial, w_trial
         curvature = L_trial - L_val - alpha * slope
         shrink = -0.5 * alpha * slope / curvature if curvature > 0.0 else SHRINK_MIN
         alpha *= min(max(shrink, SHRINK_MIN), SHRINK_MAX)
@@ -238,18 +236,15 @@ def auglag_minimize(evaluate, x0, C_t: float, tol, config: AugLagConfig | None =
     total_primal = 0
     violation_history = []
 
-    def phr(ev):
-        return lagrangian(ev, lam, r, ct_norm, normalization)
-
-    def phr_gradient(ev):
-        return lagrangian_gradient(ev, lam, r, ct_norm, normalization)
+    def value_and_weights(ev):
+        return phr(ev, lam, r, ct_norm, normalization)
 
     def kkt_residual(x, grad):
         return scaled_kkt_residual(x, grad, float(np.mean(np.abs(lam))))
 
     for dual_iter in range(config.dual_iters):
-        L_val = phr(ev)
-        grad = phr_gradient(ev)
+        L_val, w = value_and_weights(ev)
+        grad = ev.gradient(w, volume_weight=1.0)
         residual = kkt_residual(x, grad)
         recent = deque([L_val], maxlen=NONMONOTONE_M)
         for primal_iter in range(config.primal_iters):
@@ -259,11 +254,12 @@ def auglag_minimize(evaluate, x0, C_t: float, tol, config: AugLagConfig | None =
             slope = float(grad @ direction)
             if not slope < 0.0:
                 break  # no descent left in floating point
-            trial = _nonmonotone_search(evaluate, phr, x, direction, slope, L_val, max(recent))
+            trial = _nonmonotone_search(evaluate, value_and_weights, x, direction, slope,
+                                        L_val, max(recent))
             total_primal += 1
             if trial is not None:
-                x_trial, ev_trial, L_trial = trial
-                grad_trial = phr_gradient(ev_trial)
+                x_trial, ev_trial, L_trial, w_trial = trial
+                grad_trial = ev_trial.gradient(w_trial, volume_weight=1.0)
                 s = x_trial - x
                 sy = float(s @ (grad_trial - grad))
                 bb = min(max(float(s @ s) / sy, BB_MIN), BB_MAX) if sy > 0.0 else BB_MAX

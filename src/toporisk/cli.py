@@ -19,7 +19,7 @@ import numpy as np
 
 from . import compliance as comp
 from . import io as artifacts
-from .auglag import lagrangian, lagrangian_gradient
+from .auglag import phr
 from .config import (build_mesh, build_model, build_problem, build_schedule, load_config,
                      sample_scenarios)
 from .continuation import METHODS, check_analysis_fits, run_continuation
@@ -39,6 +39,7 @@ GRAD_CHECK_MAX_FD_STEP = 0.2
 # bench times each row as the best of this many runs after a warm-up run: a
 # single cold run mixes one-off costs into the route comparison
 BENCH_REPEATS = 5
+BENCH_STATISTICS = {"mu_C": comp.mean, "sigma_C": comp.std}
 
 logger = logging.getLogger("toporisk")
 
@@ -114,7 +115,7 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(statistic, method, system, model):
+def _bench_one(statistic, function, method, system, model):
     """Evaluate one statistic and its design gradient; returns a row dict.
 
     The factorization is shared and excluded from the timing, matching a
@@ -127,23 +128,22 @@ def _bench_one(statistic, method, system, model):
     take turns between the routes made the comparison less steady.
     """
     F = model.scenarios
-    kind = "mean" if statistic == "mu_C" else "std"
 
     def evaluate():
         if method == "svd":
             stats = comp.compliances_svd(system, F, thin_svd(F))
         else:
             stats = comp.compliances_naive(system, F)
-        comp.weighted_gradient(stats, comp.weight_vector(stats, kind), model.ke, model.mesh)
-        return stats
+        value, w = function(stats)
+        comp.weighted_gradient(stats, w, model.ke, model.mesh)
+        return stats, value
 
     evaluate()
     seconds = math.inf
     for _ in range(BENCH_REPEATS):
         start = time.perf_counter()
-        stats = evaluate()
+        stats, value = evaluate()
         seconds = min(seconds, time.perf_counter() - start)
-    value = stats.mean if statistic == "mu_C" else stats.std
     return {"statistic": statistic, "method": method, "value": value,
             "seconds": seconds, "solves": stats.Q.shape[1]}
 
@@ -160,11 +160,11 @@ def cmd_bench(args) -> int:
     system = StiffnessSystem.factorize(assemble(model.mesh, model.ke, field.physical))
 
     rows = []
-    for statistic in ("mu_C", "sigma_C"):
+    for statistic, function in BENCH_STATISTICS.items():
         for method in METHODS:
-            rows.append(_bench_one(statistic, method, system, model))
+            rows.append(_bench_one(statistic, function, method, system, model))
 
-    for statistic in ("mu_C", "sigma_C"):
+    for statistic in BENCH_STATISTICS:
         naive, svd = (r for r in rows if r["statistic"] == statistic)
         rel = abs(svd["value"] - naive["value"]) / max(abs(naive["value"]), 1e-300)
         if rel > 1e-9:
@@ -189,9 +189,11 @@ def cmd_bench(args) -> int:
 def _grad_check_functions(model, x, penalty, beta, rng):
     """The scalar maps checked against finite differences.
 
-    Returns (value_fn, analytic_grads): value_fn(x) gives all
-    function values from one analysis; analytic_grads holds the closed
-    form gradients at the base point.
+    Each is (function, volume weight) in one table: function(a) gives the
+    map's (value, weights) at an analysis a, from the functions the
+    optimizers call. Returns (value_fn, analytic_grads): value_fn(x) gives
+    all values from one analysis; analytic_grads holds each map's
+    `a.gradient(w, volume_weight)` at the base point.
     """
     L = model.scenarios.n_scenarios
     w_fixed = rng.standard_normal(L)
@@ -205,32 +207,22 @@ def _grad_check_functions(model, x, penalty, beta, rng):
     ct = float(kinks[(L - 1) // 2] + kinks[L // 2]) / 2.0 if L > 1 \
         else float(kinks[0]) * 1.1
 
-    def auglag_args(a):
+    table = {
+        "mu_C": (lambda a: comp.mean(a.stats), 0.0),
+        "var_C": (lambda a: comp.variance(a.stats), 0.0),
+        "sigma_C": (lambda a: comp.std(a.stats), 0.0),
+        "mu+2sigma": (lambda a: comp.mean_plus_m_std(a.stats, 2.0), 0.0),
+        "w.C": (lambda a: (float(w_fixed @ a.stats.C), w_fixed), 0.0),
         # the arguments `auglag_minimize` passes to its Lagrangian
-        return a, lam, r_pen, ct, norm
+        "auglag": (lambda a: phr(a, lam, r_pen, ct, norm), 1.0),
+    }
 
     def values(xv) -> dict:
         a = model.analyze(xv, penalty, beta)
-        return {
-            "mu_C": a.stats.mean,
-            "var_C": a.stats.variance,
-            "sigma_C": a.stats.std,
-            "mu+2sigma": a.stats.mean + 2.0 * a.stats.std,
-            "w.C": float(w_fixed @ a.stats.C),
-            "auglag": lagrangian(*auglag_args(a)),
-        }
+        return {name: function(a)[0] for name, (function, _) in table.items()}
 
-    def gradient(kind, **params):
-        return base.gradient(comp.weight_vector(base.stats, kind, **params))
-
-    analytic = {
-        "mu_C": gradient("mean"),
-        "var_C": gradient("variance"),
-        "sigma_C": gradient("std"),
-        "mu+2sigma": gradient("mean_plus_m_std", m=2.0),
-        "w.C": base.gradient(w_fixed),
-        "auglag": lagrangian_gradient(*auglag_args(base)),
-    }
+    analytic = {name: base.gradient(function(base)[1], volume_weight=volume_weight)
+                for name, (function, volume_weight) in table.items()}
     return values, analytic
 
 

@@ -5,6 +5,10 @@ compliances C_i = f_i^T K^-1 f_i, their sample mean mu_C, sample
 variance (denominator L - 1) and standard deviation, plus gradients of
 weighted sums w^T C with respect to element densities rho.
 
+Each scalar function f(C) (`mean`, `variance`, `std`, `mean_plus_m_std`;
+the augmented Lagrangian's is `auglag.phr`) returns its value and w = df/dC,
+so its gradient is that of w^T C.
+
 Both evaluation routes compute C = F^T K^-1 F against a solve basis and
 agree up to round-off:
 
@@ -42,8 +46,6 @@ from .errors import TopoRiskError
 from .fea import StiffnessSystem, form_gradient
 from .mesh import GroundMesh
 from .scenarios import ScenarioMatrix, ThinSVD
-
-WEIGHT_KINDS = ("mean", "variance", "std", "mean_plus_m_std")
 
 
 @dataclass(frozen=True)
@@ -114,45 +116,43 @@ def compliances_svd(sys: StiffnessSystem, F: ScenarioMatrix, svd: ThinSVD) -> Co
     return _compliances(sys, F, svd.U * svd.S[None, :], svd.Vt)
 
 
-# -- weight vectors for scalar objectives ------------------------------------
+# -- scalar functions of C: (value, w = df/dC) ------------------------------
 
 def sigma_floor(mean: float) -> float:
     """Below this, the compliance dispersion counts as degenerate."""
     return 1e-12 * max(1.0, mean)
 
 
-def weight_vector(stats: ComplianceStats, kind: str, *, m: float | None = None) -> np.ndarray:
-    """Gradient weights w such that grad(f(C)) = grad(C)^T w.
+def mean(stats: ComplianceStats) -> tuple[float, np.ndarray]:
+    """mu_C, with w = (1/L) 1."""
+    return stats.mean, np.full(stats.C.size, 1.0 / stats.C.size)
 
-    Kinds
-    -----
-    mean            w = (1/L) 1
-    variance        w = 2/(L-1) (C - mu 1)
-    std             w = 1/((L-1) sigma) (C - mu 1)
-    mean_plus_m_std w_mean + m * w_std  (requires m)
 
-    The augmented Lagrangian's weights belong to `auglag.lagrangian_gradient`.
+def variance(stats: ComplianceStats) -> tuple[float, np.ndarray]:
+    """The sample variance, with w = 2/(L-1) (C - mu 1); zero weights at L = 1."""
+    L = stats.C.size
+    return stats.variance, (2.0 / (L - 1) * (stats.C - stats.mean) if L > 1 else np.zeros(1))
 
-    For the std-based kinds, a degenerate dispersion (sigma at or below
-    `sigma_floor(mu)`, including the L = 1 case) yields zero std weights:
-    the subgradient choice at the kink of sqrt at zero.
+
+def std(stats: ComplianceStats) -> tuple[float, np.ndarray]:
+    """sigma_C, with w = 1/((L-1) sigma) (C - mu 1).
+
+    A degenerate dispersion (sigma at or below `sigma_floor(mu)`, including
+    the L = 1 case) yields zero weights: the subgradient choice at the
+    kink of sqrt at zero.
     """
-    C, L = stats.C, stats.C.size
-    if kind == "mean":
-        return np.full(L, 1.0 / L)
-    if kind == "variance":
-        if L == 1:
-            return np.zeros(1)
-        return 2.0 / (L - 1) * (C - stats.mean)
-    if kind == "std":
-        if L == 1 or stats.std <= sigma_floor(stats.mean):
-            return np.zeros(L)
-        return (C - stats.mean) / ((L - 1) * stats.std)
-    if kind == "mean_plus_m_std":
-        if m is None:
-            raise ValueError("mean_plus_m_std requires the multiplier m")
-        return weight_vector(stats, "mean") + m * weight_vector(stats, "std")
-    raise ValueError(f"unknown weight kind {kind!r}; expected one of {WEIGHT_KINDS}")
+    L = stats.C.size
+    if L == 1 or stats.std <= sigma_floor(stats.mean):
+        return stats.std, np.zeros(L)
+    return stats.std, (stats.C - stats.mean) / ((L - 1) * stats.std)
+
+
+def mean_plus_m_std(stats: ComplianceStats, m: float) -> tuple[float, np.ndarray]:
+    """mu_C + m sigma_C, with `mean`'s weights plus m times `std`'s (at m = 0
+    both equal `mean`'s bit for bit: sigma and the std weights are finite)."""
+    mu, w_mu = mean(stats)
+    sigma, w_sigma = std(stats)
+    return mu + m * sigma, w_mu + m * w_sigma
 
 
 # -- gradients over rho -------------------------------------------------------

@@ -209,6 +209,9 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
     dim = _require(mesh, "dim", int, f"{where}.mesh")
     if dim not in (2, 3):
         raise ConfigError(f"{where}.mesh.dim: expected 2 or 3, got {dim}")
+    if dim == 3:  # a hex mesh has no thickness
+        _reject_keys(mesh, _SECTION_KEYS["mesh"] - {"thickness"}, f"{where}.mesh",
+                     "keys a 3-D mesh does not read")
     cells = _require(mesh, "cells", list, f"{where}.mesh")
     if len(cells) != dim or not all(isinstance(c, int) and not isinstance(c, bool) and c >= 1
                                     for c in cells):

@@ -247,11 +247,12 @@ class _MemoizedAnalyses:
 class MeanStdProblem:
     """min mu_C + m sigma_C subject to a volume fraction bound, by MMA.
 
-    m = 0 is the mean compliance problem, exactly: sigma and the std
-    weights are finite (the weights are zero at or below
-    `comp.sigma_floor`), so the value and the weights at m = 0 equal those
-    of the mean bit for bit. `prepare` sets a run's memo and objective
-    `scale`; `final` is the analysis the last step ended on.
+    The objective's value and weights are `comp.mean_plus_m_std`'s. m = 0
+    is the mean compliance problem, exactly: sigma and the std weights are
+    finite (the weights are zero at or below `comp.sigma_floor`), so the
+    value and the weights at m = 0 equal those of the mean bit for bit.
+    `prepare` sets a run's memo and objective `scale`; `final` is the
+    analysis the last step ended on.
     """
 
     def __init__(self, model: ForwardModel, volume_fraction: float, m: float = 2.0,
@@ -263,9 +264,6 @@ class MeanStdProblem:
         self.m = m
         self.mma_config = mma_config or MMAConfig()
 
-    def objective_value(self, analysis: Analysis) -> float:
-        return analysis.stats.mean + self.m * analysis.stats.std
-
     def initial_design(self) -> np.ndarray:
         return np.full(self.model.mesh.n_elements, self.volume_fraction)
 
@@ -274,7 +272,7 @@ class MeanStdProblem:
         the first step's stages. The memo keeps this analysis for step 0."""
         self.memo = _MemoizedAnalyses(self.model)
         analysis = self.memo.at(x0, first.penalty, first.beta)
-        self.scale = 1.0 / abs(self.objective_value(analysis))
+        self.scale = 1.0 / abs(comp.mean_plus_m_std(analysis.stats, self.m)[0])
 
     def solve_step(self, x: np.ndarray, step: ContinuationStep):
         # the memo still holds the last step's analysis; a second reference
@@ -283,8 +281,8 @@ class MeanStdProblem:
 
         def objective(xv):
             a = self.memo.at(xv, step.penalty, step.beta)
-            w = comp.weight_vector(a.stats, "mean_plus_m_std", m=self.m)
-            return self.scale * self.objective_value(a), self.scale * a.gradient(w)
+            value, w = comp.mean_plus_m_std(a.stats, self.m)
+            return self.scale * value, self.scale * a.gradient(w)
 
         def constraint(xv):
             a = self.memo.at(xv, step.penalty, step.beta)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioFormatError
+from .fea import physical_memory_bytes
 from .mesh import GroundMesh
 
 SVD_REL_TOL = 1e-10
@@ -276,7 +277,9 @@ def load_scenarios_from_file(path, n_dofs: int | None = None) -> ScenarioMatrix:
     the scenario count is the largest scenario index plus one. Pass
     `n_dofs` to validate DOF indices against a known structure size
     (otherwise the largest index present defines it). A file that cannot
-    be read, is not UTF-8 or is not CSV raises ScenarioFormatError too.
+    be read, is not UTF-8 or is not CSV, or whose n_loaded x L block of
+    loads exceeds physical memory (`fea.physical_memory_bytes`), raises
+    ScenarioFormatError too, before the block is allocated.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -315,6 +318,10 @@ def load_scenarios_from_file(path, n_dofs: int | None = None) -> ScenarioMatrix:
     elif max_dof >= n_dofs:
         raise ScenarioFormatError(f"{path}: DOF index {max_dof} out of range for n_dofs={n_dofs}")
     dofs = np.unique([d for d, _ in entries])
+    loads = 8 * dofs.size * (max_scen + 1)  # the sampler's rule: bytes of loads
+    if loads > physical_memory_bytes():
+        raise ScenarioFormatError(f"{path}: {dofs.size} loaded DOFs x {max_scen + 1} scenarios "
+                                  f"need {loads / 1e9:.3g} GB, more than physical memory")
     lookup = {int(d): k for k, d in enumerate(dofs)}
     block = np.zeros((dofs.size, max_scen + 1))
     for (dof, scen), value in entries.items():

@@ -20,6 +20,13 @@ from toporisk import compliance as comp
 from oracles import random_scenarios
 
 MATERIAL = tr.Material(youngs_modulus=1.0, poissons_ratio=0.3)
+# the (value, weights) functions of the compliance statistics
+FUNCTIONS = {
+    "mean": comp.mean,
+    "variance": comp.variance,
+    "std": comp.std,
+    "mean_plus_m_std": lambda stats: comp.mean_plus_m_std(stats, 2.0),
+}
 
 
 def _model(mesh, scenarios, method, x_min=1e-3, radius=1.5):
@@ -59,15 +66,14 @@ def test_criterion_1_naive_svd_equivalence_randomized():
         c_scale = np.max(np.abs(naive.C))
         assert np.max(np.abs(fast.C - naive.C)) <= 1e-9 * c_scale, tag
 
-        for kind, params in (("mean", {}), ("variance", {}), ("std", {}),
-                             ("mean_plus_m_std", {"m": 2.0})):
-            w_n = comp.weight_vector(naive, kind, **params)
-            w_s = comp.weight_vector(fast, kind, **params)
+        for name, function in FUNCTIONS.items():
+            _, w_n = function(naive)
+            _, w_s = function(fast)
             g_n = comp.weighted_gradient_naive(naive, w_n, ke, mesh)
             g_s = comp.weighted_gradient_svd(fast, w_s, ke, mesh)
             g_scale = np.max(np.abs(g_n))
-            assert np.max(np.abs(g_s - g_n)) <= 1e-9 * g_scale, f"{tag}, {kind}"
-            if kind == "mean":
+            assert np.max(np.abs(g_s - g_n)) <= 1e-9 * g_scale, f"{tag}, {name}"
+            if function is comp.mean:
                 px_n = pipeline.backward(field, g_n)
                 px_s = pipeline.backward(field, g_s)
                 px_scale = np.max(np.abs(px_n))
@@ -100,9 +106,8 @@ def test_criterion_2_exact_solve_counts(solve_spy):
             analysis = model.analyze(x, 3.0, 4.0)
             assert sum(solve_spy) == expected, tag
             assert model.total_solves == expected, tag
-            for kind, params in (("mean", {}), ("variance", {}), ("std", {}),
-                                 ("mean_plus_m_std", {"m": 2.0})):
-                analysis.gradient(comp.weight_vector(analysis.stats, kind, **params))
+            for function in FUNCTIONS.values():
+                analysis.gradient(function(analysis.stats)[1])
             analysis.gradient(np.random.default_rng(2).standard_normal(L), volume_weight=1.0)
             analysis.gradient(volume_weight=1.0)
             assert sum(solve_spy) == expected, f"{tag}: gradients added solves"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import toporisk as tr
-from toporisk.auglag import lagrangian, lagrangian_gradient, projected_gradient_step
+from toporisk.auglag import phr, projected_gradient_step
 from toporisk.errors import InfeasibleError
 
 
@@ -77,11 +77,12 @@ def test_lagrangian_gradient_matches_finite_differences():
     x = np.array([0.5, 0.3, 0.2, 0.7])
 
     def L(xv):
-        return lagrangian(LinearEval(xv, c), lam, r, ct, norm)
+        return phr(LinearEval(xv, c), lam, r, ct, norm)[0]
 
     h = 1e-6
     fd = [(L(x + h * e) - L(x - h * e)) / (2 * h) for e in np.eye(x.size)]
-    grad = lagrangian_gradient(LinearEval(x, c), lam, r, ct, norm)
+    ev = LinearEval(x, c)
+    grad = ev.gradient(phr(ev, lam, r, ct, norm)[1], volume_weight=1.0)
     np.testing.assert_allclose(grad, fd, rtol=1e-8, atol=1e-10)
     assert grad[0] != 0.25 and grad[1] != 0.25  # both constraint terms act
 
@@ -91,15 +92,15 @@ def test_constraint_past_its_phr_kink_has_zero_weight():
     # to max(0, lam_0 + 2 r g_0) = 0, and the gradient weights it the same
     c, ct, r = np.array([0.5, 1.3]), 0.8, 0.5
     lam = np.array([0.1, 0.4])
-    weights = []
-    ev = RecordingEval(np.zeros(4), c, weights)
-    grad = lagrangian_gradient(ev, lam, r, ct, 1.0)
+    ev = LinearEval(np.zeros(4), c)
+    value, w = phr(ev, lam, r, ct, 1.0)
+    grad = ev.gradient(w, volume_weight=1.0)
     g = ev.compliances - ct
-    np.testing.assert_array_equal(weights[0], np.maximum(0.0, lam + 2 * r * g))
-    assert weights[0][0] == 0.0
+    np.testing.assert_array_equal(w, np.maximum(0.0, lam + 2 * r * g))
+    assert w[0] == 0.0
     assert grad[0] == 0.25  # the volume term alone
     # the slack constraint leaves only the constant -lam_0^2 / (4 r) in L
-    assert lagrangian(ev, lam, r, ct, 1.0) == pytest.approx(
+    assert value == pytest.approx(
         ev.volume + r * (g[1] + lam[1] / (2 * r)) ** 2 - float(lam @ lam) / (4 * r))
 
 

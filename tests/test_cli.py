@@ -241,7 +241,9 @@ def test_load_on_fixed_dof_exits_2(tmp_path, capsys):
     (b"dof,scenario,value\n13,0,heavy\n", "loads.csv:2"),
     (b"dof,scenario,value\n13,0,-1.0\n500,1,1.0\n", "out of range"),
     (b"dof,scenario,value\n13,0," + b"1" * 200_000 + b"\n", "field limit"),
-], ids=["missing", "not-utf8", "bad-value", "dof-out-of-range", "field-over-csv-limit"])
+    (b"dof,scenario,value\n40,1000000000000,1.0\n", "physical memory"),
+], ids=["missing", "not-utf8", "bad-value", "dof-out-of-range", "field-over-csv-limit",
+        "block-over-memory"])
 def test_unusable_scenario_file_exits_2(tmp_path, capsys, command, content, message):
     loads = tmp_path / "loads.csv"
     if content is not None:

@@ -10,6 +10,8 @@ import pytest
 from scipy.linalg import cho_solve_banded
 
 import toporisk as tr
+from toporisk import compliance as comp
+from toporisk.auglag import phr
 
 from oracles import dense_compliances, dense_stiffness, element_quadratics, random_scenarios
 
@@ -81,8 +83,8 @@ def test_routes_agree_on_the_3d_benchmark_at_the_last_schedule_point(material):
     naive = tr.compliances_naive(system, F)
     fast = tr.compliances_svd(system, F, tr.thin_svd(F))
     assert np.max(np.abs(fast.C - naive.C)) <= 1e-9 * np.max(np.abs(naive.C))
-    g_naive = tr.weighted_gradient(naive, tr.weight_vector(naive, "std"), Ke, mesh)
-    g_fast = tr.weighted_gradient(fast, tr.weight_vector(fast, "std"), Ke, mesh)
+    g_naive = tr.weighted_gradient(naive, comp.std(naive)[1], Ke, mesh)
+    g_fast = tr.weighted_gradient(fast, comp.std(fast)[1], Ke, mesh)
     assert np.max(np.abs(g_fast - g_naive)) <= 1e-9 * np.max(np.abs(g_naive))
 
 
@@ -114,22 +116,71 @@ def test_stats_from_hand_worked_values():
 
 def test_weight_vectors_hand_worked():
     stats = tr.ComplianceStats.from_compliances(np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(tr.weight_vector(stats, "mean"), [1 / 3] * 3)
-    np.testing.assert_allclose(tr.weight_vector(stats, "variance"), [-1.0, 0.0, 1.0])
-    np.testing.assert_allclose(tr.weight_vector(stats, "std"), [-0.5, 0.0, 0.5])
-    np.testing.assert_allclose(tr.weight_vector(stats, "mean_plus_m_std", m=2.0),
-                               [1 / 3 - 1.0, 1 / 3, 1 / 3 + 1.0])
+    for function, value, w in ((comp.mean, 2.0, [1 / 3] * 3),
+                               (comp.variance, 1.0, [-1.0, 0.0, 1.0]),
+                               (comp.std, 1.0, [-0.5, 0.0, 0.5])):
+        got_value, got_w = function(stats)
+        assert got_value == value, function.__name__
+        np.testing.assert_allclose(got_w, w, err_msg=function.__name__)
+    value, w = comp.mean_plus_m_std(stats, 2.0)
+    assert value == 4.0
+    np.testing.assert_allclose(w, [1 / 3 - 1.0, 1 / 3, 1 / 3 + 1.0])
     # m = 0 is the mean objective, bit for bit
-    np.testing.assert_array_equal(tr.weight_vector(stats, "mean_plus_m_std", m=0.0),
-                                  tr.weight_vector(stats, "mean"))
+    value, w = comp.mean_plus_m_std(stats, 0.0)
+    assert value == comp.mean(stats)[0]
+    np.testing.assert_array_equal(w, comp.mean(stats)[1])
 
 
-def test_weight_vector_validation():
-    stats = tr.ComplianceStats.from_compliances(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        tr.weight_vector(stats, "mean_plus_m_std")
-    with pytest.raises(ValueError):
-        tr.weight_vector(stats, "no_such_kind")
+class AtCompliances:
+    """What `auglag.phr` reads of an evaluation, at given compliances."""
+
+    def __init__(self, C, volume=0.3):
+        self.compliances = C
+        self.volume = volume
+
+
+def test_each_function_weights_are_the_central_differences_of_its_value():
+    """w = df/dC for every (value, w) function, on C alone (no mesh).
+
+    Where f kinks (sigma at or below `sigma_floor`, L = 1), the symmetric
+    difference sees the zero weights the functions choose, up to sigma / h;
+    the PHR points sit away from its kinks, on both sides of them.
+    """
+    def on_stats(function):
+        return lambda C: function(tr.ComplianceStats.from_compliances(C))
+
+    lam, r, norm, ct = np.array([0.3, 0.0, 0.5, 0.2]), 0.7, 2.0, 1.2
+    C = np.array([1.0, 2.0, 4.0, 3.2])
+    # g + lam / (2 r) = C / norm - ct + lam / (2 r): the first two terms are
+    # past their kinks (zero weight), the last two inside them
+    assert np.array_equal(C / norm - ct + lam / (2 * r) > 0, [False, False, True, True])
+    functions = {
+        "mean": on_stats(comp.mean),
+        "variance": on_stats(comp.variance),
+        "std": on_stats(comp.std),
+        "mean_plus_m_std": on_stats(lambda stats: comp.mean_plus_m_std(stats, 2.0)),
+        "phr": lambda C: phr(AtCompliances(C), lam[:C.size], r, ct, norm),
+        "phr at C_t = inf": lambda C: phr(AtCompliances(C), lam[:C.size], r, np.inf, norm),
+    }
+    floor = comp.sigma_floor(5.0)
+    points = {
+        "hand-built": C,
+        "L = 1": np.array([3.0]),
+        "sigma = 0": np.full(4, 5.0),
+        "sigma below the floor": 5.0 + np.array([1.0, -1.0, 0.5, -0.5]) * floor,
+    }
+    h = 1e-4
+    for point, C in points.items():
+        for name, function in functions.items():
+            value, w = function(C)
+            w = np.zeros(C.size) if w is None else w
+            fd = [(function(C + h * e)[0] - function(C - h * e)[0]) / (2 * h)
+                  for e in np.eye(C.size)]
+            np.testing.assert_allclose(w, fd, rtol=1e-7, atol=1e-7,
+                                       err_msg=f"{name} at {point}")
+    assert phr(AtCompliances(C), lam, r, np.inf, norm) == (0.3, None)
+    assert comp.std(tr.ComplianceStats.from_compliances(points["sigma below the floor"]))[0] \
+        <= floor
 
 
 def test_degenerate_dispersion_gives_zero_std_weights(mesh_4x2, material):
@@ -142,12 +193,9 @@ def test_degenerate_dispersion_gives_zero_std_weights(mesh_4x2, material):
     _, system = make_system(mesh_4x2, material, np.ones(mesh_4x2.n_elements))
     stats = tr.compliances_naive(system, F)
     assert stats.std == 0.0
-    w = tr.weight_vector(stats, "std")
-    np.testing.assert_array_equal(w, np.zeros(4))
-    w = tr.weight_vector(stats, "mean_plus_m_std", m=2.0)
-    np.testing.assert_allclose(w, np.full(4, 0.25))
-    np.testing.assert_array_equal(tr.weight_vector(stats, "mean_plus_m_std", m=0.0),
-                                  tr.weight_vector(stats, "mean"))
+    np.testing.assert_array_equal(comp.std(stats)[1], np.zeros(4))
+    np.testing.assert_allclose(comp.mean_plus_m_std(stats, 2.0)[1], np.full(4, 0.25))
+    np.testing.assert_array_equal(comp.mean_plus_m_std(stats, 0.0)[1], comp.mean(stats)[1])
 
 
 def test_naive_and_svd_gradients_agree(mesh_6x3, material):
@@ -165,8 +213,8 @@ def test_naive_and_svd_gradients_agree(mesh_6x3, material):
     scale = np.max(np.abs(g1))
     np.testing.assert_allclose(g2, g1, atol=1e-11 * scale)
 
-    m1 = tr.weighted_gradient(naive, tr.weight_vector(naive, "mean"), Ke, mesh_6x3)
-    m2 = tr.weighted_gradient(fast, tr.weight_vector(fast, "mean"), Ke, mesh_6x3)
+    m1 = tr.weighted_gradient(naive, comp.mean(naive)[1], Ke, mesh_6x3)
+    m2 = tr.weighted_gradient(fast, comp.mean(fast)[1], Ke, mesh_6x3)
     np.testing.assert_allclose(m2, m1, atol=1e-11 * np.max(np.abs(m1)))
     np.testing.assert_array_equal(tr.weighted_gradient(fast, w, Ke, mesh_6x3), g2)
 
@@ -242,7 +290,7 @@ def test_solve_counts(mesh_6x3, material, solve_spy):
         assert sum(solve_spy) == expected
         assert stats.Q.shape[1] == expected
         tr.weighted_gradient(stats, np.ones(25), Ke, mesh_6x3)
-        tr.weighted_gradient(stats, tr.weight_vector(stats, "mean"), Ke, mesh_6x3)
+        tr.weighted_gradient(stats, comp.mean(stats)[1], Ke, mesh_6x3)
         assert sum(solve_spy) == expected
 
 

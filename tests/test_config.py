@@ -117,6 +117,7 @@ def file_scenarios(c, **keys):
     (lambda c: file_scenarios(c, L=5), "config.scenarios.L"),
     (lambda c: file_scenarios(c, seed=0), "config.scenarios.seed"),
     (lambda c: c["mesh"].update(cells=[True, 3]), "mesh.cells"),
+    (lambda c: c["mesh"].update(dim=3, cells=[4, 2, 2], thickness=-5.0), "mesh.thickness"),
 ])
 def test_rejections_name_the_key(mutate, fragment):
     cfg = base_config()
