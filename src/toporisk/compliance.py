@@ -25,9 +25,11 @@ route's few columns take LAPACK's column sweep.
 
 Both routes differentiate w^T C through one kernel, `fea.form_gradient`:
 (grad_rho C^T w)_e = -sum_ab ke_ab M[d_a, d_b] over the DOFs d of element
-e, with M = A Q^T and Q the solves kept on `ComplianceStats`. The naive
-route takes A = Q diag(w); the SVD route takes A = Q X with
-X = Vt diag(w) Vt^T, the trace identity of the paper. The kernel costs
+e, with M = A Q^T and Q the solves kept on `ComplianceStats`. Each route
+hands the kernel Q and its weighting: the naive route the vector w
+(A = Q diag(w)), the SVD route the n_s x n_s matrix X = Vt diag(w) Vt^T
+(A = Q X), the trace identity of the paper. The kernel forms A one tile
+of rows at a time, so no weighted copy of Q is held. It costs
 O(n_offsets n_dofs k) for the k columns of Q (L naive, n_s SVD), where
 n_offsets is the number of distinct DOF offsets within an element (at
 most 11 in 2D, 50 in 3D); it reads the naive route's row-major Q in
@@ -168,7 +170,7 @@ def weighted_gradient_naive(stats: ComplianceStats, w: np.ndarray,
                             ke: np.ndarray, mesh: GroundMesh) -> np.ndarray:
     """(grad_rho C^T w)_e = -sum_i w_i u_i^T K_e u_i, with u_i = Q[:, i]."""
     w = _checked_weights(w, stats.Q.shape[1])
-    return -form_gradient(mesh, ke, stats.Q * w[None, :], stats.Q)
+    return -form_gradient(mesh, ke, stats.Q, w)
 
 
 def weighted_gradient_svd(stats: ComplianceStats, w: np.ndarray,
@@ -180,7 +182,7 @@ def weighted_gradient_svd(stats: ComplianceStats, w: np.ndarray,
     """
     w = _checked_weights(w, stats.Vt.shape[1])
     X = (stats.Vt * w[None, :]) @ stats.Vt.T
-    return -form_gradient(mesh, ke, stats.Q @ X, stats.Q)
+    return -form_gradient(mesh, ke, stats.Q, X)
 
 
 def weighted_gradient(stats: ComplianceStats, w: np.ndarray,
@@ -189,7 +191,7 @@ def weighted_gradient(stats: ComplianceStats, w: np.ndarray,
 
     Both routes run `fea.form_gradient`, at O(n_offsets n_dofs k) for the
     k = L (naive) or n_s (SVD) solved columns; they differ only in the
-    matrix A that weights the solves.
+    weighting they hand it, the vector w or the matrix X.
     """
     kernel = weighted_gradient_naive if stats.Vt is None else weighted_gradient_svd
     return kernel(stats, w, ke, mesh)

@@ -96,8 +96,9 @@ class ContinuationSchedule:
         most p_step and beta_step; a step that does not divide its range is
         shortened to the next one that does. Every argument must be a
         finite number, the steps and tolerances positive, p_end >= p_start
-        and beta_end >= 0, and the schedule at most `MAX_SCHEDULE_STEPS`
-        steps long."""
+        and beta_end >= 0, tol_end far enough below tol_start that the
+        tolerances decrease strictly when there is more than one step, and
+        the schedule at most `MAX_SCHEDULE_STEPS` steps long."""
         params = dict(p_start=p_start, p_end=p_end, p_step=p_step, beta_end=beta_end,
                       beta_step=beta_step, tol_start=tol_start, tol_end=tol_end)
         for name, value in params.items():
@@ -121,9 +122,14 @@ class ContinuationSchedule:
         pairs = [(float(p), 0.0) for p in penalties] + [(p_end, float(b)) for b in betas]
         n = len(pairs)
         ratio = (tol_end / tol_start) ** (1.0 / (n - 1)) if n > 1 else 1.0
+        tols = [tol_start * ratio**k for k in range(n)]
+        # a tol_end within round-off of tol_start decays by less than an ulp per step
+        if any(b >= a for a, b in zip(tols, tols[1:])):
+            raise ValueError(f"tol_end must be < tol_start ({tol_start}), far enough below it "
+                             f"for {n} strictly decreasing tolerances; got {tol_end}")
         steps = tuple(
-            ContinuationStep(penalty=p, beta=b, tolerance=tol_start * ratio**k)
-            for k, (p, b) in enumerate(pairs)
+            ContinuationStep(penalty=p, beta=b, tolerance=tol)
+            for (p, b), tol in zip(pairs, tols)
         )
         return cls(steps=steps)
 
@@ -230,7 +236,12 @@ class ForwardModel:
 
 
 class _MemoizedAnalyses:
-    """Reuse the analysis when objective and constraint hit the same point."""
+    """Reuse the analysis when objective and constraint hit the same point.
+
+    The memo lets go of its analysis before it analyzes a new point, so
+    it never holds two analyses' solves at once; a caller that keeps the
+    old analysis (the AL's current point beside a trial) keeps it alive
+    itself."""
 
     def __init__(self, model: ForwardModel):
         self.model = model
@@ -240,7 +251,9 @@ class _MemoizedAnalyses:
     def at(self, x: np.ndarray, penalty: float, beta: float) -> Analysis:
         key = (x.tobytes(), penalty, beta)
         if key != self._key:
-            self._key, self._analysis = key, self.model.analyze(x, penalty, beta)
+            self._key = self._analysis = None
+            self._analysis = self.model.analyze(x, penalty, beta)
+            self._key = key
         return self._analysis
 
 

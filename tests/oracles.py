@@ -4,11 +4,15 @@
   * dense_compliances   -- per-scenario compliances through numpy.linalg.solve
   * band_to_dense       -- the full symmetric matrix of an upper band, by loops
   * element_quadratics  -- g_e = sum_i w_i u_e,i^T Ke u_e,i, element by element
+  * untiled_form_gradient -- `fea.form_gradient` in one pass over a whole weighted copy
   * random_scenarios    -- a scenario matrix of known rank on the free surface
   * mma_dual_slope      -- an MMA subproblem's primal point x(eta) and dual slope g(eta)
   * mma_dual_bisection  -- the subproblem's dual root by doubling and bisection
-All but `random_scenarios` are deliberately written along a different
-code path than the library so agreement is evidence, not tautology. Test
+All but `random_scenarios` and `untiled_form_gradient` are deliberately
+written along a different code path than the library so agreement is
+evidence, not tautology. `untiled_form_gradient` is the other way round:
+the kernel's arithmetic without its tiles, which the tiled kernel must
+match bit for bit. Test
 modules import them as `from oracles import ...`.
 """
 import numpy as np
@@ -52,6 +56,26 @@ def element_quadratics(mesh, Ke, U, w):
             u = U[edof[e], i]
             g[e] += w[i] * (u @ Ke @ u)
     return g
+
+
+def untiled_form_gradient(mesh, Ke, Q, W):
+    """The form gradient of A = Q diag(W) (vector W) or Q W (matrix W) against Q,
+    from a whole n_dofs x k copy A and one row-wise dot per DOF offset.
+
+    A row-major pair is read in place; any other layout is copied to
+    (k, n_dofs) rows first."""
+    layout = tr.fea._band_layout(mesh)
+    n = mesh.n_dofs
+    A = Q * W[None, :] if W.ndim == 1 else Q @ W
+    At, Bt = A.T, Q.T
+    if not (A.flags.c_contiguous and Q.flags.c_contiguous):
+        At, Bt = np.ascontiguousarray(At), np.ascontiguousarray(Bt)
+    diagonals = np.zeros(layout.offsets.size * n + 1)
+    rows = diagonals[:-1].reshape(layout.offsets.size, n)
+    for row, d in zip(rows, layout.offsets):
+        np.einsum("ki,ki->i", At[:, :n - d], Bt[:, d:], out=row[d:])
+    coef = np.where(layout.rows == layout.cols, 1.0, 2.0) * Ke[layout.rows, layout.cols]
+    return diagonals[layout.pairs] @ coef
 
 
 def dense_compliances(mesh, Ke, densities, F):

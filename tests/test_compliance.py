@@ -311,3 +311,27 @@ def test_gradient_weight_shape_is_checked(mesh_4x2, material):
     with pytest.raises(ValueError):
         tr.weighted_gradient_naive(stats, np.ones(6), Ke, mesh_4x2)
 
+
+
+def test_naive_gradient_allocates_no_weighted_copy_of_its_solves(material):
+    """The naive kernel weights its solves one tile of rows at a time: on
+    80x20 with L = 200, one gradient allocates under a quarter of the
+    n_dofs x L block of solves (the tile, the diagonals and the gather)."""
+    import tracemalloc
+
+    mesh = tr.cantilever_mesh(2, (80, 20))
+    F = tr.sample_cantilever_scenarios(mesh, 200, seed=0)
+    rho = np.random.default_rng(5).uniform(0.05, 1.0, mesh.n_elements)
+    Ke, system = make_system(mesh, material, rho)
+    stats = tr.compliances_naive(system, F)
+    assert stats.Q.shape == (mesh.n_dofs, 200) and stats.Q.flags.c_contiguous
+    w = comp.mean(stats)[1]
+    expected = tr.weighted_gradient(stats, w, Ke, mesh)  # the mesh's caches are built
+    tracemalloc.start()
+    try:
+        g = tr.weighted_gradient(stats, w, Ke, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(g, expected)
+    assert peak < stats.Q.nbytes / 4, f"{peak} bytes against a {stats.Q.nbytes}-byte block"

@@ -95,6 +95,16 @@ def test_schedule_validation():
         with pytest.raises(ValueError, match=key):
             tr.ContinuationSchedule.default(**bad)
     assert len(tr.ContinuationSchedule.default(p_step=5 / 999, beta_end=0.0).steps) == 1000
+    # tolerances that do not fall across several steps name both keys, also
+    # when tol_end is below tol_start by less than round-off spreads over the
+    # steps; one step has no decay to check
+    for tol_end in (1e-3, 2e-3, 1e-3 * (1 - 1e-15)):
+        with pytest.raises(ValueError, match=r"^tol_end must be < tol_start \(0\.001\), far "
+                                             r"enough below it for 16 strictly decreasing "
+                                             rf"tolerances; got {tol_end}$"):
+            tr.ContinuationSchedule.default(tol_start=1e-3, tol_end=tol_end)
+    one_step = tr.ContinuationSchedule.default(p_end=1.0, beta_end=0.0, tol_end=1e-2)
+    assert [s.tolerance for s in one_step.steps] == [1e-3]
     with pytest.raises(TypeError, match="beta_end"):
         tr.ContinuationSchedule.default(beta_end="20")
 
@@ -361,9 +371,10 @@ def test_a_second_run_of_one_problem_repeats_a_fresh_run(kind):
 
 
 def test_an_mma_step_keeps_at_most_one_earlier_analysis_alive(monkeypatch):
-    # `fea.analysis_bytes` counts two solve blocks per analysis: the new one
-    # and the memo's last; the previous step's final analysis must not be a
-    # third
+    # the memo lets go of its analysis before it analyzes a new point, and
+    # neither MMA nor the previous step's `final` holds one: every analysis
+    # starts with no earlier one alive, so an MMA run holds one block of
+    # solves at a time
     made = []
     live_at_call = []
     analyze = tr.ForwardModel.analyze
@@ -378,7 +389,7 @@ def test_an_mma_step_keeps_at_most_one_earlier_analysis_alive(monkeypatch):
     problem = tr.MeanStdProblem(small_model("naive", L=6), 0.5, m=2.0)
     res = tr.run_continuation(problem, short_schedule())
     assert res.history[1]["n_iters"] >= 1
-    assert max(live_at_call) == 1
+    assert max(live_at_call) == 0
 
 
 def test_final_analysis_is_the_final_point_after_rejected_trials(monkeypatch, analyze_spy):

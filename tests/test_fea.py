@@ -13,7 +13,7 @@ import toporisk as tr
 from toporisk import fea
 from toporisk.errors import NotPositiveDefiniteError
 
-from oracles import band_to_dense, dense_stiffness
+from oracles import band_to_dense, dense_stiffness, untiled_form_gradient
 
 # local corner coordinates on [-1, 1]^dim, same order as element_node_ids
 CORNERS_2D = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
@@ -336,13 +336,15 @@ def test_solves_on_either_side_of_the_sweep_switch_agree(cells, material):
 def test_form_gradient_is_the_derivative_of_the_assembled_form(dim, cells, material):
     """d/d rho_e of sum_k a_k^T K b_k: K is linear in rho, so the derivative
     is the form of the dense unit-density matrix of element e, without the
-    identity rows of the fixed DOFs. A and B are nonzero on fixed DOFs too."""
+    identity rows of the fixed DOFs. A = B W and B are nonzero on fixed
+    DOFs too."""
     mesh = tr.cantilever_mesh(dim, cells)
     Ke = tr.element_stiffness(mesh, material)
     rng = np.random.default_rng(7)
     B = rng.standard_normal((mesh.n_dofs, 5))
     S = rng.standard_normal((5, 5))
-    A = B @ (S + S.T)  # A B^T is symmetric
+    W = S + S.T  # A B^T is symmetric
+    A = B @ W
     identity = np.zeros((mesh.n_dofs, mesh.n_dofs))
     fixed = sorted(mesh.fixed_dofs)
     identity[fixed, fixed] = 1.0
@@ -350,7 +352,7 @@ def test_form_gradient_is_the_derivative_of_the_assembled_form(dim, cells, mater
     for e in range(mesh.n_elements):
         dK = dense_stiffness(mesh, Ke, np.eye(mesh.n_elements)[e]) - identity
         expected[e] = np.einsum("ik,ij,jk->", A, dK, B)
-    np.testing.assert_allclose(tr.fea.form_gradient(mesh, Ke, A, B), expected,
+    np.testing.assert_allclose(tr.fea.form_gradient(mesh, Ke, B, W), expected,
                                rtol=0, atol=1e-12 * np.max(np.abs(expected)))
 
 
@@ -363,8 +365,45 @@ def test_form_gradient_reads_either_memory_order(dim, cells, k, material):
     Ke = tr.element_stiffness(mesh, material)
     rng = np.random.default_rng(9)
     B = rng.standard_normal((mesh.n_dofs, k))
-    A = B * rng.uniform(-1.0, 1.0, k)
-    row_major = tr.fea.form_gradient(mesh, Ke, A, B)
-    column_major = tr.fea.form_gradient(mesh, Ke, np.asfortranarray(A), np.asfortranarray(B))
+    w = rng.uniform(-1.0, 1.0, k)
+    row_major = tr.fea.form_gradient(mesh, Ke, B, w)
+    column_major = tr.fea.form_gradient(mesh, Ke, np.asfortranarray(B), w)
     np.testing.assert_allclose(row_major, column_major, rtol=0,
                                atol=1e-13 * np.max(np.abs(column_major)))
+
+
+@pytest.mark.parametrize("tile", [None, 37])
+@pytest.mark.parametrize("weights", ["vector", "matrix"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("k", [1, 10, 200, 1000])
+@pytest.mark.parametrize("dim,cells", [(2, (40, 10)), (3, (6, 3, 3))])
+def test_tiled_form_gradient_matches_the_untiled_kernel_bit_for_bit(
+        dim, cells, k, order, weights, tile, material, monkeypatch):
+    """Tiles of DOF rows change no sum's order: the result equals one pass
+    over a whole weighted copy bit for bit. The meshes' 902 and 336 DOFs
+    are no multiple of the tile heights (327 rows at k = 200, 65 at
+    k = 1000, or 37 forced), so a short last tile is covered, and every
+    tile edge has offsets whose partner rows lie in the next tile."""
+    mesh = tr.cantilever_mesh(dim, cells)
+    Ke = tr.element_stiffness(mesh, material)
+    if tile is not None:
+        monkeypatch.setattr(fea, "_tile_rows", lambda k: tile)
+    rng = np.random.default_rng(k)
+    Q = np.asarray(rng.standard_normal((mesh.n_dofs, k)), order=order)
+    if weights == "vector":
+        W = rng.uniform(-1.0, 1.0, k)
+    else:
+        S = rng.standard_normal((k, k))
+        W = S + S.T
+    assert mesh.n_dofs % fea._tile_rows(k) != 0 or fea._tile_rows(k) >= mesh.n_dofs
+    np.testing.assert_array_equal(fea.form_gradient(mesh, Ke, Q, W),
+                                  untiled_form_gradient(mesh, Ke, Q, W))
+
+
+def test_form_gradient_rejects_weights_of_another_width(material):
+    mesh = tr.cantilever_mesh(2, (4, 2))
+    Ke = tr.element_stiffness(mesh, material)
+    Q = np.ones((mesh.n_dofs, 3))
+    for W in (np.ones(4), np.ones((3, 4)), np.ones((1, 3))):
+        with pytest.raises(ValueError, match="W must have shape"):
+            fea.form_gradient(mesh, Ke, Q, W)
