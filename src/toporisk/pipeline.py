@@ -15,7 +15,7 @@ physical densities stay in [x_min, 1].
 
 `DensityPipeline.backward` pulls a gradient with respect to physical
 densities back to the design vector through the chain rule; the filter
-contributes its transpose, a view of the filter's arrays.
+contributes its transpose.
 """
 from __future__ import annotations
 
@@ -101,9 +101,6 @@ class DensityPipeline:
         self.mesh = mesh
         self.x_min = float(x_min)
         self.filter_matrix = build_filter(mesh, filter_radius)
-        # `backward`'s A^T, a CSC view of A's arrays wrapped once: a new
-        # wrapper per call made the product 0.035 ms against 0.009 on 20x10
-        self._filter_transpose = self.filter_matrix.T
 
     def apply(self, design: np.ndarray, penalty: float, beta: float) -> DensityField:
         design = np.asarray(design, dtype=float)
@@ -143,7 +140,7 @@ class DensityPipeline:
         chain = chain * (1.0 - field.x_min) * field.penalty
         # at p = 1 this is filtered^0, which is 1.0 for every value, 0 included
         chain = chain * field.filtered ** (field.penalty - 1.0)
-        return self._filter_transpose @ (chain * grad_physical)
+        return self.filter_matrix.T @ (chain * grad_physical)
 
     def volume_fraction(self, field: DensityField) -> float:
         """Mean physical density."""

@@ -10,10 +10,7 @@ route evaluates F^T K^-1 F exactly.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,63 +108,12 @@ def thin_svd(F: ScenarioMatrix) -> ThinSVD:
 
     Only the loaded-DOF block is decomposed, so the cost is independent
     of n_dofs. `_truncated_svd` keeps exactly the singular values that the
-    full SVD of the block would keep. It runs on one BLAS thread
-    (`_one_blas_thread`), so with OpenBLAS its result does not depend on
-    the thread count.
+    full SVD of the block would keep.
     """
     if not np.any(F.block):
         raise ValueError("scenario matrix is identically zero")
-    with _one_blas_thread():
-        U, S, Vt = _truncated_svd(F.block)
+    U, S, Vt = _truncated_svd(F.block)
     return ThinSVD(U=U, S=S, Vt=Vt, dofs=F.dofs.copy())
-
-
-@functools.cache
-def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS in this process.
-
-    The libraries are found by path in /proc/self/maps (Linux) and their
-    functions by the names plain and scipy-openblas builds export, with
-    or without the 64-bit-index suffix. Elsewhere, or for another BLAS,
-    the tuple is empty.
-    """
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
-    except OSError:
-        return ()
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # a mapped file that is not a loadable library
-            continue
-        for prefix in ("openblas", "scipy_openblas"):
-            for suffix in ("", "64_"):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    controls.append((get, set_))
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one OpenBLAS thread, then restore each count.
-
-    The thin SVD's products are small (178 x 1000 x 16 on criterion 8's
-    block): with 2 OpenBLAS threads on a 2-core x86-64 VM, one of them
-    waited 3-5 ms for its second thread in about half the runs, so a
-    2.7 ms `thin_svd` took 5.5-7.6 ms; one thread waits for no other.
-    """
-    saved = [(get(), set_) for get, set_ in _openblas_thread_controls()]
-    for _, set_ in saved:
-        set_(1)
-    try:
-        yield
-    finally:
-        for count, set_ in saved:
-            set_(count)
 
 
 def _truncated_svd(A: np.ndarray):

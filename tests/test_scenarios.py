@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 import toporisk as tr
-from toporisk import scenarios as sc
 from toporisk.errors import ScenarioFormatError
 
 from oracles import random_scenarios
@@ -197,31 +196,6 @@ def test_thin_svd_truncates_like_the_full_svd(make, n_s, full, monkeypatch):
     ref = (Ub[:, :n_s] * Sb[:n_s]) @ Vtb[:n_s]
     assert np.linalg.norm(recon - ref) <= 1e-12 * np.linalg.norm(ref)
     assert (block.shape in shapes) == full
-
-
-def test_thin_svd_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
-    # every OpenBLAS found in the process (numpy's, and scipy's once loaded)
-    # runs the truncated SVD on one thread and gets its count back after
-    # it, also when the SVD raises
-    controls = sc._openblas_thread_controls()
-    before = [get() for get, _ in controls]
-    seen = []
-    truncated = sc._truncated_svd
-
-    def spy(A):
-        seen.append([get() for get, _ in controls])
-        if len(seen) == 2:
-            raise RuntimeError("raised inside the SVD")
-        return truncated(A)
-
-    monkeypatch.setattr(sc, "_truncated_svd", spy)
-    F = tr.sample_cantilever_scenarios(tr.cantilever_mesh(2, (8, 4)), 30, seed=0)
-    tr.thin_svd(F)
-    assert [get() for get, _ in controls] == before
-    with pytest.raises(RuntimeError, match="inside the SVD"):
-        tr.thin_svd(F)
-    assert seen == [[1] * len(controls)] * 2
-    assert [get() for get, _ in controls] == before
 
 
 def test_csv_round_trip_is_bitwise(tmp_path, mesh_6x3):
