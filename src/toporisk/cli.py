@@ -168,9 +168,7 @@ def cmd_bench(args) -> int:
         naive, svd = (r for r in rows if r["statistic"] == statistic)
         rel = abs(svd["value"] - naive["value"]) / max(abs(naive["value"]), 1e-300)
         if rel > 1e-9:
-            print(f"error: {statistic} disagrees between methods by {rel:.3e} relative",
-                  file=sys.stderr)
-            return EXIT_SOLVER
+            raise TopoRiskError(f"{statistic} disagrees between methods by {rel:.3e} relative")
 
     # the file first: a reader that stops early (`toporisk bench | head`)
     # must not cost the table
@@ -344,10 +342,9 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None and args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         code = args.handler(args)
         sys.stdout.flush()
         return code

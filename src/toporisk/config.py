@@ -57,7 +57,7 @@ from .continuation import (
     MeanStdProblem,
     check_analysis_fits,
 )
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .mesh import GroundMesh, Material, cantilever_mesh
 from .mma import MMAConfig
 from .pipeline import DensityPipeline
@@ -96,15 +96,12 @@ def _require(mapping, key, kind, where):
     if key not in mapping:
         raise ConfigError(f"{where}: missing required key {key!r}")
     value = mapping[key]
-    if kind is float:
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or isinstance(value, float) and not math.isfinite(value)):
-            raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
-        return value
+    if kind in (float, int):
+        try:
+            check_number(key, value, integer=kind is int)
+            return kind(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}.{key}: {exc}") from None
     if not isinstance(value, kind):
         raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value

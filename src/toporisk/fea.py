@@ -143,20 +143,20 @@ def element_stiffness(mesh: GroundMesh, material: Material) -> np.ndarray:
 
     The mesh's elements are axis-aligned squares/cubes of side h, so the
     Jacobian is (h/2) I everywhere and the quadrature is exact for the
-    multilinear shape functions.
+    multilinear shape functions. It is integrated on the reference cube, then
+    scaled once by (2/h)^2 (h/2)^dim = (h/2)^(dim-2) and, in 2D, the thickness:
+    a 2D element does not depend on h, and no cancelling power of h overflows.
     """
     dim = mesh.dim
-    h = mesh.element_size
     corners = 2.0 * mesh.corner_offsets() - 1.0  # local coordinates in [-1, 1]^dim
     D = _elastic_matrix(material, dim)
     n_dof = corners.shape[0] * dim
     Ke = np.zeros((n_dof, n_dof))
-    detJ = (h / 2.0) ** dim
     grids = np.meshgrid(*([_GAUSS_1D] * dim), indexing="ij")
     for point in np.stack([g.ravel() for g in grids], axis=1):
-        dNdx = _shape_gradients(corners, point) * (2.0 / h)
-        B = _strain_matrix(dNdx)
-        Ke += B.T @ D @ B * detJ
+        B = _strain_matrix(_shape_gradients(corners, point))
+        Ke += B.T @ D @ B
+    Ke *= (mesh.element_size / 2.0) ** (dim - 2)
     if dim == 2:
         Ke *= mesh.thickness
     return 0.5 * (Ke + Ke.T)

@@ -3,6 +3,7 @@
   * dense_stiffness     -- assembly by explicit Python loops, no vectorization
   * dense_compliances   -- per-scenario compliances through numpy.linalg.solve
   * band_to_dense       -- the full symmetric matrix of an upper band, by loops
+  * kdtree_filter       -- the cone filter from a KD-tree search over centroids
   * element_quadratics  -- g_e = sum_i w_i u_e,i^T Ke u_e,i, element by element
   * untiled_form_gradient -- `fea.form_gradient` in one pass over a whole weighted copy
   * random_scenarios    -- a scenario matrix of known rank on the free surface
@@ -16,6 +17,8 @@ match bit for bit. Test
 modules import them as `from oracles import ...`.
 """
 import numpy as np
+import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 import toporisk as tr
 
@@ -45,6 +48,32 @@ def band_to_dense(ab):
         for i in range(max(0, j - u), j + 1):
             K[i, j] = K[j, i] = ab[u + i - j, j]
     return K
+
+
+def kdtree_filter(mesh, radius):
+    """Row-stochastic cone (linearly decaying) density filter.
+
+    Entry (e, i) is proportional to max(0, radius - dist(centroid_e,
+    centroid_i)) and each row is normalized to sum to one. A radius at or
+    below the element size yields the identity.
+    """
+    if not radius > 0:
+        raise ValueError(f"filter radius must be > 0, got {radius}")
+    centroids = mesh.element_centroids()
+    n = mesh.n_elements
+    tree = cKDTree(centroids)
+    neighbor_lists = tree.query_ball_point(centroids, r=radius)
+    counts = np.array([len(lst) for lst in neighbor_lists], dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.concatenate([np.asarray(lst, dtype=np.int64) for lst in neighbor_lists])
+    owners = np.repeat(np.arange(n), counts)
+    dist = np.linalg.norm(centroids[owners] - centroids[indices], axis=1)
+    weights = radius - dist
+    A = sp.csr_matrix((weights, indices, indptr), shape=(n, n))
+    A.eliminate_zeros()
+    row_sums = np.asarray(A.sum(axis=1)).ravel()
+    return sp.diags(1.0 / row_sums) @ A
 
 
 def element_quadratics(mesh, Ke, U, w):

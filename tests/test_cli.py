@@ -381,6 +381,29 @@ def test_invalid_flag_values_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["run", "bench", "check-grad", "sample-scenarios"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    config = write_config(tmp_path)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), "--seed", "-1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "--seed" in err
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "check-grad"])
+@pytest.mark.parametrize("dim,cells,element_size,code", [
+    (2, [6, 3], 1e300, 0), (2, [6, 3], 1e160, 0), (2, [6, 3], 1e-300, 0),
+    # a 3D element scales as h, beside unit Dirichlet diagonals
+    (3, [3, 2, 2], 1e300, 3), (3, [3, 2, 2], 1e-300, 3),
+])
+def test_extreme_element_sizes_exit_0_or_3(tmp_path, capsys, command, dim, cells,
+                                           element_size, code):
+    config = write_config(tmp_path, mesh={"dim": dim, "cells": cells,
+                                          "element_size": element_size})
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_method_flag_only_where_it_is_read(tmp_path):
     config = write_config(tmp_path)
     for command in ("bench", "sample-scenarios"):

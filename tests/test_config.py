@@ -106,6 +106,7 @@ def file_scenarios(c, **keys):
     (lambda c: c["material"].pop("youngs_modulus"), "youngs_modulus"),
     (lambda c: c["material"].update(youngs_modulus=math.inf), "youngs_modulus"),
     (lambda c: c.update(filter_radius=math.inf), "config.filter_radius"),
+    (lambda c: c["mesh"].update(element_size=10**400), "mesh.element_size"),  # no float
     # keys the configured run does not read
     (lambda c: c["problem"].update(C_t=50.0), "problem.C_t"),
     (lambda c: c["problem"].update(m=2.0), "problem.m"),

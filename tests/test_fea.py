@@ -101,6 +101,20 @@ def test_element_stiffness_3d_matches_quadrature_oracle():
     np.testing.assert_allclose(Ke, oracle, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("h", [1e-300, 1e-160, 0.1, 3.0, 1e160, 1e300])
+def test_element_stiffness_scales_without_overflow(h):
+    """A 2D element does not depend on its size, bit for bit; a 3D one
+    scales as h, with no separate power of h to overflow or underflow."""
+    mat = tr.Material(1.0, 0.3)
+    for dim, cells in ((2, (2, 2)), (3, (2, 2, 2))):
+        Ke = tr.element_stiffness(tr.GroundMesh(dim=dim, cells=cells, element_size=h), mat)
+        unit = tr.element_stiffness(tr.GroundMesh(dim=dim, cells=cells, element_size=1.0), mat)
+        if dim == 2:
+            np.testing.assert_array_equal(Ke, unit)
+        else:
+            np.testing.assert_allclose(Ke / h, unit, rtol=1e-15, atol=0)
+
+
 @pytest.mark.parametrize("dim,n_rigid", [(2, 3), (3, 6)])
 def test_element_stiffness_rigid_body_modes(dim, n_rigid):
     cells = (2, 2) if dim == 2 else (2, 2, 2)

@@ -1,6 +1,10 @@
 """Density filter, interpolation and projection, with finite-difference adjoints."""
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from oracles import kdtree_filter
 
 import toporisk as tr
 from toporisk.pipeline import heaviside, heaviside_derivative
@@ -35,6 +39,37 @@ def test_filter_weights_are_cone_shaped(mesh_6x3):
 def test_tiny_radius_gives_identity(mesh_4x2):
     A = tr.build_filter(mesh_4x2, radius=0.5)
     np.testing.assert_array_equal(A.toarray(), np.eye(mesh_4x2.n_elements))
+
+
+@pytest.mark.parametrize("cells,h,radius,exact", [
+    ((80, 20), 1.0, 1.5, True),      # the three benchmark meshes
+    ((16, 6, 6), 1.0, 1.5, True),
+    ((20, 10), 1.0, 1.5, True),
+    ((6, 3), 1.0, 2.0, True),        # offsets (2, 0) and (0, 2) on the circle
+    ((6, 3), 1.0, 5 ** 0.5, True),   # offset (1, 2) on the circle
+    ((5, 4, 3), 1.0, 2.0, True),
+    ((4, 2), 1.0, 0.5, True),        # below one element: the identity
+    ((4, 2), 1.0, 10.0, True),       # beyond the whole mesh
+    ((7, 5), 2.0, 3.1, True),
+    ((7, 5), 0.1, 0.25, False),      # centroid differences round at h = 0.1
+])
+def test_filter_equals_the_kdtree_reference(cells, h, radius, exact):
+    mesh = tr.GroundMesh(dim=len(cells), cells=cells, element_size=h)
+    A, ref = tr.build_filter(mesh, radius), kdtree_filter(mesh, radius)
+    np.testing.assert_array_equal(A.indptr, ref.indptr)
+    np.testing.assert_array_equal(A.indices, ref.indices)
+    if exact:
+        np.testing.assert_array_equal(A.data, ref.data)
+    else:
+        np.testing.assert_allclose(A.data, ref.data, rtol=0, atol=1e-15)
+
+
+def test_import_loads_no_spatial_index():
+    code = ("import sys, toporisk; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_heaviside_zero_beta_is_exact_identity():
