@@ -1,13 +1,16 @@
 """Density filter, interpolation and projection, with finite-difference adjoints."""
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import kdtree_filter
 
 import toporisk as tr
 from toporisk.pipeline import heaviside, heaviside_derivative
+
+from oracles import kdtree_filter
 
 
 def test_filter_rows_are_stochastic(mesh_6x3):
@@ -67,8 +70,9 @@ def test_filter_equals_the_kdtree_reference(cells, h, radius, exact):
 def test_import_loads_no_spatial_index():
     code = ("import sys, toporisk; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(tr.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout
+                         check=True, env=env).stdout
     assert out.strip() == "[]"
 
 
