@@ -1,6 +1,8 @@
 """Command line entry points: run, bench, check-grad, sample-scenarios.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure,
+`main` loads the config once, with `--seed`, `--method` and `--out` as
+overrides of its keys (`config.apply_flags`), and hands each handler
+that `RunConfig`. Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 gradient-check failure. The TOPO_RISK_LOG environment variable
 (error | info | debug) sets the log level; logs go to stderr, results to
 stdout and the output directory.
@@ -20,9 +22,9 @@ import numpy as np
 from . import compliance as comp
 from . import io as artifacts
 from .auglag import phr
-from .config import (build_mesh, build_model, build_problem, build_schedule, load_config,
-                     sample_scenarios)
-from .continuation import METHODS, check_analysis_fits, run_continuation
+from .config import (apply_flags, build_mesh, build_model, build_problem, build_schedule,
+                     load_config, sample_scenarios)
+from .continuation import METHODS, run_continuation
 from .errors import ConfigError, TopoRiskError
 from .fea import StiffnessSystem, assemble
 from .scenarios import save_scenarios_to_file, thin_svd
@@ -54,8 +56,8 @@ def _setup_logging() -> None:
         logger.error("unknown TOPO_RISK_LOG value %r; using 'error'", name)
 
 
-def _output_dir(args, cfg) -> Path:
-    out = Path(args.out) if args.out else Path(cfg.output_dir)
+def _output_dir(cfg) -> Path:
+    out = Path(cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -63,10 +65,9 @@ def _output_dir(args, cfg) -> Path:
     return out
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    out = _output_dir(args, cfg)
-    model = build_model(cfg, method=args.method, seed=args.seed)
+def cmd_run(cfg, args) -> int:
+    out = _output_dir(cfg)
+    model = build_model(cfg)
     problem = build_problem(cfg, model)
     schedule = build_schedule(cfg)
     logger.info("run: kind=%s mesh=%s L=%d method=%s", cfg.kind, cfg.cells,
@@ -91,7 +92,7 @@ def cmd_run(args) -> int:
         "total_solves": result.total_solves,
     }
     if cfg.scenario_source == "sample":
-        report["seed"] = cfg.seed if args.seed is None else args.seed
+        report["seed"] = cfg.seed
     if cfg.kind == "max_compliance":
         report["C_t"] = "inf" if math.isinf(cfg.C_t) else cfg.C_t
     artifacts.write_report(out / "report.json", report)
@@ -148,12 +149,11 @@ def _bench_one(statistic, function, method, system, model):
             "seconds": seconds, "solves": stats.Q.shape[1]}
 
 
-def cmd_bench(args) -> int:
-    cfg = load_config(args.config)
-    out = _output_dir(args, cfg)
-    model = build_model(cfg, seed=args.seed)
-    # the naive rows solve all L columns, whichever route the config picks
-    check_analysis_fits(model.mesh, model.scenarios.n_scenarios)
+def cmd_bench(cfg, args) -> int:
+    out = _output_dir(cfg)
+    # the naive rows solve all L columns, whichever route the config picks,
+    # so the model's memory gate counts them; the SVD rows make their own SVD
+    model = build_model(cfg, method="naive")
     # full ground structure: the filter is row-stochastic, so x = 1 maps to
     # physical density 1 regardless of penalty and beta
     field = model.pipeline.apply(np.ones(model.mesh.n_elements), 1.0, 0.0)
@@ -239,19 +239,16 @@ def _check_grad_flags(args) -> None:
             raise ConfigError(f"{flag} must be finite and {expected}, got {value}")
 
 
-def cmd_check_grad(args) -> int:
-    cfg = load_config(args.config)
+def cmd_check_grad(cfg, args) -> int:
     _check_grad_flags(args)
-    mesh = build_mesh(cfg)
-    if mesh.n_elements > GRAD_CHECK_MAX_ELEMENTS:
-        raise ConfigError(
-            f"check-grad needs a small mesh (<= {GRAD_CHECK_MAX_ELEMENTS} elements); "
-            f"this one has {mesh.n_elements}"
-        )
-    model = build_model(cfg, mesh=mesh, method=args.method, seed=args.seed)
+    n_elements = math.prod(cfg.cells)
+    if n_elements > GRAD_CHECK_MAX_ELEMENTS:
+        raise ConfigError(f"check-grad needs a small mesh (<= {GRAD_CHECK_MAX_ELEMENTS} "
+                          f"elements); this one has {n_elements}")
+    model = build_model(cfg)
     # a file source has no seed: its check draws from seed 0, the same point every run
-    rng = np.random.default_rng((cfg.seed or 0) if args.seed is None else args.seed)
-    x = rng.uniform(0.2, 0.8, size=mesh.n_elements)
+    rng = np.random.default_rng(cfg.seed or 0)
+    x = rng.uniform(0.2, 0.8, size=n_elements)
     h = args.fd_step
 
     values, analytic = _grad_check_functions(model, x, args.penalty, args.beta, rng)
@@ -280,17 +277,15 @@ def cmd_check_grad(args) -> int:
     return EXIT_OK
 
 
-def cmd_sample_scenarios(args) -> int:
-    cfg = load_config(args.config)
+def cmd_sample_scenarios(cfg, args) -> int:
     if cfg.scenario_source != "sample":
         raise ConfigError("sample-scenarios needs a config with scenarios.source = \"sample\"")
-    out = _output_dir(args, cfg)
-    F = sample_scenarios(build_mesh(cfg), cfg.L, cfg.seed if args.seed is None else args.seed)
+    out = _output_dir(cfg)
+    F = sample_scenarios(build_mesh(cfg), cfg.L, cfg.seed)
     path = out / "scenarios.csv"
     save_scenarios_to_file(F, path)
-    n_s = thin_svd(F).n_s
     print(f"wrote {F.n_scenarios} scenarios on {F.n_loaded} loaded DOFs "
-          f"(rank {n_s}) to {path}")
+          f"(rank {thin_svd(F).n_s}) to {path}")
     return EXIT_OK
 
 
@@ -302,38 +297,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, handler, help, method=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="path to a JSON run configuration")
-        p.add_argument("--out", help="output directory (overrides the config)")
-        p.add_argument("--seed", type=int, help="override the scenario sampler seed")
+        p.add_argument("--out", help="output directory (overrides output_dir)")
+        p.add_argument("--seed", type=int, help="scenario sampler seed (overrides scenarios.seed)")
+        if method:
+            p.add_argument("--method", choices=METHODS,
+                           help="compliance evaluation method (overrides method)")
+        p.set_defaults(handler=handler, method=None)
+        return p
 
-    def add_method(p):
-        p.add_argument("--method", choices=METHODS,
-                       help="override the compliance evaluation method")
-
-    p_run = sub.add_parser("run", help="solve the configured optimization problem")
-    add_common(p_run)
-    add_method(p_run)
-    p_run.set_defaults(handler=cmd_run)
-
-    p_bench = sub.add_parser("bench", help="time naive vs SVD statistics on the full design")
-    add_common(p_bench)
-    p_bench.set_defaults(handler=cmd_bench)
-
-    p_check = sub.add_parser("check-grad", help="compare gradients against finite differences")
-    add_common(p_check)
-    add_method(p_check)
+    add_command("run", cmd_run, "solve the configured optimization problem", method=True)
+    add_command("bench", cmd_bench, "time naive vs SVD statistics on the full design")
+    p_check = add_command("check-grad", cmd_check_grad,
+                          "compare gradients against finite differences", method=True)
     p_check.add_argument("--fd-step", type=float, default=1e-6,
                          help="central difference step (default 1e-6)")
     p_check.add_argument("--penalty", type=float, default=3.0)
     p_check.add_argument("--beta", type=float, default=4.0)
     p_check.add_argument("--tol", type=float, default=1e-4,
                          help="failure threshold on the max relative error")
-    p_check.set_defaults(handler=cmd_check_grad)
-
-    p_sample = sub.add_parser("sample-scenarios", help="write sampled scenarios as CSV")
-    add_common(p_sample)
-    p_sample.set_defaults(handler=cmd_sample_scenarios)
+    add_command("sample-scenarios", cmd_sample_scenarios, "write sampled scenarios as CSV")
 
     return parser
 
@@ -343,9 +328,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-        code = args.handler(args)
+        cfg = apply_flags(load_config(args.config), args.seed, args.method, args.out)
+        code = args.handler(cfg, args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -31,10 +31,13 @@ section's keys are its constructor's arguments, its defaults and checks
 the constructor's own. "mma" configures the MMA-solved kinds (its keys
 are `max_iters` and `move`; MMA's other constants are fixed in `mma.py`)
 and "auglag" the max-compliance kind, so a run reads one of the two. The
-"mesh" section is checked by building its mesh once, but `RunConfig` keeps the
-four mesh values and `build_mesh` builds a fresh mesh on every call: a
-`GroundMesh` caches its DOF map and band layout, so a mesh held here would
-carry that set-up work from one build to the next.
+"mesh" section is checked on a `GroundMesh` without fixed DOFs, refused
+from its shape if one analysis exceeds physical memory. `RunConfig` keeps
+the four mesh values and `build_mesh` builds a fresh cantilever on every
+call: a `GroundMesh` caches its DOF map and band layout, so a mesh held
+here would carry that set-up work from one build to the next. The command
+line's `--seed`, `--method` and `--out` override `scenarios.seed`,
+`method` and `output_dir` through `apply_flags` alone.
 
 Every violation raises `ConfigError` naming the offending key or section,
 and so does a key that no section knows or that the configured run does
@@ -45,7 +48,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .auglag import AugLagConfig
@@ -200,7 +203,7 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
             if C_t <= 0:
                 raise ConfigError(f"{where}.problem.C_t: must be positive, got {C_t}")
 
-    # mesh, built once here to check its values
+    # mesh, checked on its shape alone
     mesh = _require(raw, "mesh", dict, where)
     _reject_keys(mesh, _SECTION_KEYS["mesh"], f"{where}.mesh")
     dim = _require(mesh, "dim", int, f"{where}.mesh")
@@ -215,7 +218,8 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
         raise ConfigError(f"{where}.mesh.cells: expected {dim} positive integers, got {cells}")
     element_size = _optional(mesh, "element_size", float, 1.0, f"{where}.mesh")
     thickness = _optional(mesh, "thickness", float, 1.0, f"{where}.mesh")
-    _construct(f"{where}.mesh", cantilever_mesh, dim, cells, element_size, thickness)
+    check_analysis_fits(_construct(f"{where}.mesh", GroundMesh, dim, cells, element_size,
+                                   thickness=thickness), 1)
     material = _build_section(raw, "material", Material, where, required=True)
 
     filter_radius = _require(raw, "filter_radius", float, where)
@@ -265,6 +269,19 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
     )
 
 
+def apply_flags(cfg: RunConfig, seed: int | None = None, method: str | None = None,
+                out: str | None = None) -> RunConfig:
+    """`cfg` with each flag given in place of the key it overrides. A negative
+    seed, or one for scenarios read from a file, is a ConfigError."""
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
+    if seed is not None and cfg.scenario_source == "file":
+        raise ConfigError("--seed overrides the scenario sampler's seed, but this "
+                          "config reads its scenarios from a file")
+    return replace(cfg, seed=cfg.seed if seed is None else seed,
+                   method=method or cfg.method, output_dir=out or cfg.output_dir)
+
+
 def build_mesh(cfg: RunConfig) -> GroundMesh:
     return cantilever_mesh(cfg.dim, cfg.cells, cfg.element_size, cfg.thickness)
 
@@ -280,22 +297,14 @@ def sample_scenarios(mesh: GroundMesh, L: int, seed: int) -> ScenarioMatrix:
 
 
 def build_model(cfg: RunConfig, mesh: GroundMesh | None = None,
-                method: str | None = None, seed: int | None = None) -> ForwardModel:
-    """Mesh, pipeline and scenarios assembled into a ForwardModel.
-
-    `method` and `seed` override the config (CLI flags); a seed is refused
-    for scenarios read from a file, which it cannot change. A mesh whose
-    smallest analysis (one solved column) cannot fit in memory, with the
-    sampled loads if any, is refused before the density filter is built;
-    `ForwardModel` repeats the check with the route's column count."""
-    if seed is not None and cfg.scenario_source == "file":
-        raise ConfigError("--seed overrides the scenario sampler's seed, but this "
-                          "config reads its scenarios from a file")
+                method: str | None = None) -> ForwardModel:
+    """Mesh, pipeline and scenarios assembled into a ForwardModel; `method`,
+    if given, replaces the config's route. Sampled loads are gated before
+    they are sampled, and the route's columns beside them by the model."""
     mesh = mesh or build_mesh(cfg)
     if cfg.scenario_source == "sample":
-        scenarios = sample_scenarios(mesh, cfg.L, cfg.seed if seed is None else seed)
+        scenarios = sample_scenarios(mesh, cfg.L, cfg.seed)
     else:
-        check_analysis_fits(mesh, 1)
         scenarios = load_scenarios_from_file(cfg.scenario_path, n_dofs=mesh.n_dofs)
     pipeline = DensityPipeline(mesh, cfg.filter_radius, cfg.x_min)
     return ForwardModel(mesh, cfg.material, pipeline, scenarios, method=method or cfg.method)

@@ -139,7 +139,9 @@ def check_analysis_fits(mesh: GroundMesh, k: int, load_values: int = 0) -> None:
     `load_values` scenario values held beside it, would need more than the
     machine's physical memory (`fea.analysis_bytes` plus eight bytes per
     value, against `fea.physical_memory_bytes`, which does not read a
-    cgroup limit)."""
+    cgroup limit). It reads the mesh's shape alone, so `parse_config` gates
+    k = 1 before any cantilever is built; `ForwardModel` gates its route's
+    columns beside its loads."""
     band, peak = analysis_bytes(mesh, k)
     loads = 8 * load_values
     memory = physical_memory_bytes()
@@ -191,7 +193,8 @@ class ForwardModel:
 
     Scenarios that load a fixed DOF or load nothing at all, and a model
     whose analysis would need more than the machine's physical memory
-    (`check_analysis_fits`), raise `ConfigError` before any assembly.
+    beside the loads it holds (`check_analysis_fits`), raise `ConfigError`
+    before any assembly.
     """
 
     def __init__(self, mesh: GroundMesh, material: Material,
@@ -219,7 +222,8 @@ class ForwardModel:
         self.method = method
         self.ke = element_stiffness(mesh, material)
         self.svd = thin_svd(scenarios) if method == "svd" else None
-        check_analysis_fits(mesh, self.svd.n_s if method == "svd" else scenarios.n_scenarios)
+        check_analysis_fits(mesh, self.svd.n_s if method == "svd" else scenarios.n_scenarios,
+                            scenarios.block.size)
         self.total_analyses = 0
         self.total_solves = 0
 

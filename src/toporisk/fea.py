@@ -56,6 +56,7 @@ n * eps * max|K_ii|.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -163,12 +164,11 @@ def element_stiffness(mesh: GroundMesh, material: Material) -> np.ndarray:
 
 
 def half_bandwidth(mesh: GroundMesh) -> int:
-    """The half-bandwidth u of K, read off the first element's DOFs.
-
-    Every element's DOFs are one offset pattern shifted by a constant, so
-    one element's DOF span is every element's."""
-    nodes = mesh.node_id_array(*mesh.corner_offsets().T)
-    return int(mesh.dim * (nodes.max() - nodes.min()) + mesh.dim - 1)
+    """The half-bandwidth u of K, the DOF span of any one element: its
+    corners span one node stride per axis, from its low corner to its high
+    one. The strides are Python ints, exact on any mesh."""
+    strides = [math.prod(mesh.nodes_per_axis[i + 1:]) for i in range(mesh.dim)]
+    return mesh.dim * sum(strides) + mesh.dim - 1
 
 
 def analysis_bytes(mesh: GroundMesh, k: int) -> tuple[int, int]:
@@ -182,7 +182,8 @@ def analysis_bytes(mesh: GroundMesh, k: int) -> tuple[int, int]:
     `form_gradient` weights the solves tile by tile, and the memo lets go
     of its analysis before it analyzes the next point. The augmented
     Lagrangian holds two by design, its current point's solves while a
-    trial point is solved, so the estimate counts two."""
+    trial point is solved, so the estimate counts two. It reads the mesh's
+    shape alone, in exact Python ints, and allocates nothing."""
     n_element_dofs = mesh.dim * 2**mesh.dim
     n_pairs = n_element_dofs * (n_element_dofs + 1) // 2
     band = 8 * (half_bandwidth(mesh) + 1) * mesh.n_dofs

@@ -20,11 +20,12 @@ Axes are (length, height, depth); "down" is the negative y direction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_fields
+from .errors import check_fields, check_number
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class GroundMesh:
         accepted at construction but produces a singular system at
         factorization time.
     thickness : float
-        Sheet thickness in mm (2D only; ignored in 3D).
+        Sheet thickness in mm (read in 2D only).
     """
 
     dim: int
@@ -87,10 +88,10 @@ class GroundMesh:
         if len(cells) != self.dim or any(c < 1 for c in cells):
             raise ValueError(f"cells must be {self.dim} positive ints, got {self.cells}")
         object.__setattr__(self, "cells", cells)
-        if not self.element_size > 0:
-            raise ValueError(f"element_size must be > 0, got {self.element_size}")
-        if self.dim == 2 and not self.thickness > 0:
-            raise ValueError(f"thickness must be > 0, got {self.thickness}")
+        for name in ("element_size", "thickness"):
+            check_number(name, getattr(self, name))
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         object.__setattr__(self, "fixed_dofs", frozenset(int(d) for d in self.fixed_dofs))
         if self.fixed_dofs and (min(self.fixed_dofs) < 0 or max(self.fixed_dofs) >= self.n_dofs):
             raise ValueError("fixed_dofs contains an out-of-range DOF index")
@@ -103,7 +104,7 @@ class GroundMesh:
 
     @property
     def n_nodes(self) -> int:
-        return int(np.prod(self.nodes_per_axis))
+        return math.prod(self.nodes_per_axis)
 
     @property
     def n_dofs(self) -> int:
@@ -111,7 +112,7 @@ class GroundMesh:
 
     @property
     def n_elements(self) -> int:
-        return int(np.prod(self.cells))
+        return math.prod(self.cells)
 
     # -- numbering ---------------------------------------------------------
 
@@ -192,6 +193,6 @@ def cantilever_mesh(dim: int, cells, element_size: float = 1.0, thickness: float
     dim * prod(nodes_per_axis[1:]).
     """
     cells = tuple(int(c) for c in cells)
-    n_face_dofs = dim * int(np.prod([c + 1 for c in cells[1:]]))
+    n_face_dofs = dim * math.prod(c + 1 for c in cells[1:])
     return GroundMesh(dim=dim, cells=cells, element_size=element_size,
                       fixed_dofs=frozenset(range(n_face_dofs)), thickness=thickness)

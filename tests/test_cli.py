@@ -194,6 +194,23 @@ def test_mesh_larger_than_physical_memory_exits_2_before_assembly(tmp_path, caps
     assert "64x32x32" in err and "physical memory" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "bench", "check-grad", "sample-scenarios"])
+@pytest.mark.parametrize("cells", [[10**9, 10**9], [10**7] * 3, [2, 600, 600]],
+                         ids=["2d-1e9", "3d-1e7", "3d-2x600x600"])
+def test_mesh_larger_than_physical_memory_exits_2_from_its_shape(tmp_path, capsys,
+                                                                 monkeypatch, command, cells):
+    """Refused from the mesh's shape, before the cantilever's fixed DOFs
+    (2 x 10^9 Python ints in 2D) are built."""
+    def cantilever_mesh(*args):
+        raise AssertionError("the cantilever was built")
+
+    monkeypatch.setattr("toporisk.config.cantilever_mesh", cantilever_mesh)
+    config = write_config(tmp_path, mesh={"dim": len(cells), "cells": cells})
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "physical memory" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["run", "sample-scenarios"])
 def test_sampled_loads_larger_than_physical_memory_exit_2_before_sampling(tmp_path, capsys,
                                                                           monkeypatch, command):
@@ -311,6 +328,21 @@ def test_bench_checks_memory_for_all_scenario_columns(tmp_path, capsys, monkeypa
     assert cli.main(["bench", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "1000-column solves" in err and "physical memory" in err and "Traceback" not in err
+
+
+def test_bench_makes_thin_svds_only_in_its_timed_rows(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(F):
+        calls.append(F.n_scenarios)
+        return tr.thin_svd(F)
+
+    monkeypatch.setattr("toporisk.cli.thin_svd", spy)
+    monkeypatch.setattr("toporisk.continuation.thin_svd", spy)
+    config = write_config(tmp_path, method="svd")
+    assert cli.main(["bench", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    # each statistic's SVD row: one warm-up run and the timed runs
+    assert len(calls) == len(cli.BENCH_STATISTICS) * (1 + cli.BENCH_REPEATS) == 12
 
 
 @pytest.mark.parametrize("command,method", [("run", "naive"), ("run", "svd"), ("bench", "naive")])

@@ -5,7 +5,8 @@ import math
 import pytest
 
 import toporisk as tr
-from toporisk.config import build_mesh, build_model, build_problem, build_schedule
+from toporisk.config import (apply_flags, build_mesh, build_model, build_problem,
+                             build_schedule)
 from toporisk.errors import ConfigError
 
 
@@ -199,8 +200,8 @@ def test_builders_assemble_consistent_objects():
     schedule = build_schedule(cfg)
     assert len(schedule.steps) == 16
 
-    # CLI-style overrides
-    model2 = build_model(cfg, method="svd", seed=9)
+    # the command line's overrides, applied to the config
+    model2 = build_model(apply_flags(cfg, seed=9, method="svd"))
     assert model2.method == "svd"
     assert not (model2.scenarios.block == model.scenarios.block).all()
 

@@ -200,6 +200,21 @@ def test_model_larger_than_physical_memory_is_refused_before_assembly(monkeypatc
         tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F)
 
 
+@pytest.mark.parametrize("method", ["naive", "svd"])
+def test_model_refuses_columns_that_fit_only_without_its_loads(monkeypatch, method):
+    """Memory between one analysis of the route's k columns and that plus
+    the n_loaded x L block of loads the model holds."""
+    mesh = tr.cantilever_mesh(2, (6, 3))
+    pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
+    F = tr.sample_cantilever_scenarios(mesh, 1000, 0)
+    k = tr.thin_svd(F).n_s if method == "svd" else F.n_scenarios
+    peak = tr.fea.analysis_bytes(mesh, k)[1]
+    monkeypatch.setattr(continuation, "physical_memory_bytes",
+                        lambda: peak + 8 * F.block.size // 2)
+    with pytest.raises(ConfigError, match="scenario loads"):
+        tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method=method)
+
+
 def test_mean_compliance_continuation_small():
     model = small_model()
     problem = tr.MeanStdProblem(model, volume_fraction=0.5, m=0.0)

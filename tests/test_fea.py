@@ -234,6 +234,18 @@ def test_analysis_bytes_of_a_mesh_larger_than_this_machine():
     assert peak == band + 8 * (3 * 65536 * 300 + 2 * 212355 * 10)
 
 
+def test_shape_counts_are_exact_past_int64():
+    """A 10^7-cube mesh, counted from its shape alone: nothing is allocated."""
+    n = 10**7
+    mesh = tr.GroundMesh(dim=3, cells=(n, n, n), element_size=1.0)
+    assert mesh.n_elements == 10**21 and mesh.n_nodes == (n + 1)**3
+    u = 3 * ((n + 1)**2 + (n + 1) + 1) + 2  # one node stride per axis, in DOFs
+    assert fea.half_bandwidth(mesh) == u
+    band, peak = fea.analysis_bytes(mesh, 1)
+    assert band == 8 * (u + 1) * 3 * (n + 1)**3
+    assert peak == band + 8 * (3 * 10**21 * 300 + 2 * 3 * (n + 1)**3)
+
+
 def test_solve_matches_dense_solve_on_3d(mesh_3d, material):
     Ke = tr.element_stiffness(mesh_3d, material)
     rho = np.random.default_rng(5).uniform(1e-3, 1.0, mesh_3d.n_elements)

@@ -47,6 +47,18 @@ def test_mesh_validation():
         tr.GroundMesh(dim=2, cells=(2, 2), element_size=1.0, fixed_dofs=frozenset({999}))
 
 
+@pytest.mark.parametrize("keys,error,name", [
+    ({"element_size": float("inf")}, ValueError, "element_size"),
+    ({"element_size": float("nan")}, ValueError, "element_size"),
+    ({"element_size": True}, TypeError, "element_size"),
+    ({"thickness": float("inf")}, ValueError, "thickness"),
+    ({"thickness": "1"}, TypeError, "thickness"),
+])
+def test_element_size_and_thickness_must_be_finite_numbers(keys, error, name):
+    with pytest.raises(error, match=name):
+        tr.cantilever_mesh(2, (4, 2), **keys)
+
+
 def test_node_numbering_2d():
     # 2x1 cells -> 3x2 nodes, y fastest: id(ix, iy) = ix*2 + iy
     mesh = tr.GroundMesh(dim=2, cells=(2, 1), element_size=1.0, fixed_dofs=frozenset())
