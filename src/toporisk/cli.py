@@ -2,10 +2,10 @@
 
 `main` loads the config once, with `--seed`, `--method` and `--out` as
 overrides of its keys (`config.apply_flags`), and hands each handler
-that `RunConfig`. Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 gradient-check failure. The TOPO_RISK_LOG environment variable
-(error | info | debug) sets the log level; logs go to stderr, results to
-stdout and the output directory.
+that `RunConfig`. Exit codes: 0 success, 2 configuration error, 3 solver
+failure, 4 gradient-check failure. The TOPO_RISK_LOG environment
+variable (error | info | debug) sets the log level; logs go to stderr,
+results to stdout and the output directory.
 """
 from __future__ import annotations
 
