@@ -16,10 +16,10 @@ agree up to round-off:
 * SVD:   the basis is U S from the thin SVD F = (U S) Vt (exactly n_s
          solves), recombined through Vt.
 
-Either basis is zero off F's loaded rows and is held on those rows only
-(F.block, or U S), so each route hands them to
-`StiffnessSystem.solve(block, rows=F.dofs)`, which scatters them into its
-own work block: no dense n_dofs x L copy of F is built. The naive route's
+Either basis is zero off the loaded rows and held on them only: F.block
+for `compliances_naive(sys, F)`, U S for `compliances_svd(sys, svd)`, which
+reads the `ThinSVD` alone. Each hands it to `StiffnessSystem.solve(block,
+rows=dofs)`, which scatters it into its own work block. The naive route's
 L columns take the blocked level-3 sweep and come back row-major; the SVD
 route's few columns take LAPACK's column sweep.
 
@@ -58,7 +58,9 @@ class ComplianceStats:
     (n_dofs, L) on the naive route, whose basis is F itself, and
     (n_dofs, n_s) on the SVD route, whose basis is U S with F = (U S) Vt.
     `Vt` is (n_s, L) on the SVD route and None on the naive one. The
-    sample variance uses the L - 1 denominator and is zero for L = 1.
+    sample variance uses the L - 1 denominator and is zero for L = 1. A
+    variance past the float range is inf, yet sigma is formed wherever it
+    fits: on overflow alone, from the deviations scaled by their largest.
     """
 
     C: np.ndarray
@@ -72,32 +74,36 @@ class ComplianceStats:
     def from_compliances(cls, C: np.ndarray, Q=None, Vt=None) -> "ComplianceStats":
         C = np.asarray(C, dtype=float)
         mean = float(np.mean(C))
+        variance = std = 0.0
         if C.size > 1:
             centered = C - mean
-            variance = float(centered @ centered / (C.size - 1))
-        else:
-            variance = 0.0
-        return cls(C=C, mean=mean, variance=variance, std=float(np.sqrt(variance)), Q=Q, Vt=Vt)
+            with np.errstate(over="ignore"):  # an overflow is handled below
+                variance = float(centered @ centered / (C.size - 1))
+            std = float(np.sqrt(variance))
+            if not np.isfinite(variance):
+                peak = np.max(np.abs(centered))
+                std = float(peak * np.linalg.norm(centered / peak) / np.sqrt(C.size - 1))
+        return cls(C=C, mean=mean, variance=variance, std=std, Q=Q, Vt=Vt)
 
 
 # -- forward evaluations -----------------------------------------------------
 
-def _compliances(sys: StiffnessSystem, F: ScenarioMatrix, block: np.ndarray,
+def _compliances(sys: StiffnessSystem, dofs: np.ndarray, block: np.ndarray,
                  Vt: np.ndarray | None) -> ComplianceStats:
     """C_i = f_i^T Q Vt[:, i] with Q = K^-1 basis (Vt = I when None).
 
-    The basis is zero off F's loaded rows and `block` holds it there; the
-    solve scatters it into the block it sweeps. The SVD route takes
-    C = diag(Vt^T G Vt) from the n_s x n_s matrix G = block^T Q on the
-    loaded rows, never forming an n_loaded x L block. A compliance that is
-    not finite (loads so large that the solve overflows) raises
+    `block` holds the basis (F's block, or U S) on the loaded rows `dofs`,
+    off which it is zero; the solve scatters it into its own block. The SVD
+    route takes C = diag(Vt^T G Vt) from the n_s x n_s matrix G = block^T Q
+    on the loaded rows, never forming an n_loaded x L block. A compliance
+    that is not finite (loads so large that the solve overflows) raises
     TopoRiskError: no statistic or gradient is defined from it.
     """
-    Q = sys.solve(block, rows=F.dofs)
+    Q = sys.solve(block, rows=dofs)
     if Vt is None:
-        C = np.einsum("ki,ki->i", F.block, Q[F.dofs, :])
+        C = np.einsum("ki,ki->i", block, Q[dofs, :])
     else:
-        G = block.T @ Q[F.dofs, :]
+        G = block.T @ Q[dofs, :]
         C = np.einsum("ai,ai->i", Vt, G @ Vt)
     if not np.isfinite(C).all():
         bad = np.flatnonzero(~np.isfinite(C))
@@ -108,14 +114,13 @@ def _compliances(sys: StiffnessSystem, F: ScenarioMatrix, block: np.ndarray,
 
 def compliances_naive(sys: StiffnessSystem, F: ScenarioMatrix) -> ComplianceStats:
     """All load compliances by L direct solves against F's loaded rows."""
-    return _compliances(sys, F, F.block, None)
+    return _compliances(sys, F.dofs, F.block, None)
 
 
-def compliances_svd(sys: StiffnessSystem, F: ScenarioMatrix, svd: ThinSVD) -> ComplianceStats:
-    """All load compliances from the thin SVD, by n_s solves against U S."""
-    if svd.Vt.shape[1] != F.n_scenarios or not np.array_equal(svd.dofs, F.dofs):
-        raise ValueError("SVD does not belong to this scenario matrix")
-    return _compliances(sys, F, svd.U * svd.S[None, :], svd.Vt)
+def compliances_svd(sys: StiffnessSystem, svd: ThinSVD) -> ComplianceStats:
+    """All load compliances from the thin SVD alone, by n_s solves against U S
+    on its loaded rows `svd.dofs`."""
+    return _compliances(sys, svd.dofs, svd.U * svd.S[None, :], svd.Vt)
 
 
 # -- scalar functions of C: (value, w = df/dC) ------------------------------

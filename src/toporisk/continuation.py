@@ -188,6 +188,9 @@ class ForwardModel:
 
     `method` picks the compliance route: "naive" solves against every
     scenario, "svd" against the scenario matrix's singular directions.
+    The model holds one form of its loads: `scenarios` (F) on the naive
+    route, `svd` (F's thin SVD) on the SVD route, and None for the other,
+    so an SVD model lets F go once it is built. `n_scenarios` is L on both.
     `total_analyses` counts analyses (one factorization each) and
     `total_solves` tallies their linear solves (right-hand-side columns).
 
@@ -218,7 +221,8 @@ class ForwardModel:
             raise ConfigError("every scenario load is zero; at least one must be nonzero")
         self.mesh = mesh
         self.pipeline = pipeline
-        self.scenarios = scenarios
+        self.scenarios = scenarios if method == "naive" else None
+        self.n_scenarios = scenarios.n_scenarios
         self.method = method
         self.ke = element_stiffness(mesh, material)
         self.svd = thin_svd(scenarios) if method == "svd" else None
@@ -231,7 +235,7 @@ class ForwardModel:
         field = self.pipeline.apply(x, penalty, beta)
         system = StiffnessSystem.factorize(assemble(self.mesh, self.ke, field.physical))
         if self.method == "svd":
-            stats = comp.compliances_svd(system, self.scenarios, self.svd)
+            stats = comp.compliances_svd(system, self.svd)
         else:
             stats = comp.compliances_naive(system, self.scenarios)
         self.total_analyses += 1
@@ -265,9 +269,9 @@ class MeanStdProblem:
     """min mu_C + m sigma_C subject to a volume fraction bound, by MMA.
 
     The objective's value and weights are `comp.mean_plus_m_std`'s. m = 0
-    is the mean compliance problem, exactly: sigma and the std weights are
-    finite (the weights are zero at or below `comp.sigma_floor`), so the
-    value and the weights at m = 0 equal those of the mean bit for bit.
+    is the mean compliance problem, exactly: sigma (even where the variance
+    overflows) and the std weights are finite, so the value and the weights
+    at m = 0 equal those of the mean bit for bit.
     `prepare` sets a run's memo and objective `scale`; `final` is the
     analysis the last step ended on.
     """
@@ -365,7 +369,7 @@ class MaxComplianceProblem:
         self.memo = _MemoizedAnalyses(self.model)
         full = self.memo.at(np.ones(self.model.mesh.n_elements), 1.0, 0.0)
         self.normalization = float(np.max(full.stats.C))
-        self.lam = np.zeros(self.model.scenarios.n_scenarios)
+        self.lam = np.zeros(self.model.n_scenarios)
 
     def solve_step(self, x: np.ndarray, step: ContinuationStep):
         self.final = None  # its solves need not live through this step

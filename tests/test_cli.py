@@ -77,7 +77,7 @@ def test_run_report_matches_fresh_evaluation(tmp_path):
     cfg = tr.load_config(config)
     from toporisk.config import build_mesh, build_model
     mesh = build_mesh(cfg)
-    model = build_model(cfg)
+    model = build_model(cfg, method="naive")
     lines = (out / "density.vtk").read_text().splitlines()
     start = next(i for i, l in enumerate(lines) if l == "LOOKUP_TABLE default") + 1
     vtk_vals = np.array([float(v) for v in lines[start:]])
