@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import toporisk as tr
-from toporisk.auglag import phr, projected_gradient_step
+from toporisk.auglag import MAX_BACKTRACKS, _nonmonotone_search, phr, projected_gradient_step
 from toporisk.errors import InfeasibleError
 
 
@@ -247,3 +247,60 @@ def test_callback_sees_every_primal_iteration():
                        callback=lambda d, p, x, L: seen.append((d, p)))
     assert seen
     assert all(d < 2 and p < 5 for d, p in seen)
+
+
+class ShallowEval(LinearEval):
+    """volume = 5e-5 mean(x) under the gradient of mean(x): along every
+    descent step the value falls at half the rate Armijo asks, so no trial
+    passes, and each backtrack about halves alpha."""
+
+    def __init__(self, x):
+        super().__init__(x, [5.0])
+        self.volume *= 5e-5
+
+
+def budgeted(make, budget, calls):
+    """`make` as an evaluate that records its points and fails past `budget` calls."""
+    def evaluate(x):
+        calls.append(np.array(x))
+        assert len(calls) <= budget, "more evaluations than the search allows"
+        return make(x)
+    return evaluate
+
+
+def test_search_gives_up_after_max_backtracks():
+    calls = []
+    x, direction = np.full(4, 0.5), np.full(4, -0.1)
+    L_val = ShallowEval(x).volume
+    trial = _nonmonotone_search(budgeted(ShallowEval, MAX_BACKTRACKS, calls),
+                                lambda ev: (ev.volume, None), x, direction, -0.1, L_val, L_val)
+    assert trial is None and len(calls) == MAX_BACKTRACKS
+    alphas = np.array([np.mean(x - c) / 0.1 for c in calls])
+    assert alphas[0] == pytest.approx(1.0) and np.all(alphas[1:] > 0.0)
+    np.testing.assert_allclose(alphas[1:] / alphas[:-1], 0.5, rtol=1e-3)
+
+
+def test_primal_phase_stops_after_a_failed_search():
+    # each dual iteration makes one primal iteration, whose search fails
+    # after MAX_BACKTRACKS trials, and hands the point to the dual update
+    calls, seen = [], []
+    config = tr.AugLagConfig(dual_iters=3, primal_iters=20)
+    res = tr.auglag_minimize(budgeted(ShallowEval, 1 + 3 * MAX_BACKTRACKS, calls),
+                             np.full(4, 0.5), np.inf, tol=1e-9, config=config,
+                             callback=lambda d, p, x, L: seen.append((d, p)))
+    assert res.n_primal_iters == 3 and seen == [(0, 0), (1, 0), (2, 0)]
+    assert len(calls) == 1 + 3 * MAX_BACKTRACKS
+    np.testing.assert_array_equal(res.x, np.full(4, 0.5))
+    assert not res.converged
+
+
+def test_primal_phase_stops_where_no_descent_is_left():
+    # a trust region below the spacing of floats at x = 0.5 rounds every
+    # step to zero: the residual is far above tol, but the slope is 0, and
+    # no search is made
+    calls = []
+    config = tr.AugLagConfig(dual_iters=2, primal_iters=20, trust_region=1e-20)
+    res = tr.auglag_minimize(budgeted(lambda x: LinearEval(x, [5.0]), 1, calls),
+                             np.full(4, 0.5), np.inf, tol=1e-9, config=config)
+    assert res.n_primal_iters == 0 and len(calls) == 1
+    assert res.kkt_residual == 0.25 and not res.converged

@@ -466,6 +466,40 @@ def test_check_grad_fails_with_tiny_tolerance(tmp_path):
     assert rc == 4
 
 
+def write_scaled_loads_config(tmp_path, scale, **overrides):
+    """The 6x3 config with three file loads of size `scale` at DOFs 13-15."""
+    csv = tmp_path / "loads.csv"
+    csv.write_text("dof,scenario,value\n" + "".join(
+        f"{13 + i},{i},{sign * scale!r}\n" for i, sign in enumerate((-1.0, 1.0, -1.0))))
+    return write_config(tmp_path, scenarios={"source": "file", "path": str(csv)}, **overrides)
+
+
+@pytest.mark.parametrize("method", ["naive", "svd"])
+@pytest.mark.parametrize("problem", [{"kind": "mean", "volume_fraction": 0.4},
+                                     {"kind": "mean_std", "volume_fraction": 0.4, "m": 2.0}],
+                         ids=["mean", "mean_std"])
+def test_run_at_loads_whose_compliance_variance_overflows(tmp_path, capsys, problem, method):
+    """Loads of 1e78 make compliances near 1e156, whose squared deviations
+    pass the float range; sigma does not, so both kinds run."""
+    config = write_scaled_loads_config(tmp_path, 1e78, problem=problem, method=method)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert 0.0 < report["sigma_C"] < report["mu_C"] < 1e157
+
+
+@pytest.mark.parametrize("method", ["naive", "svd"])
+def test_check_grad_fails_on_a_non_finite_error_and_names_it(tmp_path, capsys, method):
+    """At loads of 1e140 the variance (about 1e560) is no float, so var_C's
+    finite differences are NaN: a failed check, not a pass."""
+    config = write_scaled_loads_config(tmp_path, 1e140, method=method)
+    assert cli.main(["check-grad", "--config", str(config)]) == 4
+    captured = capsys.readouterr()
+    assert "gradient check FAILED: var_C" in captured.err
+    assert "passed" not in captured.out and "Traceback" not in captured.err
+
+
 def test_check_grad_rejects_large_mesh(tmp_path):
     config = write_config(tmp_path, mesh={"dim": 2, "cells": [30, 10]})
     assert cli.main(["check-grad", "--config", str(config)]) == 2
@@ -511,6 +545,16 @@ def test_bench_exits_3_when_the_routes_disagree(tmp_path, capsys, monkeypatch):
     config = write_config(tmp_path)
     assert cli.main(["bench", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
     assert "disagrees between methods" in capsys.readouterr().err
+
+
+def test_bench_exits_3_when_a_route_gap_is_not_finite(tmp_path, capsys, monkeypatch):
+    def nan_std(stats):
+        return np.nan, cli.comp.std(stats)[1]
+
+    monkeypatch.setitem(cli.BENCH_STATISTICS, "sigma_C", nan_std)
+    config = write_config(tmp_path)
+    assert cli.main(["bench", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert "sigma_C disagrees between methods by nan" in capsys.readouterr().err
 
 
 def test_sample_scenarios_round_trip(tmp_path, capsys):

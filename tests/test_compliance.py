@@ -198,6 +198,19 @@ def test_degenerate_dispersion_gives_zero_std_weights(mesh_4x2, material):
     np.testing.assert_array_equal(comp.mean_plus_m_std(stats, 0.0)[1], comp.mean(stats)[1])
 
 
+def test_sigma_is_formed_where_the_variance_overflows():
+    """Compliances near 1e300 square past the float range: the variance is
+    inf, but sigma scales with C, and mu + 0 sigma is the mean bit for bit."""
+    unit = tr.ComplianceStats.from_compliances(np.array([1.0, 2.0, 4.0]))
+    large = tr.ComplianceStats.from_compliances(np.array([1.0, 2.0, 4.0]) * 1e300)
+    assert np.isinf(large.variance)
+    assert large.std == pytest.approx(1e300 * unit.std, rel=1e-14)
+    value, w = comp.mean_plus_m_std(large, 0.0)
+    assert value == large.mean
+    np.testing.assert_array_equal(w, comp.mean(large)[1])
+    np.testing.assert_allclose(comp.std(large)[1], comp.std(unit)[1], rtol=1e-14)
+
+
 def test_naive_and_svd_gradients_agree(mesh_6x3, material):
     rng = np.random.default_rng(6)
     rho = rng.uniform(0.3, 1.0, mesh_6x3.n_elements)

@@ -58,6 +58,14 @@ def test_load_config_bad_file(tmp_path):
         tr.load_config(bad)
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"config"', "null"])
+def test_top_level_must_be_a_json_object(tmp_path, text):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="run.json: top level must be a JSON object"):
+        tr.load_config(path)
+
+
 def max_compliance(c, **sections):
     c.update(problem={"kind": "max_compliance", "C_t": 50.0}, **sections)
 
@@ -120,6 +128,12 @@ def file_scenarios(c, **keys):
     (lambda c: file_scenarios(c, seed=0), "config.scenarios.seed"),
     (lambda c: c["mesh"].update(cells=[True, 3]), "mesh.cells"),
     (lambda c: c["mesh"].update(dim=3, cells=[4, 2, 2], thickness=-5.0), "mesh.thickness"),
+    # sections that are not JSON objects
+    (lambda c: c.update(problem=3), "config.problem: expected dict, got int"),
+    (lambda c: c.update(mesh=[6, 3]), "config.mesh: expected dict, got list"),
+    (lambda c: c.update(scenarios="sample"), "config.scenarios: expected dict, got str"),
+    (lambda c: c.update(material=None), "config.material: expected dict, got NoneType"),
+    (lambda c: c.update(schedule=[]), "config.schedule: expected dict, got list"),
 ])
 def test_rejections_name_the_key(mutate, fragment):
     cfg = base_config()

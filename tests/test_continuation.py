@@ -1,4 +1,5 @@
 """Continuation schedule, forward model and the two problem classes."""
+import gc
 import weakref
 
 import numpy as np
@@ -179,6 +180,28 @@ def test_naive_analysis_builds_no_dense_scenario_matrix(monkeypatch):
         assert analysis.stats.C.shape == (L,)
 
 
+def test_an_svd_model_lets_its_scenario_matrix_go():
+    """An SVD model holds its loads as their thin SVD alone: once the caller
+    drops F, F and its block are collected, and the model still analyzes
+    as the naive model, which keeps F. Both report L scenarios."""
+    mesh = tr.cantilever_mesh(2, (6, 3))
+    pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
+    F = tr.sample_cantilever_scenarios(mesh, 12, 0)
+    naive = tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method="naive")
+    assert naive.scenarios is F and naive.svd is None and naive.n_scenarios == 12
+
+    F = tr.sample_cantilever_scenarios(mesh, 12, 0)
+    refs = weakref.ref(F), weakref.ref(F.block)
+    model = tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method="svd")
+    del F
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert model.scenarios is None and model.n_scenarios == 12
+    x = np.random.default_rng(3).uniform(0.2, 1.0, mesh.n_elements)
+    fast, slow = model.analyze(x, 3.0, 4.0).stats.C, naive.analyze(x, 3.0, 4.0).stats.C
+    assert np.max(np.abs(fast - slow)) <= 1e-9 * np.max(slow)
+
+
 def test_forward_model_rejects_unknown_method():
     mesh = tr.cantilever_mesh(2, (4, 2))
     pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
@@ -234,6 +257,27 @@ def test_mean_compliance_continuation_small():
     # the tight constraint and the residual the stop test read
     assert rec["multiplier"] > 0.0
     assert 0.0 <= rec["kkt_residual"] <= rec["tolerance"]
+
+
+@pytest.mark.parametrize("method", ["naive", "svd"])
+def test_mean_std_design_does_not_depend_on_the_load_scale(method):
+    """Loads x1e140 put the compliances near 1e280 and their variance past
+    the float range, not sigma: the mu + 2 sigma run ends on the design of
+    loads x1, with the same iterations in every step."""
+    mesh = tr.cantilever_mesh(2, (6, 3))
+    pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
+    schedule = tr.ContinuationSchedule.default(p_end=2.0, beta_end=0.0,
+                                               tol_start=2e-2, tol_end=1e-2)
+    runs = []
+    for scale in (1.0, 1e140):
+        F = tr.ScenarioMatrix(mesh.n_dofs, [13, 14, 15], scale * np.diag([-1.0, 1.0, -1.0]))
+        model = tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method=method)
+        runs.append(tr.run_continuation(tr.MeanStdProblem(model, 0.4, m=2.0), schedule))
+    unit, large = runs
+    assert np.isinf(large.final.stats.variance)
+    assert large.final.stats.std == pytest.approx(1e280 * unit.final.stats.std, rel=1e-9)
+    np.testing.assert_allclose(large.x, unit.x, rtol=0, atol=1e-12)
+    assert [r["n_iters"] for r in large.history] == [r["n_iters"] for r in unit.history]
 
 
 def test_volume_fraction_validation():

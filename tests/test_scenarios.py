@@ -242,6 +242,17 @@ def test_csv_load_reports_line_numbers(tmp_path):
         tr.load_scenarios_from_file(p)
 
 
+def test_csv_blank_rows_are_skipped(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_text("dof,scenario,value\n\n7,0,1.5\n\n3,1,-2.0\n\n")
+    F = tr.load_scenarios_from_file(p)
+    np.testing.assert_array_equal(F.dofs, [3, 7])
+    np.testing.assert_array_equal(F.block, [[0.0, -2.0], [1.5, 0.0]])
+    p.write_text("dof,scenario,value\n\n7,0,1.5\n1,0,oops\n")
+    with pytest.raises(ScenarioFormatError, match=r"f\.csv:4"):  # blank rows keep their numbers
+        tr.load_scenarios_from_file(p)
+
+
 def test_csv_n_dofs_validation(tmp_path):
     p = tmp_path / "f.csv"
     p.write_text("dof,scenario,value\n7,0,1.5\n")
