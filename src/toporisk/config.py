@@ -32,7 +32,9 @@ the constructor's own. "mma" configures the MMA-solved kinds (its keys
 are `max_iters` and `move`; MMA's other constants are fixed in `mma.py`)
 and "auglag" the max-compliance kind, so a run reads one of the two. The
 "mesh" section is checked on a `GroundMesh` without fixed DOFs, refused
-from its shape if one analysis exceeds physical memory. `RunConfig` keeps
+from its shape if one analysis exceeds physical memory, and refused again
+if that analysis and the build of its density filter (entries counted
+from the shape and "filter_radius") exceed it together. `RunConfig` keeps
 the four mesh values and `build_mesh` builds a fresh cantilever on every
 call: a `GroundMesh` caches its DOF map and band layout, so a mesh held
 here would carry that set-up work from one build to the next. The command
@@ -63,7 +65,7 @@ from .continuation import (
 from .errors import ConfigError, check_number
 from .mesh import GroundMesh, Material, cantilever_mesh
 from .mma import MMAConfig
-from .pipeline import DensityPipeline
+from .pipeline import DensityPipeline, filter_entries
 from .scenarios import ScenarioMatrix, load_scenarios_from_file, sample_cantilever_scenarios
 
 SCHEMA_VERSION = 1
@@ -218,13 +220,15 @@ def parse_config(raw: dict, where: str = "config") -> RunConfig:
         raise ConfigError(f"{where}.mesh.cells: expected {dim} positive integers, got {cells}")
     element_size = _optional(mesh, "element_size", float, 1.0, f"{where}.mesh")
     thickness = _optional(mesh, "thickness", float, 1.0, f"{where}.mesh")
-    check_analysis_fits(_construct(f"{where}.mesh", GroundMesh, dim, cells, element_size,
-                                   thickness=thickness), 1)
+    shape = _construct(f"{where}.mesh", GroundMesh, dim, cells, element_size,
+                       thickness=thickness)
+    check_analysis_fits(shape, 1)  # bounds the stencil `filter_entries` walks
     material = _build_section(raw, "material", Material, where, required=True)
 
     filter_radius = _require(raw, "filter_radius", float, where)
     if filter_radius <= 0:
         raise ConfigError(f"{where}.filter_radius: must be positive, got {filter_radius}")
+    check_analysis_fits(shape, 1, filter_entries=filter_entries(shape, filter_radius))
     x_min = _optional(raw, "x_min", float, 0.001, where)
     if not 0.0 < x_min < 1.0:
         raise ConfigError(f"{where}.x_min: must lie in (0, 1), got {x_min}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import compliance as comp
 from .auglag import AugLagConfig, auglag_minimize
-from .errors import ConfigError, check_number
+from .errors import ConfigError, TopoRiskError, check_number
 from .fea import (
     StiffnessSystem,
     analysis_bytes,
@@ -38,7 +38,7 @@ from .fea import (
 )
 from .mesh import GroundMesh, Material
 from .mma import MMAConfig, mma_minimize
-from .pipeline import DensityPipeline
+from .pipeline import FILTER_BUILD_BYTES, DensityPipeline
 from .scenarios import ScenarioMatrix, thin_svd
 
 METHODS = ("naive", "svd")
@@ -134,24 +134,30 @@ class ContinuationSchedule:
         return cls(steps=steps)
 
 
-def check_analysis_fits(mesh: GroundMesh, k: int, load_values: int = 0) -> None:
+def check_analysis_fits(mesh: GroundMesh, k: int, load_values: int = 0,
+                        filter_entries: int = 0) -> None:
     """Raise ConfigError if one analysis solving k columns on `mesh`, with
-    `load_values` scenario values held beside it, would need more than the
-    machine's physical memory (`fea.analysis_bytes` plus eight bytes per
-    value, against `fea.physical_memory_bytes`, which does not read a
-    cgroup limit). It reads the mesh's shape alone, so `parse_config` gates
-    k = 1 before any cantilever is built; `ForwardModel` gates its route's
-    columns beside its loads."""
+    `load_values` scenario values held beside it and the build of a density
+    filter of `filter_entries` nonzeros before it, would need more than the
+    machine's physical memory (`fea.analysis_bytes`, eight bytes per value
+    and `pipeline.FILTER_BUILD_BYTES` per filter entry, against
+    `fea.physical_memory_bytes`, which does not read a cgroup limit). It
+    reads counts alone, so `parse_config` gates k = 1 and the filter before
+    any cantilever is built; `ForwardModel` gates its route's columns
+    beside its loads."""
     band, peak = analysis_bytes(mesh, k)
     loads = 8 * load_values
+    filter_build = FILTER_BUILD_BYTES * filter_entries
     memory = physical_memory_bytes()
-    if peak + loads > memory:
+    if peak + loads + filter_build > memory:
         cells = "x".join(str(c) for c in mesh.cells)
         held = f" beside {loads / 1e9:.3g} GB of scenario loads" if loads else ""
+        built = (f", after a density filter of {filter_entries:.3g} entries that takes "
+                 f"{filter_build / 1e9:.3g} GB to build" if filter_entries else "")
         raise ConfigError(
-            f"a {cells} mesh needs about {(peak + loads) / 1e9:.3g} GB per analysis "
-            f"(one {band / 1e9:.3g} GB stiffness band and {k}-column solves{held}), "
-            f"more than the {memory / 1e9:.3g} GB of physical memory"
+            f"a {cells} mesh needs about {(peak + loads + filter_build) / 1e9:.3g} GB "
+            f"per analysis (one {band / 1e9:.3g} GB stiffness band and {k}-column "
+            f"solves{held}{built}), more than the {memory / 1e9:.3g} GB of physical memory"
         )
 
 
@@ -167,7 +173,7 @@ class Analysis:
         self.field = field
         self.stats = stats
         self.compliances = stats.C
-        self.volume = model.pipeline.volume_fraction(field)
+        self.volume = float(np.mean(field.physical))
 
     def gradient(self, w: np.ndarray | None = None, volume_weight: float = 0.0) -> np.ndarray:
         """Gradient over x of w^T C + volume_weight V (no compliance term if
@@ -290,10 +296,16 @@ class MeanStdProblem:
 
     def prepare(self, x0: np.ndarray, first: ContinuationStep) -> None:
         """Start a run: a fresh memo and the objective scale 1/|f(x0)| at
-        the first step's stages. The memo keeps this analysis for step 0."""
+        the first step's stages. The memo keeps this analysis for step 0.
+        An f(x0) that is not finite (mu_C + m sigma_C past the float range)
+        raises `TopoRiskError`."""
         self.memo = _MemoizedAnalyses(self.model)
         analysis = self.memo.at(x0, first.penalty, first.beta)
-        self.scale = 1.0 / abs(comp.mean_plus_m_std(analysis.stats, self.m)[0])
+        start = comp.mean_plus_m_std(analysis.stats, self.m)[0]
+        if not np.isfinite(start):  # before any gradient is formed from its weights
+            raise TopoRiskError(f"the objective mu_C + {self.m:g} sigma_C is not finite "
+                                f"at the start design: {start}")
+        self.scale = 1.0 / abs(start)
 
     def solve_step(self, x: np.ndarray, step: ContinuationStep):
         # the memo still holds the last step's analysis; a second reference

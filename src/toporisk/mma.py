@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_fields
+from .errors import TopoRiskError, check_fields
 
 # past this multiplier the constraint counts as unreachable within the
 # move limits, and the subproblem returns the point at the cap
@@ -191,7 +191,7 @@ def mma_minimize(objective, constraint, x0, tol, cfg: MMAConfig | None = None) -
     ----------
     objective, constraint : callable
         Each maps x to a (value, gradient) pair and must stay finite on
-        the box.
+        the box; a value or gradient that is not raises `TopoRiskError`.
     tol : float
         Threshold on the scaled projected KKT residual.
     """
@@ -210,7 +210,7 @@ def mma_minimize(objective, constraint, x0, tol, cfg: MMAConfig | None = None) -
     for iteration in range(1, cfg.max_iters + 1):
         if not (np.isfinite(f) and np.all(np.isfinite(df))
                 and np.isfinite(c) and np.all(np.isfinite(dc))):
-            raise ValueError("objective or constraint returned non-finite values")
+            raise TopoRiskError("objective or constraint returned non-finite values")
         low, upp = _update_asymptotes(iteration, x, xold1, xold2, low, upp)
         alpha = np.maximum(np.maximum(0.0, low + ALBEFA * (x - low)), x - cfg.move)
         beta = np.minimum(np.minimum(1.0, upp - ALBEFA * (upp - x)), x + cfg.move)

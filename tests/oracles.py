@@ -6,13 +6,16 @@
   * kdtree_filter       -- the cone filter from a KD-tree search over centroids
   * element_quadratics  -- g_e = sum_i w_i u_e,i^T Ke u_e,i, element by element
   * untiled_form_gradient -- `fea.form_gradient` in one pass over a whole weighted copy
+  * separate_backward   -- the pipeline's pull-back with its chain factor formed apart
   * random_scenarios    -- a scenario matrix of known rank on the free surface
   * mma_dual_slope      -- an MMA subproblem's primal point x(eta) and dual slope g(eta)
   * mma_dual_bisection  -- the subproblem's dual root by doubling and bisection
-All but `random_scenarios` and `untiled_form_gradient` are deliberately
-written along a different code path than the library so agreement is
-evidence, not tautology. `untiled_form_gradient` is the other way round:
-the kernel's arithmetic without its tiles, which the tiled kernel must
+All but `random_scenarios`, `untiled_form_gradient` and `separate_backward`
+are deliberately written along a different code path than the library so
+agreement is evidence, not tautology. `untiled_form_gradient` and
+`separate_backward` are the other way round: the kernel's arithmetic
+without its tiles, and the pull-back's chain factor formed from the
+intermediate densities after the forward pass, which the library must
 match bit for bit. Test
 modules import them as `from oracles import ...`.
 """
@@ -105,6 +108,18 @@ def untiled_form_gradient(mesh, Ke, Q, W):
         np.einsum("ki,ki->i", At[:, :n - d], Bt[:, d:], out=row[d:])
     coef = np.where(layout.rows == layout.cols, 1.0, 2.0) * Ke[layout.rows, layout.cols]
     return diagonals[layout.pairs] @ coef
+
+
+def separate_backward(pipeline, design, penalty, beta, g):
+    """A^T (chain * g), the chain factor formed from A x, the interpolated
+    densities, p, beta and x_min in the order of the factor's three stages."""
+    A, x_min = pipeline.filter_matrix, pipeline.x_min
+    filtered = A @ design
+    interpolated = (1.0 - x_min) * filtered**penalty + x_min
+    chain = tr.pipeline.heaviside_derivative(interpolated, beta)
+    chain = chain * (1.0 - x_min) * penalty
+    chain = chain * filtered ** (penalty - 1.0)
+    return A.T @ (chain * g)
 
 
 def dense_compliances(mesh, Ke, densities, F):

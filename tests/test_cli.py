@@ -211,6 +211,27 @@ def test_mesh_larger_than_physical_memory_exits_2_from_its_shape(tmp_path, capsy
     assert "physical memory" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "bench", "check-grad", "sample-scenarios"])
+def test_filter_larger_than_physical_memory_exits_2_before_it_is_built(tmp_path, capsys,
+                                                                      monkeypatch, command):
+    """At radius 1e6 the 40x20 filter couples every pair of elements: 640,000
+    entries, about 46 MB to build, against a mocked memory that holds one
+    analysis and half of that."""
+    def build_filter(*args):
+        raise AssertionError("the filter was built")
+
+    mesh = tr.GroundMesh(2, (40, 20), 1.0)
+    assert tr.pipeline.filter_entries(mesh, 1e6) == 800**2
+    memory = tr.fea.analysis_bytes(mesh, 1)[1] + tr.pipeline.FILTER_BUILD_BYTES * 800**2 // 2
+    monkeypatch.setattr("toporisk.pipeline.build_filter", build_filter)
+    monkeypatch.setattr("toporisk.continuation.physical_memory_bytes", lambda: memory)
+    config = write_config(tmp_path, mesh={"dim": 2, "cells": [40, 20]}, filter_radius=1e6)
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "density filter of 6.4e+05 entries" in err and "physical memory" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["run", "sample-scenarios"])
 def test_sampled_loads_larger_than_physical_memory_exit_2_before_sampling(tmp_path, capsys,
                                                                           monkeypatch, command):
@@ -464,6 +485,26 @@ def test_check_grad_fails_with_tiny_tolerance(tmp_path):
                           scenarios={"source": "sample", "L": 4, "seed": 0})
     rc = cli.main(["check-grad", "--config", str(config), "--tol", "1e-13"])
     assert rc == 4
+
+
+def test_run_at_a_filter_radius_near_the_float_limit(tmp_path, capsys):
+    """Cone weights of about 1e307 used to overflow the filter's row sums,
+    leaving every density at x_min (volume 0.001) and the run at exit 0."""
+    config = write_config(tmp_path, filter_radius=1e307, method="svd",
+                          scenarios={"source": "sample", "L": 6, "seed": 0})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert abs(json.loads((out / "report.json").read_text())["volume"] - 0.4) <= 1e-3
+
+
+def test_objective_that_overflows_exits_3(tmp_path, capsys):
+    """mu + m sigma at m = 1e308 is inf: a solver error, not a traceback."""
+    config = write_config(tmp_path, problem={"kind": "mean_std", "volume_fraction": 0.4,
+                                             "m": 1e308})
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "solver error" in err and "not finite" in err and "Traceback" not in err
 
 
 def write_scaled_loads_config(tmp_path, scale, **overrides):

@@ -156,7 +156,7 @@ def test_non_finite_oracle_raises():
     def constraint(x):
         return 0.0, np.zeros_like(x)
 
-    with pytest.raises(ValueError):
+    with pytest.raises(tr.TopoRiskError, match="non-finite"):
         tr.mma_minimize(objective, constraint, np.full(3, 0.5), tol=1e-6)
 
 

@@ -1,4 +1,5 @@
 """Density filter, interpolation and projection, with finite-difference adjoints."""
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 import toporisk as tr
 from toporisk.pipeline import heaviside, heaviside_derivative
 
-from oracles import kdtree_filter
+from oracles import kdtree_filter, separate_backward
 
 
 def test_filter_rows_are_stochastic(mesh_6x3):
@@ -65,6 +66,31 @@ def test_filter_equals_the_kdtree_reference(cells, h, radius, exact):
         np.testing.assert_array_equal(A.data, ref.data)
     else:
         np.testing.assert_allclose(A.data, ref.data, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("cells,h", [((6, 3), 1.0), ((80, 20), 1.0), ((5, 4, 3), 1.0),
+                                     ((7, 5), 0.1), ((4, 3, 3), 2.0), ((1, 9), 0.37)])
+@pytest.mark.parametrize("radius_in_h", [0.5, 1.0, 1.5, 2.0, 3.7, 1e3])
+def test_filter_entries_count_the_built_filter(cells, h, radius_in_h):
+    mesh = tr.GroundMesh(dim=len(cells), cells=cells, element_size=h)
+    radius = radius_in_h * h
+    assert tr.pipeline.filter_entries(mesh, radius) == tr.build_filter(mesh, radius).nnz
+
+
+@pytest.mark.parametrize("radius,exact", [(1e307, True), (1e308, False),
+                                          (float(np.finfo(float).max), False)])
+def test_huge_radius_filter_equals_a_spanning_one(mesh_6x3, radius, exact):
+    """Weights near the radius used to overflow the row sums to inf and
+    leave a zero filter. Every such radius spans the mesh with equal
+    weights; their rounding differs with the radius's mantissa."""
+    A, spanning = tr.build_filter(mesh_6x3, radius), tr.build_filter(mesh_6x3, 1e306)
+    assert spanning.nnz == 18**2 == tr.pipeline.filter_entries(mesh_6x3, radius)
+    np.testing.assert_array_equal(A.indptr, spanning.indptr)
+    np.testing.assert_array_equal(A.indices, spanning.indices)
+    if exact:
+        np.testing.assert_array_equal(A.data, spanning.data)
+    else:
+        np.testing.assert_allclose(A.data, spanning.data, rtol=1e-15, atol=0)
 
 
 def test_import_loads_no_spatial_index():
@@ -167,3 +193,26 @@ def test_backward_matches_finite_differences(mesh_6x3, p, beta):
                  - g @ pipe.apply(xm, p, beta).physical) / (2 * h)
     scale = np.max(np.abs(grad))
     np.testing.assert_allclose(grad, fd, atol=1e-6 * scale)
+
+
+def test_density_field_holds_physical_densities_and_the_chain_factor():
+    assert tuple(f.name for f in dataclasses.fields(tr.DensityField)) == ("physical", "chain")
+
+
+@pytest.mark.parametrize("cells", [(8, 5), (4, 3, 3)])
+@pytest.mark.parametrize("p", [1.0, 3.0, 6.0])
+@pytest.mark.parametrize("beta", [0.0, 4.0, 20.0])
+def test_backward_equals_the_separately_formed_chain_bitwise(cells, p, beta):
+    """The factor `apply` forms is the one formed afterwards from the
+    intermediate densities, bit for bit, at exact 0 and 1 design entries too."""
+    mesh = tr.cantilever_mesh(len(cells), cells)
+    pipe = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
+    rng = np.random.default_rng(3)
+    n = mesh.n_elements
+    for _ in range(3):
+        x = rng.uniform(0.0, 1.0, n)
+        x[rng.choice(n, n // 4, replace=False)] = 0.0
+        x[rng.choice(n, n // 4, replace=False)] = 1.0
+        g = rng.standard_normal(n)
+        got = pipe.backward(pipe.apply(x, p, beta), g)
+        assert got.tobytes() == separate_backward(pipe, x, p, beta, g).tobytes()
