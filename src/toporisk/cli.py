@@ -26,7 +26,6 @@ from .config import (apply_flags, build_mesh, build_model, build_problem, build_
                      load_config, sample_scenarios)
 from .continuation import METHODS, run_continuation
 from .errors import ConfigError, TopoRiskError
-from .fea import StiffnessSystem, assemble
 from .scenarios import save_scenarios_to_file, thin_svd
 
 EXIT_OK = 0
@@ -157,7 +156,7 @@ def cmd_bench(cfg, args) -> int:
     # full ground structure: the filter is row-stochastic, so x = 1 maps to
     # physical density 1 regardless of penalty and beta
     field = model.pipeline.apply(np.ones(model.mesh.n_elements), 1.0, 0.0)
-    system = StiffnessSystem.factorize(assemble(model.mesh, model.ke, field.physical))
+    system = model.factorize(field.physical)
 
     rows = []
     for statistic, function in BENCH_STATISTICS.items():

@@ -35,6 +35,12 @@ n_offsets is the number of distinct DOF offsets within an element (at
 most 11 in 2D, 50 in 3D); it reads the naive route's row-major Q in
 place.
 
+The solves are those of the unit structure (E = 1, t = 1, h = 1), and
+`ke` is its element: C and every gradient are divided once by the
+system's stiffness scale s = E t (2D) or E h (3D), `StiffnessSystem.scale`,
+which `ComplianceStats.scale` carries to the gradient. At s = 1 the
+divisions are exact.
+
 Gradients here are with respect to rho; `DensityPipeline.backward` maps
 them to the design vector.
 """
@@ -54,13 +60,18 @@ from .scenarios import ScenarioMatrix, ThinSVD
 class ComplianceStats:
     """Per-load compliances, their sample statistics and the route's solves.
 
-    `Q` = K^-1 basis holds the solves that `weighted_gradient` reads:
+    `Q` = K_unit^-1 basis holds the solves that `weighted_gradient` reads:
     (n_dofs, L) on the naive route, whose basis is F itself, and
     (n_dofs, n_s) on the SVD route, whose basis is U S with F = (U S) Vt.
-    `Vt` is (n_s, L) on the SVD route and None on the naive one. The
+    Q stays in unit scale: it solves the system's unit structure, so it is
+    `scale` times the displacements, for the system's stiffness scale
+    (`StiffnessSystem.scale`). C, its statistics and the gradients are in
+    the physical units: each is its unit-scale value divided by `scale`
+    once. `Vt` is (n_s, L) on the SVD route and None on the naive one. The
     sample variance uses the L - 1 denominator and is zero for L = 1. A
-    variance past the float range is inf, yet sigma is formed wherever it
-    fits: on overflow alone, from the deviations scaled by their largest.
+    variance past the float range is inf, and one below the normal range
+    loses digits or is zero, yet sigma is formed wherever it fits: in those
+    two cases alone, from the deviations scaled by their largest.
     """
 
     C: np.ndarray
@@ -69,9 +80,11 @@ class ComplianceStats:
     std: float
     Q: np.ndarray | None
     Vt: np.ndarray | None
+    scale: float = 1.0
 
     @classmethod
-    def from_compliances(cls, C: np.ndarray, Q=None, Vt=None) -> "ComplianceStats":
+    def from_compliances(cls, C: np.ndarray, Q=None, Vt=None,
+                         scale: float = 1.0) -> "ComplianceStats":
         C = np.asarray(C, dtype=float)
         mean = float(np.mean(C))
         variance = std = 0.0
@@ -80,10 +93,12 @@ class ComplianceStats:
             with np.errstate(over="ignore"):  # an overflow is handled below
                 variance = float(centered @ centered / (C.size - 1))
             std = float(np.sqrt(variance))
-            if not np.isfinite(variance):
+            # past the float range, or subnormal; exact zeros stay zero
+            if not np.finfo(float).tiny <= variance < np.inf:
                 peak = np.max(np.abs(centered))
-                std = float(peak * np.linalg.norm(centered / peak) / np.sqrt(C.size - 1))
-        return cls(C=C, mean=mean, variance=variance, std=std, Q=Q, Vt=Vt)
+                if peak > 0.0:
+                    std = float(peak * np.linalg.norm(centered / peak) / np.sqrt(C.size - 1))
+        return cls(C=C, mean=mean, variance=variance, std=std, Q=Q, Vt=Vt, scale=scale)
 
 
 # -- forward evaluations -----------------------------------------------------
@@ -95,8 +110,10 @@ def _compliances(sys: StiffnessSystem, dofs: np.ndarray, block: np.ndarray,
     `block` holds the basis (F's block, or U S) on the loaded rows `dofs`,
     off which it is zero; the solve scatters it into its own block. The SVD
     route takes C = diag(Vt^T G Vt) from the n_s x n_s matrix G = block^T Q
-    on the loaded rows, never forming an n_loaded x L block. A compliance
-    that is not finite (loads so large that the solve overflows) raises
+    on the loaded rows, never forming an n_loaded x L block. Q solves the
+    system's unit structure, so C is divided once by its stiffness scale. A
+    compliance that is not finite (loads so large that the solve overflows,
+    or a stiffness scale so small that the division does) raises
     TopoRiskError: no statistic or gradient is defined from it.
     """
     Q = sys.solve(block, rows=dofs)
@@ -105,11 +122,12 @@ def _compliances(sys: StiffnessSystem, dofs: np.ndarray, block: np.ndarray,
     else:
         G = block.T @ Q[dofs, :]
         C = np.einsum("ai,ai->i", Vt, G @ Vt)
+    C /= sys.scale
     if not np.isfinite(C).all():
         bad = np.flatnonzero(~np.isfinite(C))
         raise TopoRiskError(f"the compliance of scenario {bad[0]} is {C[bad[0]]} "
                             f"({bad.size} of {C.size} are not finite)")
-    return ComplianceStats.from_compliances(C, Q, Vt)
+    return ComplianceStats.from_compliances(C, Q, Vt, sys.scale)
 
 
 def compliances_naive(sys: StiffnessSystem, F: ScenarioMatrix) -> ComplianceStats:
@@ -126,8 +144,10 @@ def compliances_svd(sys: StiffnessSystem, svd: ThinSVD) -> ComplianceStats:
 # -- scalar functions of C: (value, w = df/dC) ------------------------------
 
 def sigma_floor(mean: float) -> float:
-    """Below this, the compliance dispersion counts as degenerate."""
-    return 1e-12 * max(1.0, mean)
+    """Below this, the compliance dispersion counts as degenerate: a share of
+    the mean (compliances are nonnegative), so that it does not depend on
+    the units of C, which the stiffness scale divides."""
+    return 1e-12 * mean
 
 
 def mean(stats: ComplianceStats) -> tuple[float, np.ndarray]:
@@ -173,9 +193,10 @@ def _checked_weights(w: np.ndarray, n_scenarios: int) -> np.ndarray:
 
 def weighted_gradient_naive(stats: ComplianceStats, w: np.ndarray,
                             ke: np.ndarray, mesh: GroundMesh) -> np.ndarray:
-    """(grad_rho C^T w)_e = -sum_i w_i u_i^T K_e u_i, with u_i = Q[:, i]."""
+    """(grad_rho C^T w)_e = -sum_i w_i u_i^T K_e u_i, with u_i = Q[:, i]
+    and `ke` the unit element that Q solved, divided by the stiffness scale."""
     w = _checked_weights(w, stats.Q.shape[1])
-    return -form_gradient(mesh, ke, stats.Q, w)
+    return -form_gradient(mesh, ke, stats.Q, w) / stats.scale
 
 
 def weighted_gradient_svd(stats: ComplianceStats, w: np.ndarray,
@@ -183,11 +204,12 @@ def weighted_gradient_svd(stats: ComplianceStats, w: np.ndarray,
     """(grad_rho C^T w)_e = -tr(X Q_e^T K_e Q_e) with X = Vt diag(w) Vt^T.
 
     Exact (not an approximation): equals the naive route up to round-off,
-    at O(L n_s^2) for X on top of the kernel's cost.
+    at O(L n_s^2) for X on top of the kernel's cost. Divided by the
+    stiffness scale, as the naive route is.
     """
     w = _checked_weights(w, stats.Vt.shape[1])
     X = (stats.Vt * w[None, :]) @ stats.Vt.T
-    return -form_gradient(mesh, ke, stats.Q, X)
+    return -form_gradient(mesh, ke, stats.Q, X) / stats.scale
 
 
 def weighted_gradient(stats: ComplianceStats, w: np.ndarray,

@@ -35,6 +35,7 @@ from .fea import (
     assemble,
     element_stiffness,
     physical_memory_bytes,
+    stiffness_scale,
 )
 from .mesh import GroundMesh, Material
 from .mma import MMAConfig, mma_minimize
@@ -200,10 +201,17 @@ class ForwardModel:
     `total_analyses` counts analyses (one factorization each) and
     `total_solves` tallies their linear solves (right-hand-side columns).
 
-    Scenarios that load a fixed DOF or load nothing at all, and a model
-    whose analysis would need more than the machine's physical memory
-    beside the loads it holds (`check_analysis_fits`), raise `ConfigError`
-    before any assembly.
+    `ke` is the unit element (E = 1, t = 1, h = 1) and `stiffness_scale`
+    the s = E t (2D) or E h (3D) that scales it to the material's: the
+    model assembles and factors the unit structure, and its systems carry
+    s (`factorize`), so the compliances and gradients come out in the
+    material's units while the factor sees order-one stiffness whatever
+    they are.
+
+    Scenarios that load a fixed DOF or load nothing at all, a stiffness
+    scale outside the float range, and a model whose analysis would need
+    more than the machine's physical memory beside the loads it holds
+    (`check_analysis_fits`), raise `ConfigError` before any assembly.
     """
 
     def __init__(self, mesh: GroundMesh, material: Material,
@@ -230,16 +238,27 @@ class ForwardModel:
         self.scenarios = scenarios if method == "naive" else None
         self.n_scenarios = scenarios.n_scenarios
         self.method = method
-        self.ke = element_stiffness(mesh, material)
+        self.stiffness_scale = stiffness_scale(mesh, material)
+        if not 0.0 < self.stiffness_scale < np.inf:
+            quantity = "thickness" if mesh.dim == 2 else "element_size"
+            raise ConfigError(f"youngs_modulus x {quantity} = {self.stiffness_scale} "
+                              f"is outside the float range")
+        self.ke = element_stiffness(mesh, material, unit=True)
         self.svd = thin_svd(scenarios) if method == "svd" else None
         check_analysis_fits(mesh, self.svd.n_s if method == "svd" else scenarios.n_scenarios,
                             scenarios.block.size)
         self.total_analyses = 0
         self.total_solves = 0
 
+    def factorize(self, physical: np.ndarray) -> StiffnessSystem:
+        """The stiffness system at these physical densities: the unit
+        structure's factor, with the model's stiffness scale."""
+        return StiffnessSystem.factorize(assemble(self.mesh, self.ke, physical),
+                                         self.stiffness_scale)
+
     def analyze(self, x: np.ndarray, penalty: float, beta: float) -> Analysis:
         field = self.pipeline.apply(x, penalty, beta)
-        system = StiffnessSystem.factorize(assemble(self.mesh, self.ke, field.physical))
+        system = self.factorize(field.physical)
         if self.method == "svd":
             stats = comp.compliances_svd(system, self.svd)
         else:

@@ -52,7 +52,13 @@ A failed Cholesky is not a complete positive definiteness test: on a
 singular K (a structure with no fixed DOFs), round-off can leave a zero
 pivot slightly positive, and LAPACK accepts it. That happens for 2D
 floating structures, so `factorize` also rejects squared pivots below
-n * eps * max|K_ii|.
+n * eps * max|K_ii|. `assemble` puts 1.0 on every Dirichlet diagonal, so
+that floor holds only while the element stiffness is of order one. The
+model therefore assembles and factors the unit structure (E = 1, t = 1,
+h = 1; `element_stiffness(..., unit=True)`) and carries the stiffness
+scale s = E t (2D) or E h (3D) on the `StiffnessSystem`, by which the
+compliances and their gradients are divided once: physical units such as
+steel in Pa (E = 2.1e11) factor on every mesh size.
 """
 from __future__ import annotations
 
@@ -97,17 +103,17 @@ class _BandLayout:
     pairs: np.ndarray
 
 
-def _elastic_matrix(material: Material, dim: int) -> np.ndarray:
-    """Constitutive matrix: plane stress (3x3) or isotropic 3D (6x6)."""
-    E, nu = material.youngs_modulus, material.poissons_ratio
+def _elastic_matrix(nu: float, dim: int) -> np.ndarray:
+    """Constitutive matrix at unit Young's modulus: plane stress (3x3) or
+    isotropic 3D (6x6)."""
     if dim == 2:
-        return E / (1.0 - nu**2) * np.array(
+        return 1.0 / (1.0 - nu**2) * np.array(
             [[1.0, nu, 0.0],
              [nu, 1.0, 0.0],
              [0.0, 0.0, (1.0 - nu) / 2.0]]
         )
-    lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-    mu = E / (2.0 * (1.0 + nu))
+    lam = nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
+    mu = 1.0 / (2.0 * (1.0 + nu))
     D = np.zeros((6, 6))
     D[:3, :3] = lam
     D[np.arange(3), np.arange(3)] += 2.0 * mu
@@ -139,28 +145,35 @@ def _strain_matrix(dNdx: np.ndarray) -> np.ndarray:
     return B
 
 
-def element_stiffness(mesh: GroundMesh, material: Material) -> np.ndarray:
+def stiffness_scale(mesh: GroundMesh, material: Material) -> float:
+    """s = E t in 2D and E h in 3D: an element's stiffness is s times that
+    of the unit element (E = 1, t = 1, h = 1) of the same Poisson's ratio."""
+    return material.youngs_modulus * (mesh.thickness if mesh.dim == 2 else mesh.element_size)
+
+
+def element_stiffness(mesh: GroundMesh, material: Material, unit: bool = False) -> np.ndarray:
     """Stiffness matrix of one fully solid element (8x8 in 2D, 24x24 in 3D).
 
     The mesh's elements are axis-aligned squares/cubes of side h, so the
     Jacobian is (h/2) I everywhere and the quadrature is exact for the
-    multilinear shape functions. It is integrated on the reference cube, then
-    scaled once by (2/h)^2 (h/2)^dim = (h/2)^(dim-2) and, in 2D, the thickness:
-    a 2D element does not depend on h, and no cancelling power of h overflows.
+    multilinear shape functions. The unit element (E = 1, t = 1, h = 1) is
+    integrated on the reference cube and scaled by (2/h)^2 (h/2)^dim =
+    (1/2)^(dim-2); `unit` returns it. Otherwise it is scaled once more, by
+    `stiffness_scale(mesh, material)`: a 2D element does not depend on h,
+    and no cancelling power of h overflows.
     """
     dim = mesh.dim
     corners = 2.0 * mesh.corner_offsets() - 1.0  # local coordinates in [-1, 1]^dim
-    D = _elastic_matrix(material, dim)
+    D = _elastic_matrix(material.poissons_ratio, dim)
     n_dof = corners.shape[0] * dim
     Ke = np.zeros((n_dof, n_dof))
     grids = np.meshgrid(*([_GAUSS_1D] * dim), indexing="ij")
     for point in np.stack([g.ravel() for g in grids], axis=1):
         B = _strain_matrix(_shape_gradients(corners, point))
         Ke += B.T @ D @ B
-    Ke *= (mesh.element_size / 2.0) ** (dim - 2)
-    if dim == 2:
-        Ke *= mesh.thickness
-    return 0.5 * (Ke + Ke.T)
+    Ke *= 0.5 ** (dim - 2)
+    Ke = 0.5 * (Ke + Ke.T)
+    return Ke if unit else stiffness_scale(mesh, material) * Ke
 
 
 def half_bandwidth(mesh: GroundMesh) -> int:
@@ -367,15 +380,21 @@ class StiffnessSystem:
     """A factorized stiffness matrix: an immutable value, solved many times.
 
     Built only through `factorize`, so every instance holds a valid
-    Cholesky factor and `solve` has no state to check or update.
+    Cholesky factor and `solve` has no state to check or update. The
+    matrix is K = scale * K_unit, and the factor is that of K_unit, the
+    band `factorize` was given: `solve` returns K_unit^-1 F, `scale` times
+    the displacements, and whatever is formed from its solutions is divided
+    by `scale` once (`compliance`).
     """
 
-    def __init__(self, factor: np.ndarray):
+    def __init__(self, factor: np.ndarray, scale: float = 1.0):
         self._factor = factor
+        self.scale = scale
 
     @classmethod
-    def factorize(cls, ab: np.ndarray) -> "StiffnessSystem":
-        """Banded Cholesky K = R^T R of the upper band `ab` from `assemble`.
+    def factorize(cls, ab: np.ndarray, scale: float = 1.0) -> "StiffnessSystem":
+        """Banded Cholesky K_unit = R^T R of the upper band `ab` from
+        `assemble`, for K = scale * K_unit.
 
         The factor overwrites `ab` when it is a column-major float band,
         as `assemble` returns it; any other band is copied first.
@@ -396,7 +415,7 @@ class StiffnessSystem:
                 "stiffness matrix is not positive definite; the structure is "
                 "likely unsupported (no fixed DOFs) or densities underflowed"
             )
-        return cls(factor)
+        return cls(factor, scale)
 
     def solve(self, block: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Solve K X = F for the k columns of F, given on its rows `rows`.

@@ -179,11 +179,21 @@ class GroundMesh:
         return np.flatnonzero(np.any((grid == 0) | (grid == last), axis=0))
 
     def free_surface_dofs(self) -> np.ndarray:
-        """All DOFs of surface nodes that carry no Dirichlet condition, ascending."""
-        nodes = self.boundary_node_ids()
-        dofs = (self.dim * nodes[:, None] + np.arange(self.dim)[None, :]).ravel()
-        fixed = np.fromiter(self.fixed_dofs, dtype=np.int64) if self.fixed_dofs else np.empty(0, np.int64)
-        return np.setdiff1d(dofs, fixed)
+        """All DOFs of surface nodes that carry no Dirichlet condition,
+        ascending, read-only.
+
+        Built on the first call and cached on the mesh, so the memory gate
+        and the scenario sampler read one array.
+        """
+        dofs = self._cache.get("free_surface_dofs")
+        if dofs is None:
+            nodes = self.boundary_node_ids()
+            dofs = (self.dim * nodes[:, None] + np.arange(self.dim)[None, :]).ravel()
+            fixed = np.fromiter(self.fixed_dofs, dtype=np.int64, count=len(self.fixed_dofs))
+            dofs = np.setdiff1d(dofs, fixed)
+            dofs.flags.writeable = False
+            self._cache["free_surface_dofs"] = dofs
+        return dofs
 
 
 def cantilever_mesh(dim: int, cells, element_size: float = 1.0, thickness: float = 1.0) -> GroundMesh:

@@ -33,8 +33,9 @@ from .mesh import GroundMesh
 # whatever the radius
 STENCIL_BLOCK = 2**16
 # peak bytes per filter entry while `build_filter` runs: its boxes of rows,
-# columns and weights, their concatenation, the CSR conversion and the
-# normalized copy (measured 68-72 on 2-D and 3-D meshes of 0.6-10 M entries)
+# columns and weights, their concatenation and the CSR conversion; the
+# normalization after them adds no peak (measured 68-72 on 2-D and 3-D
+# meshes of 0.6-10 M entries)
 FILTER_BUILD_BYTES = 72
 
 
@@ -80,8 +81,14 @@ def build_filter(mesh: GroundMesh, radius: float) -> sp.csr_matrix:
     element widths, at distance h |d| (Andreassen et al. 2011), so no spatial
     index is searched: each offset of positive weight adds the box of
     elements whose neighbour e + d is in the grid. Offsets run in
-    lexicographic order, so rows come out sorted and sum in column order: at
-    h = 1 the matrix is bitwise that of a search over centroids.
+    lexicographic order, so each row is assembled in ascending column order
+    and its sum is taken in that order: at h = 1 the matrix is bitwise that
+    of a search over centroids. Each row's weights are then scaled in place
+    by the reciprocal of that sum, and the row is stored in descending
+    column order, the order in which the product diag(1/s) A stores it
+    (`has_sorted_indices` is False wherever a row holds two entries).
+    `A @ x` sums each row in its stored order, so every filtered density
+    has the bits of that product's.
 
     The weights are scaled by 2^-e, e the radius's binary exponent, so no
     row sum overflows at any finite radius. A power of two scales exactly
@@ -102,7 +109,10 @@ def build_filter(mesh: GroundMesh, radius: float) -> sp.csr_matrix:
             weights.append(np.full(own.size, wd))
     A = sp.csr_matrix((np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n))
-    return sp.diags(1.0 / np.asarray(A.sum(axis=1)).ravel()) @ A
+    starts, counts = A.indptr[:-1], np.diff(A.indptr)  # no row is empty: d = 0 is in it
+    A.data *= np.repeat(1.0 / np.add.reduceat(A.data, starts), counts)
+    descending = np.repeat(A.indptr[1:] - 1 + starts, counts) - np.arange(A.nnz)
+    return sp.csr_matrix((A.data[descending], A.indices[descending], A.indptr), shape=(n, n))
 
 
 def heaviside(y: np.ndarray, beta: float) -> np.ndarray:

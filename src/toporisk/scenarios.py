@@ -108,16 +108,15 @@ def thin_svd(F: ScenarioMatrix) -> ThinSVD:
 
     Only the loaded-DOF block is decomposed, so the cost is independent
     of n_dofs. `_truncated_svd` keeps exactly the singular values that the
-    full SVD of the block would keep.
+    full SVD of the block would keep, and raises ValueError on a block that
+    is identically zero.
     """
-    if not np.any(F.block):
-        raise ValueError("scenario matrix is identically zero")
     U, S, Vt = _truncated_svd(F.block)
     return ThinSVD(U=U, S=S, Vt=Vt, dofs=F.dofs.copy())
 
 
 def _truncated_svd(A: np.ndarray):
-    """SVD of a nonzero A, truncated at SVD_REL_TOL * sigma_1, via a verified sketch.
+    """SVD of A, truncated at SVD_REL_TOL * sigma_1, via a verified sketch.
 
     Randomized range finder (Halko, Martinsson & Tropp 2011): Q spans
     A @ Omega for a fixed-seed Gaussian Omega with k columns, and B = Q^T A
@@ -129,6 +128,10 @@ def _truncated_svd(A: np.ndarray):
     the full SVD keeps. Otherwise k doubles; once it reaches min(A.shape),
     the full SVD is taken. The sampler's rank-10 blocks pass with the first
     k in O(k * A.size) instead of O(min(A.shape) * A.size).
+
+    A zero A shows in the work already done, so it is not scanned for:
+    B = 0 (S_1 = 0) with a zero residual, or S_1 = 0 from the full SVD.
+    Either raises ValueError.
     """
     tol = SVD_REL_TOL
     k = _SKETCH_COLUMNS
@@ -138,12 +141,16 @@ def _truncated_svd(A: np.ndarray):
         B = Q.T @ A
         margin = _residual_norm(A, Q, B) * (1.0 + tol)
         Ub, S, Vt = np.linalg.svd(B, full_matrices=False)
+        if S[0] == 0.0 and margin == 0.0:
+            raise ValueError("scenario matrix is identically zero")
         cut = tol * S[0]
         if cut > margin and np.all(np.abs(S - cut) > margin):
             keep = S >= cut
             return Q @ Ub[:, keep], S[keep], Vt[keep, :]
         k *= 2
     Ub, S, Vt = np.linalg.svd(A, full_matrices=False)
+    if S[0] == 0.0:
+        raise ValueError("scenario matrix is identically zero")
     keep = S >= tol * S[0]
     return Ub[:, keep], S[keep], Vt[keep, :]
 
@@ -215,7 +222,9 @@ def sample_cantilever_scenarios(
     DOF without a Dirichlet condition, s_1..s_3 ~ U(-2, 2) and
     s_4..s_10 ~ N(0, 1) independently per scenario. The construction
     bounds rank(F) by 10. The mesh needs at least 2 cells along x, or the
-    top-face load would sit on the fixed face; ValueError otherwise.
+    top-face load would sit on the fixed face; ValueError otherwise, and
+    also when a point load falls on a DOF that is not a free surface DOF
+    (a mesh with other supports than the cantilever's).
 
     Randomness comes from `numpy.random.default_rng(seed)` (PCG64); the
     draw order is: the seven basis vectors first (row-major), then the
@@ -246,12 +255,14 @@ def sample_cantilever_scenarios(
             raise ValueError(f"multipliers must have shape (10, {L})")
         s_point, s_basis = multipliers[:3], multipliers[3:]
 
-    # the deterministic point loads all act on free surface nodes, so the
+    # the deterministic point loads act on free surface nodes, so the
     # loaded-DOF list is exactly the free surface DOF list
     block = (basis.T / 7.0) @ s_basis
-    lookup = {int(d): k for k, d in enumerate(surface)}
     for (dof_ids, direction), s_row in zip(_benchmark_point_loads(mesh), s_point):
-        rows = [lookup[int(d)] for d in dof_ids]
+        rows = np.searchsorted(surface, dof_ids)
+        if np.any(rows == surface.size) or np.any(surface[rows] != dof_ids):
+            raise ValueError(f"a benchmark point load acts on DOFs {dof_ids.tolist()}, "
+                             f"which are not all free surface DOFs of this mesh")
         block[rows, :] += np.outer(direction, s_row)
     return ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=surface, block=block)
 

@@ -4,21 +4,25 @@
   * dense_compliances   -- per-scenario compliances through numpy.linalg.solve
   * band_to_dense       -- the full symmetric matrix of an upper band, by loops
   * kdtree_filter       -- the cone filter from a KD-tree search over centroids
+  * product_filter      -- the cone filter normalized by a diagonal-times-sparse product
   * element_quadratics  -- g_e = sum_i w_i u_e,i^T Ke u_e,i, element by element
   * untiled_form_gradient -- `fea.form_gradient` in one pass over a whole weighted copy
   * separate_backward   -- the pipeline's pull-back with its chain factor formed apart
   * random_scenarios    -- a scenario matrix of known rank on the free surface
+  * dict_sampled_scenarios -- the cantilever sampler, its point loads placed by a dict
   * mma_dual_slope      -- an MMA subproblem's primal point x(eta) and dual slope g(eta)
   * mma_dual_bisection  -- the subproblem's dual root by doubling and bisection
-All but `random_scenarios`, `untiled_form_gradient` and `separate_backward`
-are deliberately written along a different code path than the library so
-agreement is evidence, not tautology. `untiled_form_gradient` and
-`separate_backward` are the other way round: the kernel's arithmetic
-without its tiles, and the pull-back's chain factor formed from the
-intermediate densities after the forward pass, which the library must
-match bit for bit. Test
-modules import them as `from oracles import ...`.
+All but `random_scenarios`, `untiled_form_gradient`, `separate_backward`
+and `product_filter` are deliberately written along a different code path
+than the library so agreement is evidence, not tautology. The other three
+are the other way round: the kernel's arithmetic without its tiles, the
+pull-back's chain factor formed from the intermediate densities after the
+forward pass, and the filter normalized as sp.diags(1/s) @ A (the stored
+arrays `build_filter` keeps while it scales in place), which the library
+must match bit for bit. Test modules import them as `from oracles import ...`.
 """
+import math
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
@@ -77,6 +81,25 @@ def kdtree_filter(mesh, radius):
     A.eliminate_zeros()
     row_sums = np.asarray(A.sum(axis=1)).ravel()
     return sp.diags(1.0 / row_sums) @ A
+
+
+def product_filter(mesh, radius):
+    """The cone filter of `pipeline.filter_stencil`'s boxes, assembled in
+    ascending column order and normalized by the product sp.diags(1/s) @ A,
+    which stores each row in descending column order."""
+    cells, n = mesh.cells, mesh.n_elements
+    ids = np.arange(n).reshape(cells)
+    exponent = math.frexp(radius)[1]
+    rows, cols, weights = [], [], []
+    for offsets, w in tr.pipeline.filter_stencil(mesh, radius):
+        for *d, wd in zip(*(k.tolist() for k in offsets), np.ldexp(w, -exponent)):
+            own = ids[tuple(slice(max(0, -k), c - max(0, k)) for k, c in zip(d, cells))].ravel()
+            rows.append(own)
+            cols.append(own + np.dot(ids.strides, d) // ids.itemsize)
+            weights.append(np.full(own.size, wd))
+    A = sp.csr_matrix((np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
+    return sp.diags(1.0 / np.asarray(A.sum(axis=1)).ravel()) @ A
 
 
 def element_quadratics(mesh, Ke, U, w):
@@ -140,6 +163,22 @@ def random_scenarios(mesh, L, rank, seed):
     k = min(rank, L)
     weights[:k, :k] += 10.0 * np.eye(k)
     return tr.ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=dofs, block=basis @ weights)
+
+
+def dict_sampled_scenarios(mesh, L, seed):
+    """`sample_cantilever_scenarios`' draws, with every point-load row found
+    through a dict over all free surface DOFs."""
+    rng = np.random.default_rng(seed)
+    surface = mesh.free_surface_dofs()
+    basis = rng.standard_normal((7, surface.size))
+    s_point = rng.uniform(-2.0, 2.0, size=(3, L))
+    s_basis = rng.standard_normal((7, L))
+    block = (basis.T / 7.0) @ s_basis
+    lookup = {int(d): k for k, d in enumerate(surface)}
+    for (dof_ids, direction), s_row in zip(tr.scenarios._benchmark_point_loads(mesh), s_point):
+        rows = [lookup[int(d)] for d in dof_ids]
+        block[rows, :] += np.outer(direction, s_row)
+    return tr.ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=surface, block=block)
 
 
 def mma_dual_slope(eta, p0, q0, p1, q1, b1, low, upp, alpha, beta):

@@ -343,7 +343,7 @@ def test_bench_checks_memory_for_all_scenario_columns(tmp_path, capsys, monkeypa
     assert svd_need < naive_need
     monkeypatch.setattr("toporisk.continuation.physical_memory_bytes",
                         lambda: (svd_need + naive_need) // 2)
-    monkeypatch.setattr("toporisk.cli.assemble", assemble)
+    monkeypatch.setattr("toporisk.continuation.assemble", assemble)
     config = write_config(tmp_path, method="svd",
                           scenarios={"source": "sample", "L": 1000, "seed": 0})
     assert cli.main(["bench", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
@@ -444,16 +444,62 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["run", "bench", "check-grad"])
-@pytest.mark.parametrize("dim,cells,element_size,code", [
-    (2, [6, 3], 1e300, 0), (2, [6, 3], 1e160, 0), (2, [6, 3], 1e-300, 0),
-    # a 3D element scales as h, beside unit Dirichlet diagonals
-    (3, [3, 2, 2], 1e300, 3), (3, [3, 2, 2], 1e-300, 3),
+@pytest.mark.parametrize("dim,cells,element_size", [
+    (2, [6, 3], 1e300), (2, [6, 3], 1e160), (2, [6, 3], 1e-300),
+    (3, [3, 2, 2], 1e300), (3, [3, 2, 2], 1e160), (3, [3, 2, 2], 1e-300),
 ])
 def test_extreme_element_sizes_exit_0_or_3(tmp_path, capsys, command, dim, cells,
-                                           element_size, code):
+                                           element_size):
+    """A 3D element scales as h. The unit structure is factored and C is
+    divided by E h, so every size runs; at h = 1e-300 the compliances are
+    about 1e302, and check-grad fails var_C by name (exit 4): the variance
+    is past the float range, and so is its gradient."""
     config = write_config(tmp_path, mesh={"dim": dim, "cells": cells,
                                           "element_size": element_size})
+    code = 4 if (dim, element_size, command) == (3, 1e-300, "check-grad") else 0
     assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 4:
+        assert "FAILED: var_C" in err
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "check-grad"])
+@pytest.mark.parametrize("material,mesh", [
+    ({"youngs_modulus": 1e-12}, {}),
+    ({}, {"thickness": 1e-12}),
+    ({"youngs_modulus": 2.1e11}, {}),
+])
+def test_stiffness_scale_leaves_every_command_one_exit_code(tmp_path, capsys, command,
+                                                            material, mesh):
+    """Bench used to exit 0 where run and check-grad exited 3 at E t = 1e-12:
+    the unit Dirichlet diagonals set the factor's pivot floor whatever E t
+    was. The unit structure is factored now, at every scale."""
+    config = write_config(tmp_path, method="svd",
+                          material={"youngs_modulus": 1.0, "poissons_ratio": 0.3, **material},
+                          mesh={"dim": 2, "cells": [6, 3], **mesh})
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_stiffness_scale_outside_the_float_range_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, material={"youngs_modulus": 1e300, "poissons_ratio": 0.3},
+                          mesh={"dim": 2, "cells": [6, 3], "thickness": 1e300})
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "youngs_modulus x thickness = inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("youngs_modulus", [2.1e11, 1e12])
+def test_physical_stiffness_runs_at_80x20(tmp_path, capsys, command, youngs_modulus):
+    """Steel in Pa and stiffer: the factor's pivot floor once rejected E = 1e12
+    on 80x20 (exit 3), beside unit Dirichlet diagonals."""
+    config = write_config(tmp_path, method="svd",
+                          material={"youngs_modulus": youngs_modulus, "poissons_ratio": 0.3},
+                          mesh={"dim": 2, "cells": [80, 20]},
+                          scenarios={"source": "sample", "L": 10, "seed": 0})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
     assert "Traceback" not in capsys.readouterr().err
 
 

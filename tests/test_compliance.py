@@ -339,3 +339,34 @@ def test_naive_gradient_allocates_no_weighted_copy_of_its_solves(material):
         tracemalloc.stop()
     np.testing.assert_array_equal(g, expected)
     assert peak < stats.Q.nbytes / 4, f"{peak} bytes against a {stats.Q.nbytes}-byte block"
+
+
+@pytest.mark.parametrize("route", ["naive", "svd"])
+@pytest.mark.parametrize("dim,cells,h,t,E", [
+    (2, (6, 3), 0.5, 2.0, 210e3),
+    (2, (6, 3), 1.0, 1.0, 2.1e11),
+    (3, (3, 2, 2), 0.25, 1.0, 70e3),
+])
+def test_model_evaluates_the_physical_structure(route, dim, cells, h, t, E):
+    """The model factors the unit structure and divides by E t (2D) or E h
+    (3D): its compliances and gradients are those of the physical element,
+    assembled and solved densely."""
+    mesh = tr.cantilever_mesh(dim, cells, element_size=h, thickness=t)
+    material = tr.Material(E, 0.3)
+    F = random_scenarios(mesh, L=6, rank=3, seed=1)
+    rng = np.random.default_rng(5)
+    rho = rng.uniform(0.3, 1.0, mesh.n_elements)
+    w = rng.standard_normal(6)
+    Ke = tr.element_stiffness(mesh, material)
+    U = np.linalg.solve(dense_stiffness(mesh, Ke, rho), F.to_dense())
+    expected_C = np.einsum("ki,ki->i", F.to_dense(), U)
+    expected_g = -element_quadratics(mesh, Ke, U, w)
+
+    model = tr.ForwardModel(mesh, material, tr.DensityPipeline(mesh, 1.0, 1e-3), F, method=route)
+    system = model.factorize(rho)
+    stats = (comp.compliances_naive(system, F) if route == "naive"
+             else comp.compliances_svd(system, model.svd))
+    assert system.scale == stats.scale == E * (t if dim == 2 else h)
+    np.testing.assert_allclose(stats.C, expected_C, rtol=1e-9)
+    g = comp.weighted_gradient(stats, w, model.ke, mesh)
+    np.testing.assert_allclose(g, expected_g, rtol=0, atol=1e-9 * np.max(np.abs(expected_g)))

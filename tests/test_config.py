@@ -235,3 +235,21 @@ def test_build_problem_kinds():
     assert isinstance(problem, tr.MaxComplianceProblem)
     assert problem.auglag_config.dual_iters == 4
     assert problem.auglag_config is cfg.auglag  # built once, in parse_config
+
+
+@pytest.mark.parametrize("cells", [[6, 3], [3, 2, 2]])
+def test_sampled_model_finds_its_surface_once(cells, monkeypatch):
+    """The memory gate and the sampler read one cached free-surface array."""
+    calls = []
+    boundary = tr.GroundMesh.boundary_node_ids
+
+    def spy(self):
+        calls.append(self.cells)
+        return boundary(self)
+
+    monkeypatch.setattr(tr.GroundMesh, "boundary_node_ids", spy)
+    cfg = tr.parse_config(base_config(mesh={"dim": len(cells), "cells": cells}))
+    build_model(cfg)
+    assert calls == [tuple(cells)]
+    build_model(cfg)  # a fresh mesh per model
+    assert calls == [tuple(cells)] * 2

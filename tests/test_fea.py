@@ -433,3 +433,19 @@ def test_form_gradient_rejects_weights_of_another_width(material):
     for W in (np.ones(4), np.ones((3, 4)), np.ones((1, 3))):
         with pytest.raises(ValueError, match="W must have shape"):
             fea.form_gradient(mesh, Ke, Q, W)
+
+
+def test_steel_in_pa_factorizes_on_200x100():
+    """At E = 2.1e11 the 200x100 band's largest diagonal (1.66e11) once put
+    the pivot floor n eps max|K_ii| above the unit Dirichlet diagonals, so
+    the uniform 0.4 design raised NotPositiveDefiniteError. The model
+    factors the unit structure, and its compliances are 1/E of that one's."""
+    mesh = tr.cantilever_mesh(2, (200, 100))
+    F = tr.sample_cantilever_scenarios(mesh, 4, seed=0)
+    rho = np.full(mesh.n_elements, 0.4)
+    C = {}
+    for E in (2.1e11, 1.0):
+        model = tr.ForwardModel(mesh, tr.Material(E, 0.3), tr.DensityPipeline(mesh, 1.0, 1e-3),
+                                F, method="naive")
+        C[E] = tr.compliances_naive(model.factorize(rho), F).C
+    np.testing.assert_allclose(C[2.1e11] * 2.1e11, C[1.0], rtol=1e-15)

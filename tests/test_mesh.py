@@ -128,6 +128,16 @@ def test_element_dof_map_is_cached_and_read_only(mesh_4x2):
     assert hash(mesh_4x2) == hash(tr.cantilever_mesh(2, (4, 2)))
 
 
+@pytest.mark.parametrize("cells", [(4, 2), (3, 2, 2)])
+def test_free_surface_dofs_are_cached_and_read_only(cells):
+    mesh = tr.cantilever_mesh(len(cells), cells)
+    dofs = mesh.free_surface_dofs()
+    assert mesh.free_surface_dofs() is dofs
+    with pytest.raises(ValueError):
+        dofs[0] = 1
+    assert mesh == tr.cantilever_mesh(len(cells), cells)
+
+
 def test_element_centroids():
     mesh = tr.GroundMesh(dim=2, cells=(2, 1), element_size=0.5, fixed_dofs=frozenset())
     np.testing.assert_allclose(mesh.element_centroids(),

@@ -11,7 +11,7 @@ import pytest
 import toporisk as tr
 from toporisk.pipeline import heaviside, heaviside_derivative
 
-from oracles import kdtree_filter, separate_backward
+from oracles import kdtree_filter, product_filter, separate_backward
 
 
 def test_filter_rows_are_stochastic(mesh_6x3):
@@ -91,6 +91,41 @@ def test_huge_radius_filter_equals_a_spanning_one(mesh_6x3, radius, exact):
         np.testing.assert_array_equal(A.data, spanning.data)
     else:
         np.testing.assert_allclose(A.data, spanning.data, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("cells", [(6, 3), (80, 20), (13, 7), (5, 4, 3), (4, 3, 3)])
+@pytest.mark.parametrize("h", [0.1, 1.0, 2.0])
+@pytest.mark.parametrize("radius_in_h", [0.5, 1.0, 1.5, 2.0, 2.5, 3.7, 1e3])
+def test_filter_is_stored_as_the_normalizing_product_stored_it(cells, h, radius_in_h):
+    """`build_filter` scales its rows in place and keeps the arrays that
+    sp.diags(1/s) @ A made: each row in descending column order, so that
+    A @ x sums in that order."""
+    mesh = tr.cantilever_mesh(len(cells), cells, element_size=h)
+    radius = radius_in_h * h
+    A, oracle = tr.build_filter(mesh, radius), product_filter(mesh, radius)
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(A, name), getattr(oracle, name), err_msg=name)
+    x = np.random.default_rng(3).uniform(size=mesh.n_elements)
+    np.testing.assert_array_equal(A @ x, oracle @ x)
+    np.testing.assert_array_equal(A.T @ x, oracle.T @ x)
+    assert A.has_sorted_indices == oracle.has_sorted_indices
+
+
+@pytest.mark.parametrize("cells", [(6, 3), (3, 2, 2)])
+@pytest.mark.parametrize("radius", [1e300, 1e306, 1e307])
+def test_filter_at_huge_radii_is_stored_as_the_product_stored_it(cells, radius):
+    mesh = tr.cantilever_mesh(len(cells), cells)
+    A, oracle = tr.build_filter(mesh, radius), product_filter(mesh, radius)
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(A, name), getattr(oracle, name), err_msg=name)
+
+
+def test_filter_rows_are_stored_in_descending_column_order():
+    A = tr.build_filter(tr.cantilever_mesh(2, (80, 20)), 1.5)
+    assert not A.has_sorted_indices
+    assert A.indices[A.indptr[0]:A.indptr[1]].tolist() == [21, 20, 1, 0]
+    for r in range(A.shape[0]):
+        assert np.all(np.diff(A.indices[A.indptr[r]:A.indptr[r + 1]]) < 0)
 
 
 def test_import_loads_no_spatial_index():

@@ -5,7 +5,7 @@ import pytest
 import toporisk as tr
 from toporisk.errors import ScenarioFormatError
 
-from oracles import random_scenarios
+from oracles import dict_sampled_scenarios, random_scenarios
 
 
 def unit_multipliers(row, L):
@@ -95,6 +95,29 @@ def test_sampler_refuses_a_one_cell_long_cantilever(cells):
     # the top-face load at x = round(1 / 2) = 0 would sit on the fixed face
     with pytest.raises(ValueError, match="at least 2 cells along x"):
         tr.sample_cantilever_scenarios(tr.cantilever_mesh(len(cells), cells), 4, seed=0)
+
+
+@pytest.mark.parametrize("cells", [(2, 1), (2, 3), (10, 5), (80, 20), (2, 1, 1), (2, 2, 3),
+                                   (16, 6, 6)])
+def test_sampler_places_point_loads_as_a_dict_lookup_does(cells):
+    mesh = tr.cantilever_mesh(len(cells), cells)
+    F = tr.sample_cantilever_scenarios(mesh, 30, seed=7)
+    oracle = dict_sampled_scenarios(tr.cantilever_mesh(len(cells), cells), 30, seed=7)
+    np.testing.assert_array_equal(F.dofs, oracle.dofs)
+    np.testing.assert_array_equal(F.block, oracle.block)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sampler_refuses_a_point_load_off_the_free_surface(dim):
+    """A mesh supported at the free end's middle node: the downward load there
+    would act on fixed DOFs."""
+    cells = (6, 3) if dim == 2 else (4, 2, 2)
+    cantilever = tr.cantilever_mesh(dim, cells)
+    end = cantilever.node_id(cells[0], *(c // 2 for c in cells[1:]))
+    mesh = tr.GroundMesh(dim=dim, cells=cells, element_size=1.0,
+                         fixed_dofs=cantilever.fixed_dofs | set(cantilever.node_dofs(end)))
+    with pytest.raises(ValueError, match="not all free surface DOFs"):
+        tr.sample_cantilever_scenarios(mesh, 4, seed=0)
 
 
 def test_sampler_is_deterministic():
