@@ -35,11 +35,9 @@ n_offsets is the number of distinct DOF offsets within an element (at
 most 11 in 2D, 50 in 3D); it reads the naive route's row-major Q in
 place.
 
-The solves are those of the unit structure (E = 1, t = 1, h = 1), and
-`ke` is its element: C and every gradient are divided once by the
-system's stiffness scale s = E t (2D) or E h (3D), `StiffnessSystem.scale`,
-which `ComplianceStats.scale` carries to the gradient. At s = 1 the
-divisions are exact.
+The solves are those of the unit structure, and `ke` is its element: C
+and every gradient are divided once by the system's stiffness scale
+(`StiffnessSystem.scale`, carried on `ComplianceStats.scale`).
 
 Gradients here are with respect to rho; `DensityPipeline.backward` maps
 them to the design vector.
@@ -63,15 +61,14 @@ class ComplianceStats:
     `Q` = K_unit^-1 basis holds the solves that `weighted_gradient` reads:
     (n_dofs, L) on the naive route, whose basis is F itself, and
     (n_dofs, n_s) on the SVD route, whose basis is U S with F = (U S) Vt.
-    Q stays in unit scale: it solves the system's unit structure, so it is
-    `scale` times the displacements, for the system's stiffness scale
-    (`StiffnessSystem.scale`). C, its statistics and the gradients are in
-    the physical units: each is its unit-scale value divided by `scale`
-    once. `Vt` is (n_s, L) on the SVD route and None on the naive one. The
-    sample variance uses the L - 1 denominator and is zero for L = 1. A
-    variance past the float range is inf, and one below the normal range
-    loses digits or is zero, yet sigma is formed wherever it fits: in those
-    two cases alone, from the deviations scaled by their largest.
+    Q stays in unit scale, `scale` times the displacements for the
+    system's stiffness scale; C, its statistics and the gradients are in
+    the material's units. `Vt` is (n_s, L) on the SVD route and None on
+    the naive one. The sample variance uses the L - 1 denominator and is
+    zero for L = 1. A variance past the float range is inf, and one below
+    the normal range loses digits or is zero, yet sigma is formed wherever
+    it fits: in those two cases alone, from the deviations scaled by their
+    largest.
     """
 
     C: np.ndarray

@@ -202,11 +202,8 @@ class ForwardModel:
     `total_solves` tallies their linear solves (right-hand-side columns).
 
     `ke` is the unit element (E = 1, t = 1, h = 1) and `stiffness_scale`
-    the s = E t (2D) or E h (3D) that scales it to the material's: the
-    model assembles and factors the unit structure, and its systems carry
-    s (`factorize`), so the compliances and gradients come out in the
-    material's units while the factor sees order-one stiffness whatever
-    they are.
+    (`fea.stiffness_scale`) scales it to the material's: the model factors
+    the unit structure, and its systems carry the scale (`factorize`).
 
     Scenarios that load a fixed DOF or load nothing at all, a stiffness
     scale outside the float range, and a model whose analysis would need

@@ -62,6 +62,7 @@ steel in Pa (E = 2.1e11) factor on every mesh size.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -121,27 +122,29 @@ def _elastic_matrix(nu: float, dim: int) -> np.ndarray:
     return D
 
 
-def _shape_gradients(corners: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """d N_i / d xi_j at a local point, for multilinear shape functions."""
+def _shape_gradients(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """d N_i / d xi_j at each local point (a row of `points`), for
+    multilinear shape functions: (n_points, n_corner, dim)."""
     n_corner, dim = corners.shape
-    grads = np.empty((n_corner, dim))
+    grads = np.empty((len(points), n_corner, dim))
     for j in range(dim):
-        factors = (1.0 + corners * point) / 2.0
-        factors[:, j] = corners[:, j] / 2.0
-        grads[:, j] = np.prod(factors, axis=1)
+        factors = (1.0 + corners * points[:, None, :]) / 2.0
+        factors[:, :, j] = corners[:, j] / 2.0
+        grads[:, :, j] = np.prod(factors, axis=2)
     return grads
 
 
 def _strain_matrix(dNdx: np.ndarray) -> np.ndarray:
-    """B such that strain (Voigt) = B @ u_e, u_e ordered (x, y[, z]) per node."""
-    n_corner, dim = dNdx.shape
+    """B at each point, such that strain (Voigt) = B @ u_e, u_e ordered
+    (x, y[, z]) per node: (n_points, n_strain, dim * n_corner)."""
+    n_points, n_corner, dim = dNdx.shape
     pairs = _SHEAR_PAIRS[dim]
-    B = np.zeros((dim + len(pairs), dim * n_corner))
+    B = np.zeros((n_points, dim + len(pairs), dim * n_corner))
     for i in range(dim):
-        B[i, i::dim] = dNdx[:, i]
+        B[:, i, i::dim] = dNdx[:, :, i]
     for row, (i, j) in enumerate(pairs, start=dim):
-        B[row, i::dim] = dNdx[:, j]
-        B[row, j::dim] = dNdx[:, i]
+        B[:, row, i::dim] = dNdx[:, :, j]
+        B[:, row, j::dim] = dNdx[:, :, i]
     return B
 
 
@@ -167,9 +170,8 @@ def element_stiffness(mesh: GroundMesh, material: Material, unit: bool = False) 
     D = _elastic_matrix(material.poissons_ratio, dim)
     n_dof = corners.shape[0] * dim
     Ke = np.zeros((n_dof, n_dof))
-    grids = np.meshgrid(*([_GAUSS_1D] * dim), indexing="ij")
-    for point in np.stack([g.ravel() for g in grids], axis=1):
-        B = _strain_matrix(_shape_gradients(corners, point))
+    points = np.array(list(itertools.product(_GAUSS_1D, repeat=dim)))
+    for B in _strain_matrix(_shape_gradients(corners, points)):
         Ke += B.T @ D @ B
     Ke *= 0.5 ** (dim - 2)
     Ke = 0.5 * (Ke + Ke.T)

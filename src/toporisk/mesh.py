@@ -189,8 +189,9 @@ class GroundMesh:
         if dofs is None:
             nodes = self.boundary_node_ids()
             dofs = (self.dim * nodes[:, None] + np.arange(self.dim)[None, :]).ravel()
-            fixed = np.fromiter(self.fixed_dofs, dtype=np.int64, count=len(self.fixed_dofs))
-            dofs = np.setdiff1d(dofs, fixed)
+            free = np.ones(self.n_dofs, dtype=bool)
+            free[np.fromiter(self.fixed_dofs, dtype=np.int64, count=len(self.fixed_dofs))] = False
+            dofs = dofs[free[dofs]]
             dofs.flags.writeable = False
             self._cache["free_surface_dofs"] = dofs
         return dofs

@@ -32,11 +32,11 @@ from .mesh import GroundMesh
 # offsets per block of `filter_stencil`: bounds its temporaries to a few MB
 # whatever the radius
 STENCIL_BLOCK = 2**16
-# peak bytes per filter entry while `build_filter` runs: its boxes of rows,
-# columns and weights, their concatenation and the CSR conversion; the
-# normalization after them adds no peak (measured 68-72 on 2-D and 3-D
-# meshes of 0.6-10 M entries)
-FILTER_BUILD_BYTES = 72
+# peak bytes per filter entry while `build_filter` runs: its element-by-
+# offset mask (up to 2^dim bytes per entry once the radius spans the mesh),
+# the mask's row and offset indices, and the CSR arrays (measured 32-34 on
+# 2-D and 3-D meshes of 0.6-10 M entries)
+FILTER_BUILD_BYTES = 40
 
 
 def filter_stencil(mesh: GroundMesh, radius: float):
@@ -79,16 +79,16 @@ def build_filter(mesh: GroundMesh, radius: float) -> sp.csr_matrix:
 
     On a structured grid all elements share one stencil of offsets d, in
     element widths, at distance h |d| (Andreassen et al. 2011), so no spatial
-    index is searched: each offset of positive weight adds the box of
-    elements whose neighbour e + d is in the grid. Offsets run in
-    lexicographic order, so each row is assembled in ascending column order
-    and its sum is taken in that order: at h = 1 the matrix is bitwise that
-    of a search over centroids. Each row's weights are then scaled in place
-    by the reciprocal of that sum, and the row is stored in descending
-    column order, the order in which the product diag(1/s) A stores it
-    (`has_sorted_indices` is False wherever a row holds two entries).
-    `A @ x` sums each row in its stored order, so every filtered density
-    has the bits of that product's.
+    index is searched: element e holds column e + d for every offset of
+    positive weight whose neighbour e + d is in the grid. The CSR arrays are
+    laid out directly from that element-by-offset grid, each row in
+    descending column order (`has_sorted_indices` is False wherever a row
+    holds two entries). Each row is summed in ascending column order, as a
+    search over centroids sums it (at h = 1 the matrix is bitwise that
+    search's), and scaled in place by the reciprocal of its sum. So the
+    arrays are those of the product diag(1/s) A, which stores its rows in
+    descending column order, bit for bit, and `A @ x` sums each row in that
+    order.
 
     The weights are scaled by 2^-e, e the radius's binary exponent, so no
     row sum overflows at any finite radius. A power of two scales exactly
@@ -98,21 +98,32 @@ def build_filter(mesh: GroundMesh, radius: float) -> sp.csr_matrix:
     if not radius > 0:
         raise ValueError(f"filter radius must be > 0, got {radius}")
     cells, n = mesh.cells, mesh.n_elements
-    ids = np.arange(n).reshape(cells)
-    exponent = math.frexp(radius)[1]
-    rows, cols, weights = [], [], []
-    for offsets, w in filter_stencil(mesh, radius):
-        for *d, wd in zip(*(k.tolist() for k in offsets), np.ldexp(w, -exponent)):
-            own = ids[tuple(slice(max(0, -k), c - max(0, k)) for k, c in zip(d, cells))].ravel()
-            rows.append(own)
-            cols.append(own + np.dot(ids.strides, d) // ids.itemsize)
-            weights.append(np.full(own.size, wd))
-    A = sp.csr_matrix((np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n))
-    starts, counts = A.indptr[:-1], np.diff(A.indptr)  # no row is empty: d = 0 is in it
-    A.data *= np.repeat(1.0 / np.add.reduceat(A.data, starts), counts)
-    descending = np.repeat(A.indptr[1:] - 1 + starts, counts) - np.arange(A.nnz)
-    return sp.csr_matrix((A.data[descending], A.indices[descending], A.indptr), shape=(n, n))
+    blocks = list(filter_stencil(mesh, radius))
+    # offsets in descending lexicographic order, which is descending column
+    # order in every row: the last axis runs fastest in the element ids
+    offsets = [np.concatenate([b[0][i] for b in blocks])[::-1] for i in range(mesh.dim)]
+    weights = np.ldexp(np.concatenate([b[1] for b in blocks])[::-1], -math.frexp(radius)[1])
+    del blocks
+    # inside[e, o]: the neighbour e + d_o is in the grid, one axis at a time
+    inside = np.ones(cells + weights.shape, dtype=bool)
+    for axis, (k, c) in enumerate(zip(offsets, cells)):
+        x = np.arange(c).reshape([c if a == axis else 1 for a in range(mesh.dim)] + [1])
+        inside &= (k >= -x) & (k < c - x)
+    rows, which = np.nonzero(inside.reshape(n, -1))
+    del inside
+    counts = np.bincount(rows, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    strides = np.cumprod((1,) + cells[:0:-1])[::-1]  # element-id strides per axis
+    indices = rows + sum(s * k for s, k in zip(strides, offsets))[which]
+    del rows
+    data = weights[which]
+    del which
+    # row sums in ascending column order: the rows of the reversed array,
+    # last row first
+    sums = np.add.reduceat(data[::-1].copy(), data.size - indptr[:0:-1])[::-1]
+    data *= np.repeat(1.0 / sums, counts)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def heaviside(y: np.ndarray, beta: float) -> np.ndarray:

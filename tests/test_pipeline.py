@@ -97,14 +97,14 @@ def test_huge_radius_filter_equals_a_spanning_one(mesh_6x3, radius, exact):
 @pytest.mark.parametrize("h", [0.1, 1.0, 2.0])
 @pytest.mark.parametrize("radius_in_h", [0.5, 1.0, 1.5, 2.0, 2.5, 3.7, 1e3])
 def test_filter_is_stored_as_the_normalizing_product_stored_it(cells, h, radius_in_h):
-    """`build_filter` scales its rows in place and keeps the arrays that
-    sp.diags(1/s) @ A made: each row in descending column order, so that
-    A @ x sums in that order."""
+    """`build_filter` lays out the arrays that sp.diags(1/s) @ A makes:
+    each row in descending column order, so that A @ x sums in that order."""
     mesh = tr.cantilever_mesh(len(cells), cells, element_size=h)
     radius = radius_in_h * h
     A, oracle = tr.build_filter(mesh, radius), product_filter(mesh, radius)
     for name in ("data", "indices", "indptr"):
         np.testing.assert_array_equal(getattr(A, name), getattr(oracle, name), err_msg=name)
+        assert getattr(A, name).dtype == getattr(oracle, name).dtype, name
     x = np.random.default_rng(3).uniform(size=mesh.n_elements)
     np.testing.assert_array_equal(A @ x, oracle @ x)
     np.testing.assert_array_equal(A.T @ x, oracle.T @ x)
