@@ -340,20 +340,20 @@ def _blocked_sweep_min_columns(u: int) -> int:
 def _sweep_operators(factor: np.ndarray) -> tuple[list, list]:
     """R's inverted diagonal triangles and dense couplings, in blocks of u rows.
 
-    For block I = [b u, b u + u), inverse[b] is T_b^-T for the upper
-    triangle T_b = R[I, I], column-major; coupling[b] is the lower
-    triangle R[I, I + u] that couples block b to the next one, zero above
-    its diagonal, row-major, so that its transpose is column-major. BLAS
-    reads both without a copy.
+    For block I = [b u, b u + u), the lower triangle of inverse[b] is T_b^-T
+    for the upper triangle T_b = R[I, I], column-major; coupling[b] is the
+    lower triangle R[I, I + u] that couples block b to the next one, zero
+    above its diagonal, row-major, so that its transpose is column-major.
+    BLAS reads both without a copy.
 
     R[i, j] sits at flat position u + i + u j of the column-major
     (u + 1, n) band, so block starts lie u (u + 1) apart and one strided
     view of the band holds every whole block of one kind, as LAPACK's
     dpbtrf reads them through LDAB - 1. Only the triangle itself is a
     block of R: the other half of such a view holds band entries of
-    neighbouring columns, which `np.triu` and `np.tril` zero in their
-    copies. A short last block of t < u rows has a t x t triangle and a
-    u x t coupling into it.
+    neighbouring columns, which only the couplings' copies zero (`np.tril`):
+    dtrtri and dtrmm read one triangle. A short last block of t < u rows
+    has a t x t triangle and a u x t coupling into it.
     """
     u, n = factor.shape[0] - 1, factor.shape[1]
     band = factor.ravel(order="F")
@@ -365,11 +365,11 @@ def _sweep_operators(factor: np.ndarray) -> tuple[list, list]:
                           (item * u * (u + 1), item, item * u), writeable=False)
 
     n_full, tail = divmod(n, u)
-    diagonal = list(np.triu(blocks(0, 0, n_full)))
+    diagonal = list(np.array(blocks(0, 0, n_full)))
     coupling = list(np.tril(blocks(0, u, max(n_full - 1, 0))))
     if tail:
         i0 = n_full * u
-        diagonal.append(np.triu(blocks(i0, i0, 1, (tail, tail))[0]))
+        diagonal.append(np.array(blocks(i0, i0, 1, (tail, tail))[0]))
         if n_full:
             coupling.append(np.tril(blocks(i0 - u, i0, 1, (u, tail))[0]))
     # R's pivots are positive (`factorize` checks them), so dtrtri cannot

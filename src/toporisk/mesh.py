@@ -141,13 +141,10 @@ class GroundMesh:
             return ring
         return np.vstack([np.column_stack([ring, np.full(4, z)]) for z in (0, 1)])
 
-    def _element_origins(self) -> np.ndarray:
-        """(dim, n_elements) grid coordinates of each element's low corner."""
-        return np.indices(self.cells).reshape(self.dim, -1)
-
     def element_node_ids(self) -> np.ndarray:
         """(n_elements, 4 or 8) element corner node ids, in `corner_offsets` order."""
-        corners = self._element_origins()[:, :, None] + self.corner_offsets().T[:, None, :]
+        origins = np.indices(self.cells).reshape(self.dim, -1)  # each element's low corner
+        corners = origins[:, :, None] + self.corner_offsets().T[:, None, :]
         return self.node_id_array(*corners)
 
     def element_dof_map(self) -> np.ndarray:
@@ -167,10 +164,6 @@ class GroundMesh:
         return dofs
 
     # -- geometry ----------------------------------------------------------
-
-    def element_centroids(self) -> np.ndarray:
-        """(n_elements, dim) centroid coordinates in mm."""
-        return (self._element_origins().T + 0.5) * self.element_size
 
     def boundary_node_ids(self) -> np.ndarray:
         """Ids of nodes on the outer surface, ascending."""

@@ -17,7 +17,9 @@ physical densities stay in [x_min, 1].
 derivative of the three pointwise ones: one chain factor per element
 (Andreassen et al. 2011). `DensityPipeline.backward` pulls a gradient with
 respect to physical densities back to the design vector through that
-factor and the filter's transpose.
+factor and the filter's transpose. The filter is held as three arrays,
+its entries' rows, columns and weights (`build_filter`), and both products
+are one `np.bincount` each.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import GroundMesh
 
@@ -34,8 +35,8 @@ from .mesh import GroundMesh
 STENCIL_BLOCK = 2**16
 # peak bytes per filter entry while `build_filter` runs: its element-by-
 # offset mask (up to 2^dim bytes per entry once the radius spans the mesh),
-# the mask's row and offset indices, and the CSR arrays (measured 32-34 on
-# 2-D and 3-D meshes of 0.6-10 M entries)
+# the mask's row and offset indices, and the three filter arrays (measured
+# 32-34 on 2-D and 3-D meshes of 0.6-10 M entries)
 FILTER_BUILD_BYTES = 40
 
 
@@ -70,8 +71,9 @@ def filter_entries(mesh: GroundMesh, radius: float) -> int:
     return count
 
 
-def build_filter(mesh: GroundMesh, radius: float) -> sp.csr_matrix:
-    """Row-stochastic cone (linearly decaying) density filter.
+def build_filter(mesh: GroundMesh, radius: float):
+    """Row-stochastic cone (linearly decaying) density filter A, as the
+    arrays (rows, cols, weights) of its entries in CSR storage order.
 
     Entry (e, i) is proportional to max(0, radius - dist(centroid_e,
     centroid_i)) and each row is normalized to sum to one. A radius at or
@@ -80,20 +82,21 @@ def build_filter(mesh: GroundMesh, radius: float) -> sp.csr_matrix:
     On a structured grid all elements share one stencil of offsets d, in
     element widths, at distance h |d| (Andreassen et al. 2011), so no spatial
     index is searched: element e holds column e + d for every offset of
-    positive weight whose neighbour e + d is in the grid. The CSR arrays are
-    laid out directly from that element-by-offset grid, each row in
-    descending column order (`has_sorted_indices` is False wherever a row
-    holds two entries). Each row is summed in ascending column order, as a
-    search over centroids sums it (at h = 1 the matrix is bitwise that
-    search's), and scaled in place by the reciprocal of its sum. So the
-    arrays are those of the product diag(1/s) A, which stores its rows in
-    descending column order, bit for bit, and `A @ x` sums each row in that
-    order.
+    positive weight whose neighbour e + d is in the grid. The arrays are
+    laid out directly from that element-by-offset grid: rows ascending, and
+    each row in descending column order. Each row is summed in ascending
+    column order, as a search over centroids sums it (at h = 1 the weights
+    are bitwise that search's), and scaled in place by the reciprocal of its
+    sum. So the arrays are those of the product diag(1/s) A, bit for bit.
+
+    `np.bincount(rows, weights * x[cols])` forms A x and `np.bincount(cols,
+    weights * v[rows])` forms A^T v. Each adds into its outputs in array
+    order, as a CSR matrix-vector product and its transpose's do.
 
     The weights are scaled by 2^-e, e the radius's binary exponent, so no
     row sum overflows at any finite radius. A power of two scales exactly
     and the normalization cancels it: wherever the unscaled sums fit, the
-    matrix keeps their bits.
+    weights keep their bits.
     """
     if not radius > 0:
         raise ValueError(f"filter radius must be > 0, got {radius}")
@@ -112,18 +115,19 @@ def build_filter(mesh: GroundMesh, radius: float) -> sp.csr_matrix:
     rows, which = np.nonzero(inside.reshape(n, -1))
     del inside
     counts = np.bincount(rows, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
     strides = np.cumprod((1,) + cells[:0:-1])[::-1]  # element-id strides per axis
-    indices = rows + sum(s * k for s, k in zip(strides, offsets))[which]
-    del rows
+    cols = rows + sum(s * k for s, k in zip(strides, offsets))[which]
     data = weights[which]
-    del which
+    # `rows` and `which` are strided views of one (nnz, 2) buffer: free it
+    # and keep a compact `rows`
+    del rows, which
+    rows = np.repeat(np.arange(n), counts)
     # row sums in ascending column order: the rows of the reversed array,
     # last row first
-    sums = np.add.reduceat(data[::-1].copy(), data.size - indptr[:0:-1])[::-1]
-    data *= np.repeat(1.0 / sums, counts)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    starts = data.size - np.cumsum(counts)[::-1]
+    sums = np.add.reduceat(data[::-1].copy(), starts)[::-1]
+    data *= (1.0 / sums)[rows]
+    return rows, cols, data
 
 
 def heaviside(y: np.ndarray, beta: float) -> np.ndarray:
@@ -156,9 +160,9 @@ class DensityField:
 class DensityPipeline:
     """Applies the filter/penalize/interpolate/project chain on one mesh.
 
-    The filter matrix depends only on the mesh and radius and is built
-    once; penalty and beta are per-call so continuation can sweep them
-    without rebuilding anything.
+    The filter's arrays (`build_filter`) depend only on the mesh and radius
+    and are built once; penalty and beta are per-call so continuation can
+    sweep them without rebuilding anything.
     """
 
     def __init__(self, mesh: GroundMesh, filter_radius: float, x_min: float):
@@ -166,7 +170,7 @@ class DensityPipeline:
             raise ValueError(f"x_min must lie in (0, 1), got {x_min}")
         self.mesh = mesh
         self.x_min = float(x_min)
-        self.filter_matrix = build_filter(mesh, filter_radius)
+        self.filter = build_filter(mesh, filter_radius)
 
     def apply(self, design: np.ndarray, penalty: float, beta: float) -> DensityField:
         design = np.asarray(design, dtype=float)
@@ -180,7 +184,8 @@ class DensityPipeline:
             raise ValueError(f"penalty must be >= 1, got {penalty}")
         if not beta >= 0.0:
             raise ValueError(f"beta must be >= 0, got {beta}")
-        filtered = self.filter_matrix @ design
+        rows, cols, weights = self.filter
+        filtered = np.bincount(rows, weights * design[cols], minlength=design.size)
         interpolated = (1.0 - self.x_min) * filtered**penalty + self.x_min
         # rounding in the projection can overshoot the exact bounds by an
         # ulp; clamp so the documented range [x_min, 1] holds verbatim
@@ -192,4 +197,6 @@ class DensityPipeline:
 
     def backward(self, field: DensityField, grad_physical: np.ndarray) -> np.ndarray:
         """Pull d(obj)/d(physical) back to d(obj)/d(design): A^T (chain * g)."""
-        return self.filter_matrix.T @ (field.chain * np.asarray(grad_physical, dtype=float))
+        rows, cols, weights = self.filter
+        v = field.chain * np.asarray(grad_physical, dtype=float)
+        return np.bincount(cols, weights * v[rows], minlength=self.mesh.n_elements)

@@ -14,6 +14,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas, qr, svd
 
 from .errors import ScenarioFormatError
 from .fea import physical_memory_bytes
@@ -67,23 +68,6 @@ class ScenarioMatrix:
     def n_loaded(self) -> int:
         return self.dofs.size
 
-    def column(self, i: int) -> np.ndarray:
-        """Scenario i as a full n_dofs vector."""
-        f = np.zeros(self.n_dofs)
-        f[self.dofs] = self.block[:, i]
-        return f
-
-    def to_dense(self) -> np.ndarray:
-        """Full (n_dofs, L) matrix, zero off the loaded rows.
-
-        The analyses never build it: both routes hand their loaded rows to
-        `StiffnessSystem.solve(block, rows=dofs)`, which scatters them into
-        its own work block. Tests use it as the dense reference.
-        """
-        F = np.zeros((self.n_dofs, self.n_scenarios))
-        F[self.dofs, :] = self.block
-        return F
-
 
 @dataclass(frozen=True)
 class ThinSVD:
@@ -132,27 +116,41 @@ def _truncated_svd(A: np.ndarray):
     A zero A shows in the work already done, so it is not scanned for:
     B = 0 (S_1 = 0) with a zero residual, or S_1 = 0 from the full SVD.
     Either raises ValueError.
+
+    The sketch's products and factorizations run in scipy's OpenBLAS, as the
+    band factor and the sweeps do: on 2 cores, a threaded call into numpy's
+    own OpenBLAS right after a threaded scipy call waited 7-29 ms for the
+    other library's spinning workers. Q is kept in C order, as numpy's qr
+    returns it, so `_product` passes every operand as numpy's matmul would.
     """
     tol = SVD_REL_TOL
     k = _SKETCH_COLUMNS
     while k < min(A.shape):
         omega = np.random.default_rng(_SKETCH_SEED).standard_normal((A.shape[1], k))
-        Q, _ = np.linalg.qr(A @ omega)
-        B = Q.T @ A
+        Q = np.ascontiguousarray(qr(_product(A, omega), mode="economic", check_finite=False)[0])
+        B = _product(Q.T, A)
         margin = _residual_norm(A, Q, B) * (1.0 + tol)
-        Ub, S, Vt = np.linalg.svd(B, full_matrices=False)
+        Ub, S, Vt = svd(B, full_matrices=False, check_finite=False)
         if S[0] == 0.0 and margin == 0.0:
             raise ValueError("scenario matrix is identically zero")
         cut = tol * S[0]
         if cut > margin and np.all(np.abs(S - cut) > margin):
             keep = S >= cut
-            return Q @ Ub[:, keep], S[keep], Vt[keep, :]
+            return _product(Q, Ub[:, keep]), S[keep], Vt[keep, :]
         k *= 2
-    Ub, S, Vt = np.linalg.svd(A, full_matrices=False)
+    Ub, S, Vt = svd(A, full_matrices=False, check_finite=False)
     if S[0] == 0.0:
         raise ValueError("scenario matrix is identically zero")
     keep = S >= tol * S[0]
     return Ub[:, keep], S[keep], Vt[keep, :]
+
+
+def _product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y by scipy's dgemm, each operand passed as numpy's matmul passes it
+    to cblas (C-contiguous as is, F-contiguous with the transpose flag)."""
+    a, trans_a = (Y.T, 0) if Y.flags.c_contiguous else (Y, 1)
+    b, trans_b = (X.T, 0) if X.flags.c_contiguous else (X, 1)
+    return blas.dgemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b).T
 
 
 def _residual_norm(A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> float:

@@ -5,21 +5,29 @@
   * band_to_dense       -- the full symmetric matrix of an upper band, by loops
   * kdtree_filter       -- the cone filter from a KD-tree search over centroids
   * product_filter      -- the cone filter normalized by a diagonal-times-sparse product
+  * csr_arrays          -- a CSR matrix's (rows, cols, weights) in storage order
+  * filter_matrix       -- the CSR matrix of a filter's (rows, cols, weights)
   * element_quadratics  -- g_e = sum_i w_i u_e,i^T Ke u_e,i, element by element
   * untiled_form_gradient -- `fea.form_gradient` in one pass over a whole weighted copy
   * separate_backward   -- the pipeline's pull-back with its chain factor formed apart
+  * element_centroids   -- (n_elements, dim) element centroids of a mesh
+  * scenario_column     -- one scenario of a ScenarioMatrix as a full n_dofs vector
+  * dense_scenarios     -- a ScenarioMatrix as its full (n_dofs, L) matrix
   * random_scenarios    -- a scenario matrix of known rank on the free surface
   * dict_sampled_scenarios -- the cantilever sampler, its point loads placed by a dict
   * mma_dual_slope      -- an MMA subproblem's primal point x(eta) and dual slope g(eta)
   * mma_dual_bisection  -- the subproblem's dual root by doubling and bisection
-All but `random_scenarios`, `untiled_form_gradient`, `separate_backward`
-and `product_filter` are deliberately written along a different code path
-than the library so agreement is evidence, not tautology. The other three
-are the other way round: the kernel's arithmetic without its tiles, the
-pull-back's chain factor formed from the intermediate densities after the
-forward pass, and the filter normalized as sp.diags(1/s) @ A (the stored
-arrays `build_filter` keeps while it scales in place), which the library
-must match bit for bit. Test modules import them as `from oracles import ...`.
+The five converters (`csr_arrays`, `filter_matrix`, `element_centroids`,
+`scenario_column`, `dense_scenarios`) only reshape data; the library has no
+such forms. Of the rest, all but `random_scenarios`, `untiled_form_gradient`,
+`separate_backward` and `product_filter` are deliberately written along a
+different code path than the library so agreement is evidence, not
+tautology. The other three are the other way round: the kernel's arithmetic
+without its tiles, the pull-back's chain factor formed from the
+intermediate densities after the forward pass through scipy's CSR
+products, and the filter normalized as sp.diags(1/s) @ A (the stored arrays
+`build_filter` keeps while it scales in place), which the library must
+match bit for bit. Test modules import them as `from oracles import ...`.
 """
 import math
 
@@ -66,7 +74,7 @@ def kdtree_filter(mesh, radius):
     """
     if not radius > 0:
         raise ValueError(f"filter radius must be > 0, got {radius}")
-    centroids = mesh.element_centroids()
+    centroids = element_centroids(mesh)
     n = mesh.n_elements
     tree = cKDTree(centroids)
     neighbor_lists = tree.query_ball_point(centroids, r=radius)
@@ -102,6 +110,19 @@ def product_filter(mesh, radius):
     return sp.diags(1.0 / np.asarray(A.sum(axis=1)).ravel()) @ A
 
 
+def csr_arrays(A):
+    """(rows, cols, weights) of CSR matrix A's entries, in its storage order."""
+    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.indices, A.data
+
+
+def filter_matrix(filt, n):
+    """The n x n CSR matrix that stores a filter's (rows, cols, weights) as they lie."""
+    rows, cols, weights = filt
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((weights, cols, indptr), shape=(n, n))
+
+
 def element_quadratics(mesh, Ke, U, w):
     """g_e = sum_i w_i U[d_e, i]^T Ke U[d_e, i] over the DOFs d_e of element e, by loops."""
     edof = mesh.element_dof_map()
@@ -135,8 +156,9 @@ def untiled_form_gradient(mesh, Ke, Q, W):
 
 def separate_backward(pipeline, design, penalty, beta, g):
     """A^T (chain * g), the chain factor formed from A x, the interpolated
-    densities, p, beta and x_min in the order of the factor's three stages."""
-    A, x_min = pipeline.filter_matrix, pipeline.x_min
+    densities, p, beta and x_min in the order of the factor's three stages,
+    and both products taken by scipy on the pipeline's filter arrays."""
+    A, x_min = filter_matrix(pipeline.filter, pipeline.mesh.n_elements), pipeline.x_min
     filtered = A @ design
     interpolated = (1.0 - x_min) * filtered**penalty + x_min
     chain = tr.pipeline.heaviside_derivative(interpolated, beta)
@@ -148,9 +170,28 @@ def separate_backward(pipeline, design, penalty, beta, g):
 def dense_compliances(mesh, Ke, densities, F):
     """C_i = f_i^T K^-1 f_i via a dense solve; ground truth for small cases."""
     K = dense_stiffness(mesh, Ke, densities)
-    Fd = F.to_dense()
+    Fd = dense_scenarios(F)
     U = np.linalg.solve(K, Fd)
     return np.einsum("ki,ki->i", Fd, U)
+
+
+def element_centroids(mesh):
+    """(n_elements, dim) centroid coordinates in mm."""
+    return (np.indices(mesh.cells).reshape(mesh.dim, -1).T + 0.5) * mesh.element_size
+
+
+def scenario_column(F, i):
+    """Scenario i of F as a full n_dofs vector."""
+    f = np.zeros(F.n_dofs)
+    f[F.dofs] = F.block[:, i]
+    return f
+
+
+def dense_scenarios(F):
+    """F's full (n_dofs, L) matrix, zero off the loaded rows."""
+    dense = np.zeros((F.n_dofs, F.n_scenarios))
+    dense[F.dofs, :] = F.block
+    return dense
 
 
 def random_scenarios(mesh, L, rank, seed):

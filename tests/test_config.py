@@ -9,6 +9,8 @@ from toporisk.config import (apply_flags, build_mesh, build_model, build_problem
                              build_schedule)
 from toporisk.errors import ConfigError
 
+from oracles import scenario_column
+
 
 def base_config(**overrides):
     cfg = {
@@ -177,7 +179,7 @@ def test_scenario_file_source(tmp_path):
     cfg = tr.parse_config(base_config(scenarios={"source": "file", "path": str(csv)}))
     assert build_model(cfg).n_scenarios == 1
     model = build_model(cfg, method="naive")
-    assert model.scenarios.column(0)[13] == -1.0
+    assert scenario_column(model.scenarios, 0)[13] == -1.0
 
 
 def test_scenario_file_loading_a_fixed_dof_is_rejected(tmp_path):

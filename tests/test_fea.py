@@ -13,7 +13,7 @@ import toporisk as tr
 from toporisk import fea
 from toporisk.errors import NotPositiveDefiniteError
 
-from oracles import band_to_dense, dense_stiffness, untiled_form_gradient
+from oracles import band_to_dense, dense_scenarios, dense_stiffness, untiled_form_gradient
 
 # local corner coordinates on [-1, 1]^dim, same order as element_node_ids
 CORNERS_2D = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
@@ -308,7 +308,7 @@ def test_scattered_solve_matches_dense_solve(cells, material):
     rows = free[::2]  # every other free DOF carries load
     block = np.random.default_rng(6).standard_normal((rows.size, wide_columns(system)))
     F = tr.ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=rows, block=block)
-    expected = np.linalg.solve(dense_stiffness(mesh, Ke, rho), F.to_dense())
+    expected = np.linalg.solve(dense_stiffness(mesh, Ke, rho), dense_scenarios(F))
     scale = np.max(np.abs(expected))
     before = F.block.copy()
     for k in (F.n_scenarios, 1):  # the blocked sweep and LAPACK's

@@ -11,19 +11,27 @@ import pytest
 import toporisk as tr
 from toporisk.pipeline import heaviside, heaviside_derivative
 
-from oracles import kdtree_filter, product_filter, separate_backward
+from oracles import (csr_arrays, element_centroids, kdtree_filter, product_filter,
+                     separate_backward)
+
+
+def dense_filter(mesh, radius):
+    rows, cols, weights = tr.build_filter(mesh, radius)
+    A = np.zeros((mesh.n_elements, mesh.n_elements))
+    A[rows, cols] = weights
+    return A
 
 
 def test_filter_rows_are_stochastic(mesh_6x3):
-    A = tr.build_filter(mesh_6x3, radius=2.0)
-    assert A.min() >= 0.0
-    np.testing.assert_allclose(A.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    rows, _, weights = tr.build_filter(mesh_6x3, radius=2.0)
+    assert weights.min() >= 0.0
+    np.testing.assert_allclose(np.bincount(rows, weights), 1.0, rtol=0, atol=1e-14)
 
 
 def test_filter_support_matches_radius(mesh_6x3):
     radius = 2.0
-    A = tr.build_filter(mesh_6x3, radius).toarray()
-    cent = mesh_6x3.element_centroids()
+    A = dense_filter(mesh_6x3, radius)
+    cent = element_centroids(mesh_6x3)
     dist = np.linalg.norm(cent[:, None, :] - cent[None, :, :], axis=2)
     # cone weights: positive strictly inside the radius, zero outside
     assert np.all((A > 0) == (dist < radius - 1e-12))
@@ -31,8 +39,8 @@ def test_filter_support_matches_radius(mesh_6x3):
 
 def test_filter_weights_are_cone_shaped(mesh_6x3):
     radius = 2.5
-    A = tr.build_filter(mesh_6x3, radius).toarray()
-    cent = mesh_6x3.element_centroids()
+    A = dense_filter(mesh_6x3, radius)
+    cent = element_centroids(mesh_6x3)
     e = 7  # an interior element
     dist = np.linalg.norm(cent - cent[e], axis=1)
     inside = dist < radius
@@ -41,8 +49,8 @@ def test_filter_weights_are_cone_shaped(mesh_6x3):
 
 
 def test_tiny_radius_gives_identity(mesh_4x2):
-    A = tr.build_filter(mesh_4x2, radius=0.5)
-    np.testing.assert_array_equal(A.toarray(), np.eye(mesh_4x2.n_elements))
+    A = dense_filter(mesh_4x2, radius=0.5)
+    np.testing.assert_array_equal(A, np.eye(mesh_4x2.n_elements))
 
 
 @pytest.mark.parametrize("cells,h,radius,exact", [
@@ -59,13 +67,14 @@ def test_tiny_radius_gives_identity(mesh_4x2):
 ])
 def test_filter_equals_the_kdtree_reference(cells, h, radius, exact):
     mesh = tr.GroundMesh(dim=len(cells), cells=cells, element_size=h)
-    A, ref = tr.build_filter(mesh, radius), kdtree_filter(mesh, radius)
-    np.testing.assert_array_equal(A.indptr, ref.indptr)
-    np.testing.assert_array_equal(A.indices, ref.indices)
+    (rows, cols, weights), ref = tr.build_filter(mesh, radius), kdtree_filter(mesh, radius)
+    ref_rows, ref_cols, ref_weights = csr_arrays(ref)
+    np.testing.assert_array_equal(rows, ref_rows)
+    np.testing.assert_array_equal(cols, ref_cols)
     if exact:
-        np.testing.assert_array_equal(A.data, ref.data)
+        np.testing.assert_array_equal(weights, ref_weights)
     else:
-        np.testing.assert_allclose(A.data, ref.data, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("cells,h", [((6, 3), 1.0), ((80, 20), 1.0), ((5, 4, 3), 1.0),
@@ -74,7 +83,8 @@ def test_filter_equals_the_kdtree_reference(cells, h, radius, exact):
 def test_filter_entries_count_the_built_filter(cells, h, radius_in_h):
     mesh = tr.GroundMesh(dim=len(cells), cells=cells, element_size=h)
     radius = radius_in_h * h
-    assert tr.pipeline.filter_entries(mesh, radius) == tr.build_filter(mesh, radius).nnz
+    rows, cols, weights = tr.build_filter(mesh, radius)
+    assert tr.pipeline.filter_entries(mesh, radius) == rows.size == cols.size == weights.size
 
 
 @pytest.mark.parametrize("radius,exact", [(1e307, True), (1e308, False),
@@ -83,14 +93,30 @@ def test_huge_radius_filter_equals_a_spanning_one(mesh_6x3, radius, exact):
     """Weights near the radius used to overflow the row sums to inf and
     leave a zero filter. Every such radius spans the mesh with equal
     weights; their rounding differs with the radius's mantissa."""
-    A, spanning = tr.build_filter(mesh_6x3, radius), tr.build_filter(mesh_6x3, 1e306)
-    assert spanning.nnz == 18**2 == tr.pipeline.filter_entries(mesh_6x3, radius)
-    np.testing.assert_array_equal(A.indptr, spanning.indptr)
-    np.testing.assert_array_equal(A.indices, spanning.indices)
+    (rows, cols, weights), spanning = (tr.build_filter(mesh_6x3, radius),
+                                       tr.build_filter(mesh_6x3, 1e306))
+    assert spanning[2].size == 18**2 == tr.pipeline.filter_entries(mesh_6x3, radius)
+    np.testing.assert_array_equal(rows, spanning[0])
+    np.testing.assert_array_equal(cols, spanning[1])
     if exact:
-        np.testing.assert_array_equal(A.data, spanning.data)
+        np.testing.assert_array_equal(weights, spanning[2])
     else:
-        np.testing.assert_allclose(A.data, spanning.data, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(weights, spanning[2], rtol=1e-15, atol=0)
+
+
+def assert_stored_as_the_product(mesh, radius):
+    """The pipeline's filter arrays are the oracle's CSR arrays, and its
+    forward and pull-back sum as scipy's A @ x and A.T @ x do, bit for bit."""
+    pipe, oracle = tr.DensityPipeline(mesh, radius, x_min=0.5), product_filter(mesh, radius)
+    for name, got, want in zip(("rows", "cols", "weights"), pipe.filter, csr_arrays(oracle)):
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    rows, cols, weights = pipe.filter
+    n = mesh.n_elements
+    x = np.random.default_rng(3).uniform(size=n)
+    np.testing.assert_array_equal(np.bincount(rows, weights * x[cols], minlength=n), oracle @ x)
+    # at a unit chain factor the pull-back is A^T x
+    field = tr.DensityField(physical=x, chain=np.ones(n))
+    np.testing.assert_array_equal(pipe.backward(field, x), oracle.T @ x)
 
 
 @pytest.mark.parametrize("cells", [(6, 3), (80, 20), (13, 7), (5, 4, 3), (4, 3, 3)])
@@ -98,39 +124,28 @@ def test_huge_radius_filter_equals_a_spanning_one(mesh_6x3, radius, exact):
 @pytest.mark.parametrize("radius_in_h", [0.5, 1.0, 1.5, 2.0, 2.5, 3.7, 1e3])
 def test_filter_is_stored_as_the_normalizing_product_stored_it(cells, h, radius_in_h):
     """`build_filter` lays out the arrays that sp.diags(1/s) @ A makes:
-    each row in descending column order, so that A @ x sums in that order."""
-    mesh = tr.cantilever_mesh(len(cells), cells, element_size=h)
-    radius = radius_in_h * h
-    A, oracle = tr.build_filter(mesh, radius), product_filter(mesh, radius)
-    for name in ("data", "indices", "indptr"):
-        np.testing.assert_array_equal(getattr(A, name), getattr(oracle, name), err_msg=name)
-        assert getattr(A, name).dtype == getattr(oracle, name).dtype, name
-    x = np.random.default_rng(3).uniform(size=mesh.n_elements)
-    np.testing.assert_array_equal(A @ x, oracle @ x)
-    np.testing.assert_array_equal(A.T @ x, oracle.T @ x)
-    assert A.has_sorted_indices == oracle.has_sorted_indices
+    each row in descending column order, so that A x sums in that order."""
+    assert_stored_as_the_product(tr.cantilever_mesh(len(cells), cells, element_size=h),
+                                 radius_in_h * h)
 
 
 @pytest.mark.parametrize("cells", [(6, 3), (3, 2, 2)])
 @pytest.mark.parametrize("radius", [1e300, 1e306, 1e307])
 def test_filter_at_huge_radii_is_stored_as_the_product_stored_it(cells, radius):
-    mesh = tr.cantilever_mesh(len(cells), cells)
-    A, oracle = tr.build_filter(mesh, radius), product_filter(mesh, radius)
-    for name in ("data", "indices", "indptr"):
-        np.testing.assert_array_equal(getattr(A, name), getattr(oracle, name), err_msg=name)
+    assert_stored_as_the_product(tr.cantilever_mesh(len(cells), cells), radius)
 
 
 def test_filter_rows_are_stored_in_descending_column_order():
-    A = tr.build_filter(tr.cantilever_mesh(2, (80, 20)), 1.5)
-    assert not A.has_sorted_indices
-    assert A.indices[A.indptr[0]:A.indptr[1]].tolist() == [21, 20, 1, 0]
-    for r in range(A.shape[0]):
-        assert np.all(np.diff(A.indices[A.indptr[r]:A.indptr[r + 1]]) < 0)
+    rows, cols, _ = tr.build_filter(tr.cantilever_mesh(2, (80, 20)), 1.5)
+    assert cols[rows == 0].tolist() == [21, 20, 1, 0]
+    assert np.all(np.diff(rows) >= 0)
+    assert np.all(np.diff(cols)[np.diff(rows) == 0] < 0)
 
 
-def test_import_loads_no_spatial_index():
+@pytest.mark.parametrize("package", ["scipy.spatial", "scipy.sparse"])
+def test_import_loads_no_spatial_index(package):
     code = ("import sys, toporisk; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+            f"print(sorted(m for m in sys.modules if m.startswith({package!r})))")
     env = {**os.environ, "PYTHONPATH": str(Path(tr.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout
