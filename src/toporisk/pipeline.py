@@ -71,7 +71,7 @@ def filter_entries(mesh: GroundMesh, radius: float) -> int:
     return count
 
 
-def build_filter(mesh: GroundMesh, radius: float):
+def build_filter(mesh: GroundMesh, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-stochastic cone (linearly decaying) density filter A, as the
     arrays (rows, cols, weights) of its entries in CSR storage order.
 
@@ -185,7 +185,7 @@ class DensityPipeline:
         if not beta >= 0.0:
             raise ValueError(f"beta must be >= 0, got {beta}")
         rows, cols, weights = self.filter
-        filtered = np.bincount(rows, weights * design[cols], minlength=design.size)
+        filtered = np.bincount(rows, weights * design[cols], minlength=self.mesh.n_elements)
         interpolated = (1.0 - self.x_min) * filtered**penalty + self.x_min
         # rounding in the projection can overshoot the exact bounds by an
         # ulp; clamp so the documented range [x_min, 1] holds verbatim
