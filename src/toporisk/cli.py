@@ -24,7 +24,7 @@ from . import io as artifacts
 from .auglag import phr
 from .config import (apply_flags, build_mesh, build_model, build_problem, build_schedule,
                      load_config, sample_scenarios)
-from .continuation import METHODS, run_continuation
+from .continuation import METHODS, check_analysis_fits, run_continuation
 from .errors import ConfigError, TopoRiskError
 from .scenarios import save_scenarios_to_file, thin_svd
 
@@ -284,7 +284,10 @@ def cmd_sample_scenarios(cfg, args) -> int:
     if cfg.scenario_source != "sample":
         raise ConfigError("sample-scenarios needs a config with scenarios.source = \"sample\"")
     out = _output_dir(cfg)
-    F = sample_scenarios(build_mesh(cfg), cfg.L, cfg.seed)
+    mesh = build_mesh(cfg)
+    # the file lists the n_loaded x L block, which a factored sample forms to write it
+    check_analysis_fits(mesh, 1, mesh.free_surface_dofs().size * cfg.L)
+    F = sample_scenarios(mesh, cfg.L, cfg.seed)
     path = out / "scenarios.csv"
     save_scenarios_to_file(F, path)
     print(f"wrote {F.n_scenarios} scenarios on {F.n_loaded} loaded DOFs "

@@ -128,8 +128,9 @@ def _compliances(sys: StiffnessSystem, dofs: np.ndarray, block: np.ndarray,
 
 
 def compliances_naive(sys: StiffnessSystem, F: ScenarioMatrix) -> ComplianceStats:
-    """All load compliances by L direct solves against F's loaded rows."""
-    return _compliances(sys, F.dofs, F.block, None)
+    """All load compliances by L direct solves against F's loaded rows (a
+    factored F is multiplied out on every call; `ForwardModel` does it once)."""
+    return _compliances(sys, F.dofs, F.loaded_block(), None)
 
 
 def compliances_svd(sys: StiffnessSystem, svd: ThinSVD) -> ComplianceStats:

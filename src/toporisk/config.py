@@ -66,7 +66,8 @@ from .errors import ConfigError, check_number
 from .mesh import GroundMesh, Material, cantilever_mesh
 from .mma import MMAConfig
 from .pipeline import DensityPipeline, filter_entries
-from .scenarios import ScenarioMatrix, load_scenarios_from_file, sample_cantilever_scenarios
+from .scenarios import (ScenarioMatrix, load_scenarios_from_file, sample_cantilever_scenarios,
+                        sampled_values)
 
 SCHEMA_VERSION = 1
 
@@ -293,10 +294,11 @@ def build_mesh(cfg: RunConfig) -> GroundMesh:
 def sample_scenarios(mesh: GroundMesh, L: int, seed: int) -> ScenarioMatrix:
     """The benchmark sampler's L scenarios on `mesh`, for every command that
     samples. A mesh whose smallest analysis (one solved column) cannot fit
-    in memory beside the sampler's n_loaded x L block of loads is refused
-    before anything is sampled, and a mesh the sampler cannot load (its
-    ValueError) is a ConfigError too."""
-    check_analysis_fits(mesh, 1, mesh.free_surface_dofs().size * L)
+    in memory beside the loads the sampler returns (`sampled_values`: the
+    n_loaded x L block, or its factors where they hold fewer values) is
+    refused before anything is sampled, and a mesh the sampler cannot load
+    (its ValueError) is a ConfigError too."""
+    check_analysis_fits(mesh, 1, sampled_values(mesh.free_surface_dofs().size, L))
     return _construct("scenarios", sample_cantilever_scenarios, mesh, L, seed)
 
 

@@ -198,6 +198,11 @@ class ForwardModel:
     The model holds one form of its loads: `scenarios` (F) on the naive
     route, `svd` (F's thin SVD) on the SVD route, and None for the other,
     so an SVD model lets F go once it is built. `n_scenarios` is L on both.
+    The naive model holds F's n_loaded x L block dense: it multiplies a
+    factored F out once, after its memory check. The SVD model reads a
+    factored F through its factors alone (`thin_svd`, and the rows of F on
+    fixed DOFs), so its loads take O((n_loaded + L) r) memory, never
+    n_loaded x L.
     `total_analyses` counts analyses (one factorization each) and
     `total_solves` tallies their linear solves (right-hand-side columns).
 
@@ -205,10 +210,13 @@ class ForwardModel:
     (`fea.stiffness_scale`) scales it to the material's: the model factors
     the unit structure, and its systems carry the scale (`factorize`).
 
-    Scenarios that load a fixed DOF or load nothing at all, a stiffness
-    scale outside the float range, and a model whose analysis would need
-    more than the machine's physical memory beside the loads it holds
-    (`check_analysis_fits`), raise `ConfigError` before any assembly.
+    Scenarios that load a fixed DOF or load nothing at all (on the SVD
+    route, a thin SVD with S_1 = 0), a stiffness scale outside the float
+    range, and a model whose analysis would need more than the machine's
+    physical memory beside the loads it holds (`check_analysis_fits`: the
+    naive model's n_loaded x L values, checked before it forms them, or the
+    SVD model's `ScenarioMatrix.size`), raise `ConfigError` before any
+    assembly.
     """
 
     def __init__(self, mesh: GroundMesh, material: Material,
@@ -216,11 +224,17 @@ class ForwardModel:
                  method: str = "svd"):
         if method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+        L = scenarios.n_scenarios
+        if method == "naive":  # the naive route holds the n_loaded x L block
+            check_analysis_fits(mesh, L, scenarios.n_loaded * L)
+            if scenarios.coefficients is not None:
+                scenarios = ScenarioMatrix(scenarios.n_dofs, scenarios.dofs,
+                                           scenarios.loaded_block())
         # a load on a support does no work on the structure: the eliminated
         # K would report it as compliance that no density can change
         fixed = np.fromiter(mesh.fixed_dofs, dtype=np.int64, count=len(mesh.fixed_dofs))
         rows = np.flatnonzero(np.isin(scenarios.dofs, fixed))
-        on_fixed = scenarios.dofs[rows[np.any(scenarios.block[rows] != 0.0, axis=1)]]
+        on_fixed = scenarios.dofs[rows[np.any(scenarios.loaded_block(rows) != 0.0, axis=1)]]
         if on_fixed.size:
             listed = ", ".join(str(d) for d in on_fixed[:10])
             more = f" and {on_fixed.size - 10} more" if on_fixed.size > 10 else ""
@@ -228,12 +242,19 @@ class ForwardModel:
                 f"scenarios load fixed DOF {listed}{more}; loads must act on free DOFs"
             )
         # every compliance would be zero: nothing to scale or to normalize by
-        if not np.any(scenarios.block):
-            raise ConfigError("every scenario load is zero; at least one must be nonzero")
+        zero = "every scenario load is zero; at least one must be nonzero"
+        self.svd = None
+        if method == "svd":
+            try:
+                self.svd = thin_svd(scenarios)
+            except ValueError:  # S_1 = 0
+                raise ConfigError(zero) from None
+        elif not np.any(scenarios.block):
+            raise ConfigError(zero)
         self.mesh = mesh
         self.pipeline = pipeline
         self.scenarios = scenarios if method == "naive" else None
-        self.n_scenarios = scenarios.n_scenarios
+        self.n_scenarios = L
         self.method = method
         self.stiffness_scale = stiffness_scale(mesh, material)
         if not 0.0 < self.stiffness_scale < np.inf:
@@ -241,9 +262,8 @@ class ForwardModel:
             raise ConfigError(f"youngs_modulus x {quantity} = {self.stiffness_scale} "
                               f"is outside the float range")
         self.ke = element_stiffness(mesh, material, unit=True)
-        self.svd = thin_svd(scenarios) if method == "svd" else None
-        check_analysis_fits(mesh, self.svd.n_s if method == "svd" else scenarios.n_scenarios,
-                            scenarios.block.size)
+        if method == "svd":
+            check_analysis_fits(mesh, self.svd.n_s, scenarios.size)
         self.total_analyses = 0
         self.total_solves = 0
 

@@ -216,17 +216,21 @@ def _band_layout(mesh: GroundMesh) -> _BandLayout:
     if layout is None:
         edof = mesh.element_dof_map()
         width = half_bandwidth(mesh)
-        # one element decides which local pairs land on or above the diagonal
+        # one element decides which local pairs land on or above the diagonal,
+        # and the offset j - i of each: every element is congruent to it
         rows, cols = np.nonzero(edof[0][:, None] <= edof[0][None, :])
-        i, j = edof[:, rows], edof[:, cols]
-        n = mesh.n_dofs
-        index = width + i + width * j  # (width + i - j, j), column-major
         offsets, slot = np.unique(edof[0, cols] - edof[0, rows], return_inverse=True)
-        pairs = slot[None, :] * n + j
+        n = mesh.n_dofs
         fixed = np.array(sorted(mesh.fixed_dofs), dtype=np.int64)
         free = np.ones(n, dtype=bool)
         free[fixed] = False
-        spilled = ~(free[i] & free[j])
+        free = free[edof]
+        spilled = ~(free[:, rows] & free[:, cols])
+        index = edof[:, cols]  # j, the column of each entry
+        pairs = slot * n + index
+        # (width + i - j, j), column-major, with i = j - offset, in j's buffer
+        index *= width + 1
+        index += width - offsets[slot]
         index[spilled] = (width + 1) * n  # one spill slot past the band
         pairs[spilled] = offsets.size * n
         layout = _BandLayout(width, rows, cols, index.ravel(), fixed, offsets, pairs)

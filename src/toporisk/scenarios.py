@@ -1,12 +1,16 @@
 """Loading scenario matrices, their thin SVD, and the benchmark sampler.
 
 A scenario matrix F holds L load vectors as columns. In practice only a
-few DOFs ever carry load, so F is stored as a dense block over the
-loaded DOF rows plus the row index list; the zero rows are never
-materialized. The thin SVD is likewise computed on the block only, so
-its left singular vectors U hold the loaded rows only. It keeps every
-singular value at or above `SVD_REL_TOL` times the largest: the SVD
-route evaluates F^T K^-1 F exactly.
+few DOFs ever carry load, so F is stored over the loaded DOF rows plus the
+row index list; the zero rows are never materialized. The loaded block
+has one of two exact forms: dense (n_loaded x L, as a CSV file gives it)
+or factored, an n_loaded x r basis times an r x L coefficient matrix (as
+the sampler gives it when that holds fewer values). The thin SVD is
+computed on the loaded rows only, so its left singular vectors U hold
+those rows only; a factored F is decomposed through its factors, at
+O((n_loaded + L) r^2), and never multiplied out. It keeps every singular
+value at or above `SVD_REL_TOL` times the largest: the SVD route
+evaluates F^T K^-1 F exactly.
 """
 from __future__ import annotations
 
@@ -24,11 +28,15 @@ SVD_REL_TOL = 1e-10
 _SKETCH_COLUMNS = 16  # first sketch width of `_truncated_svd`, doubled as needed
 _SKETCH_SEED = 0
 _RESIDUAL_ROWS = 16  # rows per block of the sketch residual, see `_residual_norm`
+SAMPLER_RANK = 10  # basis loads of `sample_cantilever_scenarios`: 3 point loads, 7 rattles
 
 
 @dataclass(frozen=True)
 class ScenarioMatrix:
     """L load scenarios on an n_dofs structure, stored sparsely by row.
+
+    The loaded block is `block` (dense form) or `block @ coefficients`
+    (factored form); `loaded_block` multiplies a factored one out.
 
     Attributes
     ----------
@@ -37,20 +45,31 @@ class ScenarioMatrix:
     dofs : ndarray
         Strictly increasing indices of the rows that may be nonzero.
     block : ndarray
-        (len(dofs), L) dense block of load values; column i is scenario i
-        restricted to `dofs`.
+        Dense form: the (len(dofs), L) block of load values, column i
+        scenario i restricted to `dofs`. Factored form: a (len(dofs), r)
+        basis of loads on `dofs`.
+    coefficients : ndarray or None
+        None in dense form; in factored form the (r, L) matrix whose column
+        i weights the basis loads into scenario i.
     """
 
     n_dofs: int
     dofs: np.ndarray
     block: np.ndarray
+    coefficients: np.ndarray | None = None
 
     def __post_init__(self):
         dofs = np.asarray(self.dofs, dtype=np.int64)
         block = np.asarray(self.block, dtype=float)
         if dofs.ndim != 1 or block.ndim != 2 or block.shape[0] != dofs.size:
-            raise ValueError("dofs must be 1-D and block must be (len(dofs), L)")
-        if block.shape[1] < 1:
+            raise ValueError("dofs must be 1-D and block must have len(dofs) rows")
+        weights = block
+        if self.coefficients is not None:
+            weights = np.asarray(self.coefficients, dtype=float)
+            if weights.ndim != 2 or weights.shape[0] != block.shape[1]:
+                raise ValueError("coefficients must be (r, L) for an (n_loaded, r) block")
+            object.__setattr__(self, "coefficients", weights)
+        if weights.shape[1] < 1:
             raise ValueError("a scenario matrix needs at least one scenario")
         if dofs.size:
             if dofs[0] < 0 or dofs[-1] >= self.n_dofs:
@@ -62,16 +81,28 @@ class ScenarioMatrix:
 
     @property
     def n_scenarios(self) -> int:
-        return self.block.shape[1]
+        return (self.block if self.coefficients is None else self.coefficients).shape[1]
 
     @property
     def n_loaded(self) -> int:
         return self.dofs.size
 
+    @property
+    def size(self) -> int:
+        """The number of load values F holds, in the form it holds them."""
+        return self.block.size + (0 if self.coefficients is None else self.coefficients.size)
+
+    def loaded_block(self, rows=slice(None)) -> np.ndarray:
+        """The n_loaded x L block of loads (its rows `rows` if given): `block`
+        itself in dense form, multiplied out of the factors otherwise."""
+        if self.coefficients is None:
+            return self.block[rows]
+        return self.block[rows] @ self.coefficients
+
 
 @dataclass(frozen=True)
 class ThinSVD:
-    """Truncated SVD of a scenario matrix: F.block = U @ diag(S) @ Vt.
+    """Truncated SVD of a scenario matrix: F.loaded_block() = U @ diag(S) @ Vt.
 
     U is (n_loaded, n_s) on F's loaded rows `dofs`, S holds the kept
     singular values in descending order, Vt is (n_s, L).
@@ -91,12 +122,35 @@ def thin_svd(F: ScenarioMatrix) -> ThinSVD:
     """Thin SVD of F's block, truncating singular values below SVD_REL_TOL * sigma_1.
 
     Only the loaded-DOF block is decomposed, so the cost is independent
-    of n_dofs. `_truncated_svd` keeps exactly the singular values that the
-    full SVD of the block would keep, and raises ValueError on a block that
-    is identically zero.
+    of n_dofs. A dense block goes to `_truncated_svd`, a factored one to
+    `_factored_svd`; both keep exactly the singular values that the full
+    SVD of the block would keep, and raise ValueError on a block that is
+    identically zero.
     """
-    U, S, Vt = _truncated_svd(F.block)
+    if F.coefficients is None:
+        U, S, Vt = _truncated_svd(F.block)
+    else:
+        U, S, Vt = _factored_svd(F.block, F.coefficients)
     return ThinSVD(U=U, S=S, Vt=Vt, dofs=F.dofs.copy())
+
+
+def _factored_svd(P: np.ndarray, W: np.ndarray):
+    """SVD of P @ W, truncated at SVD_REL_TOL * sigma_1, from the factors.
+
+    With the economic QR P = Q R, P W = Q (R W), and Q has orthonormal
+    columns: the SVD R W = Ub S Vt of the small r x L matrix gives P W's
+    singular values S exactly and its left singular vectors Q Ub. So the
+    truncation is the full SVD's, no sketch is needed, and the n_loaded x
+    L product is never formed: O((n_loaded + L) r^2). A zero P W shows as
+    S_1 = 0 and raises ValueError. Products, QR and SVD run in scipy's
+    OpenBLAS, as `_truncated_svd`'s do.
+    """
+    Q, R = qr(P, mode="economic", check_finite=False)
+    Ub, S, Vt = svd(_product(R, W), full_matrices=False, check_finite=False)
+    if S.size == 0 or S[0] == 0.0:
+        raise ValueError("scenario matrix is identically zero")
+    keep = S >= SVD_REL_TOL * S[0]
+    return _product(Q, Ub[:, keep]), S[keep], Vt[keep, :]
 
 
 def _truncated_svd(A: np.ndarray):
@@ -219,16 +273,22 @@ def sample_cantilever_scenarios(
     per call with independent standard normal entries on every surface
     DOF without a Dirichlet condition, s_1..s_3 ~ U(-2, 2) and
     s_4..s_10 ~ N(0, 1) independently per scenario. The construction
-    bounds rank(F) by 10. The mesh needs at least 2 cells along x, or the
-    top-face load would sit on the fixed face; ValueError otherwise, and
-    also when a point load falls on a DOF that is not a free surface DOF
-    (a mesh with other supports than the cantilever's).
+    bounds rank(F) by 10 (`SAMPLER_RANK`). The mesh needs at least 2 cells
+    along x, or the top-face load would sit on the fixed face; ValueError
+    otherwise, and also when a point load falls on a DOF that is not a free
+    surface DOF (a mesh with other supports than the cantilever's).
 
     Randomness comes from `numpy.random.default_rng(seed)` (PCG64); the
     draw order is: the seven basis vectors first (row-major), then the
     uniform multiplier block, then the normal multiplier block, so equal
     seeds give bitwise-equal matrices on any platform with the same
     numpy version.
+
+    F comes in the smaller of its two forms (`sampled_values`), which the
+    shape (n_loaded, L) alone decides. Factored, `block` holds the basis
+    columns F_1, F_2, F_3, F_4/7, ..., F_10/7 and `coefficients` the
+    multipliers s_1..s_10. Dense, the block is formed as the rattle product
+    (F_4..F_10)/7 @ (s_4..s_10) plus each point load's outer product.
 
     Parameters
     ----------
@@ -255,26 +315,47 @@ def sample_cantilever_scenarios(
 
     # the deterministic point loads act on free surface nodes, so the
     # loaded-DOF list is exactly the free surface DOF list
-    block = (basis.T / 7.0) @ s_basis
-    for (dof_ids, direction), s_row in zip(_benchmark_point_loads(mesh), s_point):
+    point_loads = []
+    for dof_ids, direction in _benchmark_point_loads(mesh):
         rows = np.searchsorted(surface, dof_ids)
         if np.any(rows == surface.size) or np.any(surface[rows] != dof_ids):
             raise ValueError(f"a benchmark point load acts on DOFs {dof_ids.tolist()}, "
                              f"which are not all free surface DOFs of this mesh")
-        block[rows, :] += np.outer(direction, s_row)
-    return ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=surface, block=block)
+        point_loads.append((rows, direction))
+    if sampled_values(surface.size, L) == surface.size * L:
+        block = (basis.T / 7.0) @ s_basis
+        for (rows, direction), s_row in zip(point_loads, s_point):
+            block[rows, :] += np.outer(direction, s_row)
+        return ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=surface, block=block)
+    # factored: the basis columns are F_1..F_3 and F_4/7..F_10/7, weighted by s
+    block = np.zeros((surface.size, SAMPLER_RANK))
+    for k, (rows, direction) in enumerate(point_loads):
+        block[rows, k] = direction
+    block[:, 3:] = basis.T / 7.0
+    return ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=surface, block=block,
+                          coefficients=np.concatenate([s_point, s_basis]))
+
+
+def sampled_values(n_loaded: int, L: int) -> int:
+    """The number of load values `sample_cantilever_scenarios` holds for L
+    scenarios on n_loaded loaded DOFs: those of the smaller of its two forms,
+    n_loaded x L dense or rank `SAMPLER_RANK` factored (dense on a tie). It
+    reads the counts alone, in exact Python ints."""
+    return min(n_loaded * L, SAMPLER_RANK * (n_loaded + L))
 
 
 def save_scenarios_to_file(F: ScenarioMatrix, path) -> None:
     """Write F as CSV with header dof,scenario,value; zero entries omitted.
 
     Values are written in shortest round-trip decimal form, so a
-    write/read cycle reproduces the matrix bitwise.
+    write/read cycle reproduces the loaded block bitwise. A factored F is
+    multiplied out once (`ScenarioMatrix.loaded_block`).
     """
+    block = F.loaded_block()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("dof,scenario,value\n")
         for k, dof in enumerate(F.dofs):
-            row = F.block[k]
+            row = block[k]
             for i in np.nonzero(row)[0]:
                 fh.write(f"{int(dof)},{int(i)},{float(row[i])!r}\n")
 

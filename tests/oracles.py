@@ -183,14 +183,14 @@ def element_centroids(mesh):
 def scenario_column(F, i):
     """Scenario i of F as a full n_dofs vector."""
     f = np.zeros(F.n_dofs)
-    f[F.dofs] = F.block[:, i]
+    f[F.dofs] = F.loaded_block()[:, i]
     return f
 
 
 def dense_scenarios(F):
     """F's full (n_dofs, L) matrix, zero off the loaded rows."""
     dense = np.zeros((F.n_dofs, F.n_scenarios))
-    dense[F.dofs, :] = F.block
+    dense[F.dofs, :] = F.loaded_block()
     return dense
 
 
@@ -208,18 +208,32 @@ def random_scenarios(mesh, L, rank, seed):
 
 def dict_sampled_scenarios(mesh, L, seed):
     """`sample_cantilever_scenarios`' draws, with every point-load row found
-    through a dict over all free surface DOFs."""
+    through a dict over all free surface DOFs, in the sampler's form.
+
+    Dense when its n_loaded x L values are no more than the rank-10 factors'
+    10 (n_loaded + L), built as the sampler built every block before it had
+    a factored form: the rattle product, then each point load's outer
+    product added. Factored otherwise: unit point loads and rattles / 7 as
+    the basis, the multipliers s_1..s_10 as the coefficients."""
     rng = np.random.default_rng(seed)
     surface = mesh.free_surface_dofs()
     basis = rng.standard_normal((7, surface.size))
     s_point = rng.uniform(-2.0, 2.0, size=(3, L))
     s_basis = rng.standard_normal((7, L))
-    block = (basis.T / 7.0) @ s_basis
     lookup = {int(d): k for k, d in enumerate(surface)}
-    for (dof_ids, direction), s_row in zip(tr.scenarios._benchmark_point_loads(mesh), s_point):
-        rows = [lookup[int(d)] for d in dof_ids]
-        block[rows, :] += np.outer(direction, s_row)
-    return tr.ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=surface, block=block)
+    point_loads = [([lookup[int(d)] for d in dof_ids], direction)
+                   for dof_ids, direction in tr.scenarios._benchmark_point_loads(mesh)]
+    if surface.size * L <= 10 * (surface.size + L):
+        block = (basis.T / 7.0) @ s_basis
+        for (rows, direction), s_row in zip(point_loads, s_point):
+            block[rows, :] += np.outer(direction, s_row)
+        return tr.ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=surface, block=block)
+    block = np.zeros((surface.size, 10))
+    for k, (rows, direction) in enumerate(point_loads):
+        block[rows, k] = direction
+    block[:, 3:] = basis.T / 7.0
+    return tr.ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=surface, block=block,
+                             coefficients=np.vstack([s_point, s_basis]))
 
 
 def mma_dual_slope(eta, p0, q0, p1, q1, b1, low, upp, alpha, beta):

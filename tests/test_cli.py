@@ -238,7 +238,8 @@ def test_filter_larger_than_physical_memory_exits_2_before_it_is_built(tmp_path,
 def test_sampled_loads_larger_than_physical_memory_exit_2_before_sampling(tmp_path, capsys,
                                                                           monkeypatch, command):
     """L = 10^6 scenarios on the 6x3 mesh's 28 free surface DOFs are 224 MB
-    of loads, against a mocked 16 MB of memory that one analysis fits in."""
+    of loads dense and 80 MB as the sampler's factors, against a mocked
+    16 MB of memory that one analysis fits in."""
     def sampler(*args):
         raise AssertionError("the sampler was reached")
 
@@ -246,6 +247,31 @@ def test_sampled_loads_larger_than_physical_memory_exit_2_before_sampling(tmp_pa
     monkeypatch.setattr("toporisk.continuation.physical_memory_bytes", lambda: 16 * 2**20)
     config = write_config(tmp_path, scenarios={"source": "sample", "L": 10**6, "seed": 0})
     assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "scenario loads" in err and "physical memory" in err and "Traceback" not in err
+
+
+def test_svd_run_fits_where_the_dense_block_of_loads_does_not(tmp_path, capsys, monkeypatch):
+    """L = 10^4 on the 6x3 mesh's 28 free surface DOFs: the dense block
+    (2.24 MB) exceeds a mocked 1.5 MB of memory, its factors (0.8 MB) fit
+    beside the SVD route's 10-column analysis, so the SVD run completes.
+    The naive route at that L exits 2 before it forms the dense block."""
+    def loaded_block(*args):
+        raise AssertionError("the dense block was formed")
+
+    memory = 1.5e6
+    mesh = tr.cantilever_mesh(2, (6, 3))
+    assert 8 * 28 * 10**4 > memory > 8 * 10 * (28 + 10**4) + tr.fea.analysis_bytes(mesh, 10)[1]
+    monkeypatch.setattr("toporisk.continuation.physical_memory_bytes", lambda: memory)
+    scenarios = {"source": "sample", "L": 10**4, "seed": 0}
+    config = write_config(tmp_path, scenarios=scenarios, method="svd")
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "svd")]) == 0
+    assert json.loads((tmp_path / "svd" / "report.json").read_text())["n_scenarios"] == 10**4
+
+    monkeypatch.setattr(tr.ScenarioMatrix, "loaded_block", loaded_block)
+    config = write_config(tmp_path, scenarios=scenarios, method="naive")
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "naive")]) == 2
     err = capsys.readouterr().err
     assert "scenario loads" in err and "physical memory" in err and "Traceback" not in err
 

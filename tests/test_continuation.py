@@ -224,16 +224,65 @@ def test_model_larger_than_physical_memory_is_refused_before_assembly(monkeypatc
 @pytest.mark.parametrize("method", ["naive", "svd"])
 def test_model_refuses_columns_that_fit_only_without_its_loads(monkeypatch, method):
     """Memory between one analysis of the route's k columns and that plus
-    the n_loaded x L block of loads the model holds."""
+    the loads the model holds: the naive route's n_loaded x L block, the
+    SVD route's sampled factors (n_loaded + L) x 10."""
     mesh = tr.cantilever_mesh(2, (6, 3))
     pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
     F = tr.sample_cantilever_scenarios(mesh, 1000, 0)
+    assert F.coefficients is not None
     k = tr.thin_svd(F).n_s if method == "svd" else F.n_scenarios
+    held = F.size if method == "svd" else F.n_loaded * F.n_scenarios
     peak = tr.fea.analysis_bytes(mesh, k)[1]
     monkeypatch.setattr(continuation, "physical_memory_bytes",
-                        lambda: peak + 8 * F.block.size // 2)
+                        lambda: peak + 8 * held // 2)
     with pytest.raises(ConfigError, match="scenario loads"):
         tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method=method)
+
+
+def test_svd_model_builds_from_factors_with_no_dense_block():
+    """16x6x6 at L = 1000 (mean-3d-svd's input): sampling and building the
+    SVD model allocate less than one 1227 x 1000 block of loads, so none
+    is formed; the naive model forms it once."""
+    import tracemalloc
+
+    mesh = tr.cantilever_mesh(3, (16, 6, 6))
+    pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
+    dense_bytes = 8 * mesh.free_surface_dofs().size * 1000
+    tracemalloc.start()
+    try:
+        F = tr.sample_cantilever_scenarios(mesh, 1000, 0)
+        model = tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method="svd")
+        svd_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        naive = tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method="naive")
+        naive_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.svd.n_s == 10 and naive.scenarios.block.nbytes == dense_bytes
+    assert svd_peak < dense_bytes / 4, f"{svd_peak} bytes against a {dense_bytes}-byte block"
+    assert naive_peak >= dense_bytes
+
+
+@pytest.mark.parametrize("method", ["naive", "svd"])
+def test_model_reads_factored_loads_on_fixed_dofs_and_zero_loads(method):
+    """The checks of F's loads read a factored F through its factors: a basis
+    load on a fixed DOF with nonzero weight, and an all-zero product (on the
+    SVD route, S_1 = 0), raise the dense form's ConfigErrors."""
+    mesh = tr.cantilever_mesh(2, (6, 3))
+    pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
+    dofs = np.array([2, 13, 21])  # DOF 2 is fixed
+    basis = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+    def build(block, weights):
+        F = tr.ScenarioMatrix(mesh.n_dofs, dofs, block, coefficients=weights)
+        return tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method=method)
+
+    with pytest.raises(ConfigError, match="fixed DOF 2;"):
+        build(basis, np.ones((2, 5)))
+    with pytest.raises(ConfigError, match="every scenario load is zero"):
+        build(basis[:, ::-1] * [0.0, 1.0], np.vstack([np.ones(5), np.zeros(5)]))
+    model = build(basis * [0.0, 1.0], np.ones((2, 5)))  # the fixed row's load is zero
+    assert model.n_scenarios == 5
 
 
 def test_mean_compliance_continuation_small():

@@ -26,6 +26,25 @@ def test_scenario_matrix_validation():
         tr.ScenarioMatrix(n_dofs=10, dofs=np.array([5]), block=np.ones((2, 1)))
 
 
+def test_factored_scenario_matrix():
+    """F = block @ coefficients: L from the coefficients, the values held
+    counted in that form, and the loaded block multiplied out on request."""
+    basis = np.array([[1.0, 0.0], [2.0, -1.0], [0.0, 3.0]])
+    weights = np.array([[1.0, 2.0, 0.5, -1.0], [0.0, 1.0, 2.0, 4.0]])
+    F = tr.ScenarioMatrix(n_dofs=9, dofs=np.array([0, 4, 8]), block=basis,
+                          coefficients=weights)
+    assert (F.n_loaded, F.n_scenarios, F.size) == (3, 4, 14)
+    np.testing.assert_array_equal(F.loaded_block(), basis @ weights)
+    np.testing.assert_array_equal(F.loaded_block([2]), basis[[2]] @ weights)
+    np.testing.assert_array_equal(dense_scenarios(F)[[0, 4, 8]], basis @ weights)
+    with pytest.raises(ValueError):  # r disagrees
+        tr.ScenarioMatrix(n_dofs=9, dofs=np.array([0, 4, 8]), block=basis,
+                          coefficients=weights[:1])
+    with pytest.raises(ValueError):  # no scenario
+        tr.ScenarioMatrix(n_dofs=9, dofs=np.array([0, 4, 8]), block=basis,
+                          coefficients=np.ones((2, 0)))
+
+
 def test_column_and_to_dense_agree():
     F = tr.ScenarioMatrix(n_dofs=6, dofs=np.array([1, 4]),
                           block=np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -104,7 +123,7 @@ def test_sampler_places_point_loads_as_a_dict_lookup_does(cells):
     F = tr.sample_cantilever_scenarios(mesh, 30, seed=7)
     oracle = dict_sampled_scenarios(tr.cantilever_mesh(len(cells), cells), 30, seed=7)
     np.testing.assert_array_equal(F.dofs, oracle.dofs)
-    np.testing.assert_array_equal(F.block, oracle.block)
+    np.testing.assert_array_equal(F.loaded_block(), oracle.loaded_block())
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -124,15 +143,50 @@ def test_sampler_is_deterministic():
     mesh = tr.cantilever_mesh(2, (10, 5))
     A = tr.sample_cantilever_scenarios(mesh, 40, seed=123)
     B = tr.sample_cantilever_scenarios(mesh, 40, seed=123)
-    assert np.array_equal(A.block, B.block)
+    assert np.array_equal(A.loaded_block(), B.loaded_block())
     C = tr.sample_cantilever_scenarios(mesh, 40, seed=124)
-    assert not np.array_equal(A.block, C.block)
+    assert not np.array_equal(A.loaded_block(), C.loaded_block())
+
+
+def test_sampler_factors_are_deterministic():
+    mesh = tr.cantilever_mesh(3, (16, 6, 6))
+    A = tr.sample_cantilever_scenarios(mesh, 1000, seed=5)
+    B = tr.sample_cantilever_scenarios(mesh, 1000, seed=5)
+    assert A.coefficients is not None and A.block.shape == (A.n_loaded, 10)
+    assert np.array_equal(A.block, B.block) and np.array_equal(A.coefficients, B.coefficients)
+
+
+@pytest.mark.parametrize("cells,L,factored", [
+    ((6, 3), 6, False),      # 28 loaded DOFs: 168 values dense, 340 factored
+    ((6, 3), 12, False),     # 336 against 400
+    ((6, 3), 16, True),      # 448 against 440
+    ((80, 20), 200, True),
+    ((16, 6, 6), 1000, True),
+])
+def test_sampler_returns_the_smaller_form(cells, L, factored):
+    mesh = tr.cantilever_mesh(len(cells), cells)
+    F = tr.sample_cantilever_scenarios(mesh, L, seed=1)
+    n = mesh.free_surface_dofs().size
+    assert (F.coefficients is not None) == factored
+    assert F.size == tr.scenarios.sampled_values(n, L) == min(n * L, 10 * (n + L))
+
+
+def test_small_sample_keeps_the_dense_construction():
+    """The 6x3, L = 6 input of the max-compliance tests is dense, and its
+    block is bit for bit the rattle product plus the point loads' outer
+    products (the oracle's dense construction)."""
+    mesh = tr.cantilever_mesh(2, (6, 3))
+    for seed in (0, 2, 9):
+        F = tr.sample_cantilever_scenarios(mesh, 6, seed=seed)
+        oracle = dict_sampled_scenarios(mesh, 6, seed=seed)
+        assert F.coefficients is None and oracle.coefficients is None
+        assert np.array_equal(F.block, oracle.block)
 
 
 def test_sampler_rank_is_at_most_ten():
     mesh = tr.cantilever_mesh(2, (10, 5))
     F = tr.sample_cantilever_scenarios(mesh, 100, seed=0)
-    assert np.linalg.matrix_rank(F.block, tol=1e-8) == 10
+    assert np.linalg.matrix_rank(F.loaded_block(), tol=1e-8) == 10
     assert tr.thin_svd(F).n_s == 10
 
 
@@ -171,7 +225,7 @@ def _block_with_spectrum(S, m, L, seed):
 
 def _sampler_block():
     mesh = tr.cantilever_mesh(2, (40, 10))
-    return tr.sample_cantilever_scenarios(mesh, 1000, seed=3).block
+    return tr.sample_cantilever_scenarios(mesh, 1000, seed=3).loaded_block()
 
 
 def _full_rank_block():
@@ -221,6 +275,41 @@ def test_thin_svd_truncates_like_the_full_svd(make, n_s, full, monkeypatch):
     assert (block.shape in shapes) == full
 
 
+@pytest.mark.parametrize("cells,L", [((16, 6, 6), 1000), ((20, 10), 50), ((80, 20), 200)])
+def test_factored_thin_svd_matches_the_dense_one(cells, L):
+    """The benchmark inputs: the thin SVD from the sampler's factors keeps
+    the n_s of the dense block's, its singular values to 1e-13 S_1, and
+    rebuilds the dense block to 1e-13."""
+    mesh = tr.cantilever_mesh(len(cells), cells)
+    F = tr.sample_cantilever_scenarios(mesh, L, seed=0)
+    assert F.coefficients is not None
+    block = F.loaded_block()
+    dense = tr.thin_svd(tr.ScenarioMatrix(F.n_dofs, F.dofs, block))
+    factored = tr.thin_svd(F)
+    assert factored.n_s == dense.n_s == 10
+    np.testing.assert_allclose(factored.S, dense.S, rtol=0, atol=1e-13 * dense.S[0])
+    recon = factored.U @ (factored.S[:, None] * factored.Vt)
+    assert np.linalg.norm(recon - block) <= 1e-13 * np.linalg.norm(block)
+    np.testing.assert_allclose(factored.U.T @ factored.U, np.eye(10), atol=1e-13)
+    np.testing.assert_array_equal(factored.dofs, F.dofs)
+
+
+def test_factored_thin_svd_truncates_and_rejects_zero():
+    """A rank-deficient basis keeps its rank; a zero basis or zero
+    coefficients give S_1 = 0, which raises as a zero dense block does."""
+    rng = np.random.default_rng(3)
+    basis = rng.standard_normal((40, 4))
+    basis[:, 3] = basis[:, 0] - 2.0 * basis[:, 1]
+    F = tr.ScenarioMatrix(n_dofs=50, dofs=np.arange(40), block=basis,
+                          coefficients=rng.standard_normal((4, 30)))
+    assert tr.thin_svd(F).n_s == 3
+    for block, weights in [(np.zeros((40, 4)), np.ones((4, 30))), (basis, np.zeros((4, 30)))]:
+        zero = tr.ScenarioMatrix(n_dofs=50, dofs=np.arange(40), block=block,
+                                 coefficients=weights)
+        with pytest.raises(ValueError, match="identically zero"):
+            tr.thin_svd(zero)
+
+
 def test_csv_round_trip_is_bitwise(tmp_path, mesh_6x3):
     F = random_scenarios(mesh_6x3, L=7, rank=3, seed=9)
     path = tmp_path / "scenarios.csv"
@@ -232,6 +321,17 @@ def test_csv_round_trip_is_bitwise(tmp_path, mesh_6x3):
     assert first.startswith("dof,scenario,value\n")
     tr.save_scenarios_to_file(G, path)
     assert path.read_text() == first  # save(load(save(F))) is a fixed point
+
+
+def test_csv_round_trip_of_a_factored_sample(tmp_path):
+    mesh = tr.cantilever_mesh(2, (10, 5))
+    F = tr.sample_cantilever_scenarios(mesh, 40, seed=4)
+    assert F.coefficients is not None
+    path = tmp_path / "scenarios.csv"
+    tr.save_scenarios_to_file(F, path)
+    G = tr.load_scenarios_from_file(path, n_dofs=mesh.n_dofs)
+    assert G.coefficients is None
+    np.testing.assert_array_equal(dense_scenarios(G), dense_scenarios(F))
 
 
 def test_csv_load_rejects_malformed(tmp_path):
