@@ -224,8 +224,8 @@ def _band_layout(mesh: GroundMesh) -> _BandLayout:
         fixed = np.array(sorted(mesh.fixed_dofs), dtype=np.int64)
         free = np.ones(n, dtype=bool)
         free[fixed] = False
-        free = free[edof]
-        spilled = ~(free[:, rows] & free[:, cols])
+        local = free[edof]  # per element and local DOF
+        spilled = ~(local[:, rows] & local[:, cols])
         index = edof[:, cols]  # j, the column of each entry
         pairs = slot * n + index
         # (width + i - j, j), column-major, with i = j - offset, in j's buffer
