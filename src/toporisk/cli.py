@@ -285,7 +285,7 @@ def cmd_sample_scenarios(cfg, args) -> int:
         raise ConfigError("sample-scenarios needs a config with scenarios.source = \"sample\"")
     out = _output_dir(cfg)
     mesh = build_mesh(cfg)
-    # the file lists the n_loaded x L block, which a factored sample forms to write it
+    # the file lists the n_loaded x L block, multiplied out of the sampled factors to write it
     check_analysis_fits(mesh, 1, mesh.free_surface_dofs().size * cfg.L)
     F = sample_scenarios(mesh, cfg.L, cfg.seed)
     path = out / "scenarios.csv"

@@ -16,9 +16,9 @@ agree up to round-off:
 * SVD:   the basis is U S from the thin SVD F = (U S) Vt (exactly n_s
          solves), recombined through Vt.
 
-Either basis is zero off the loaded rows and held on them only: F.block
-for `compliances_naive(sys, F)`, U S for `compliances_svd(sys, svd)`, which
-reads the `ThinSVD` alone. Each hands it to `StiffnessSystem.solve(block,
+Either basis is zero off the loaded rows and held on them only:
+F.loaded_block() for `compliances_naive(sys, F)`, U S for
+`compliances_svd(sys, svd)`, which reads the `ThinSVD` alone. Each hands it to `StiffnessSystem.solve(block,
 rows=dofs)`, which scatters it into its own work block. The naive route's
 L columns take the blocked level-3 sweep and come back row-major; the SVD
 route's few columns take LAPACK's column sweep.

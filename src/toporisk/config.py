@@ -66,8 +66,8 @@ from .errors import ConfigError, check_number
 from .mesh import GroundMesh, Material, cantilever_mesh
 from .mma import MMAConfig
 from .pipeline import DensityPipeline, filter_entries
-from .scenarios import (ScenarioMatrix, load_scenarios_from_file, sample_cantilever_scenarios,
-                        sampled_values)
+from .scenarios import (SAMPLER_RANK, ScenarioMatrix, load_scenarios_from_file,
+                        sample_cantilever_scenarios)
 
 SCHEMA_VERSION = 1
 
@@ -294,11 +294,10 @@ def build_mesh(cfg: RunConfig) -> GroundMesh:
 def sample_scenarios(mesh: GroundMesh, L: int, seed: int) -> ScenarioMatrix:
     """The benchmark sampler's L scenarios on `mesh`, for every command that
     samples. A mesh whose smallest analysis (one solved column) cannot fit
-    in memory beside the loads the sampler returns (`sampled_values`: the
-    n_loaded x L block, or its factors where they hold fewer values) is
-    refused before anything is sampled, and a mesh the sampler cannot load
-    (its ValueError) is a ConfigError too."""
-    check_analysis_fits(mesh, 1, sampled_values(mesh.free_surface_dofs().size, L))
+    in memory beside the factors the sampler returns (`SAMPLER_RANK`
+    (n_loaded + L) values) is refused before anything is sampled, and a
+    mesh the sampler cannot load (its ValueError) is a ConfigError too."""
+    check_analysis_fits(mesh, 1, SAMPLER_RANK * (mesh.free_surface_dofs().size + L))
     return _construct("scenarios", sample_cantilever_scenarios, mesh, L, seed)
 
 

@@ -227,7 +227,7 @@ class ForwardModel:
         L = scenarios.n_scenarios
         if method == "naive":  # the naive route holds the n_loaded x L block
             check_analysis_fits(mesh, L, scenarios.n_loaded * L)
-            if scenarios.coefficients is not None:
+            if scenarios.block is None:
                 scenarios = ScenarioMatrix(scenarios.n_dofs, scenarios.dofs,
                                            scenarios.loaded_block())
         # a load on a support does no work on the structure: the eliminated

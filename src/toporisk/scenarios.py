@@ -5,7 +5,7 @@ few DOFs ever carry load, so F is stored over the loaded DOF rows plus the
 row index list; the zero rows are never materialized. The loaded block
 has one of two exact forms: dense (n_loaded x L, as a CSV file gives it)
 or factored, an n_loaded x r basis times an r x L coefficient matrix (as
-the sampler gives it when that holds fewer values). The thin SVD is
+the sampler gives it). The thin SVD is
 computed on the loaded rows only, so its left singular vectors U hold
 those rows only; a factored F is decomposed through its factors, at
 O((n_loaded + L) r^2), and never multiplied out. It keeps every singular
@@ -35,8 +35,9 @@ SAMPLER_RANK = 10  # basis loads of `sample_cantilever_scenarios`: 3 point loads
 class ScenarioMatrix:
     """L load scenarios on an n_dofs structure, stored sparsely by row.
 
-    The loaded block is `block` (dense form) or `block @ coefficients`
-    (factored form); `loaded_block` multiplies a factored one out.
+    The loaded block is held dense, as `block`, or factored, as `basis @
+    coefficients`; the other form's fields are None. `loaded_block`
+    multiplies a factored one out.
 
     Attributes
     ----------
@@ -44,31 +45,33 @@ class ScenarioMatrix:
         Total DOF count of the structure.
     dofs : ndarray
         Strictly increasing indices of the rows that may be nonzero.
-    block : ndarray
+    block : ndarray or None
         Dense form: the (len(dofs), L) block of load values, column i
-        scenario i restricted to `dofs`. Factored form: a (len(dofs), r)
-        basis of loads on `dofs`.
-    coefficients : ndarray or None
-        None in dense form; in factored form the (r, L) matrix whose column
-        i weights the basis loads into scenario i.
+        scenario i restricted to `dofs`.
+    basis, coefficients : ndarray or None
+        Factored form: a (len(dofs), r) basis of loads on `dofs`, and the
+        (r, L) matrix whose column i weights them into scenario i.
     """
 
     n_dofs: int
     dofs: np.ndarray
-    block: np.ndarray
+    block: np.ndarray | None = None
+    basis: np.ndarray | None = None
     coefficients: np.ndarray | None = None
 
     def __post_init__(self):
+        factored = self.block is None
+        if factored == (self.basis is None) or factored == (self.coefficients is None):
+            raise ValueError("give either block, or basis and coefficients")
         dofs = np.asarray(self.dofs, dtype=np.int64)
-        block = np.asarray(self.block, dtype=float)
-        if dofs.ndim != 1 or block.ndim != 2 or block.shape[0] != dofs.size:
-            raise ValueError("dofs must be 1-D and block must have len(dofs) rows")
-        weights = block
-        if self.coefficients is not None:
+        rows = np.asarray(self.basis if factored else self.block, dtype=float)
+        if dofs.ndim != 1 or rows.ndim != 2 or rows.shape[0] != dofs.size:
+            raise ValueError("dofs must be 1-D and block or basis must have len(dofs) rows")
+        weights = rows
+        if factored:
             weights = np.asarray(self.coefficients, dtype=float)
-            if weights.ndim != 2 or weights.shape[0] != block.shape[1]:
-                raise ValueError("coefficients must be (r, L) for an (n_loaded, r) block")
-            object.__setattr__(self, "coefficients", weights)
+            if weights.ndim != 2 or weights.shape[0] != rows.shape[1]:
+                raise ValueError("coefficients must be (r, L) for an (n_loaded, r) basis")
         if weights.shape[1] < 1:
             raise ValueError("a scenario matrix needs at least one scenario")
         if dofs.size:
@@ -77,11 +80,15 @@ class ScenarioMatrix:
             if np.any(np.diff(dofs) <= 0):
                 raise ValueError("dofs must be strictly increasing")
         object.__setattr__(self, "dofs", dofs)
-        object.__setattr__(self, "block", block)
+        if factored:
+            object.__setattr__(self, "basis", rows)
+            object.__setattr__(self, "coefficients", weights)
+        else:
+            object.__setattr__(self, "block", rows)
 
     @property
     def n_scenarios(self) -> int:
-        return (self.block if self.coefficients is None else self.coefficients).shape[1]
+        return (self.block if self.block is not None else self.coefficients).shape[1]
 
     @property
     def n_loaded(self) -> int:
@@ -90,14 +97,16 @@ class ScenarioMatrix:
     @property
     def size(self) -> int:
         """The number of load values F holds, in the form it holds them."""
-        return self.block.size + (0 if self.coefficients is None else self.coefficients.size)
+        if self.block is not None:
+            return self.block.size
+        return self.basis.size + self.coefficients.size
 
     def loaded_block(self, rows=slice(None)) -> np.ndarray:
         """The n_loaded x L block of loads (its rows `rows` if given): `block`
         itself in dense form, multiplied out of the factors otherwise."""
-        if self.coefficients is None:
+        if self.block is not None:
             return self.block[rows]
-        return self.block[rows] @ self.coefficients
+        return self.basis[rows] @ self.coefficients
 
 
 @dataclass(frozen=True)
@@ -127,10 +136,10 @@ def thin_svd(F: ScenarioMatrix) -> ThinSVD:
     SVD of the block would keep, and raise ValueError on a block that is
     identically zero.
     """
-    if F.coefficients is None:
+    if F.block is not None:
         U, S, Vt = _truncated_svd(F.block)
     else:
-        U, S, Vt = _factored_svd(F.block, F.coefficients)
+        U, S, Vt = _factored_svd(F.basis, F.coefficients)
     return ThinSVD(U=U, S=S, Vt=Vt, dofs=F.dofs.copy())
 
 
@@ -279,16 +288,14 @@ def sample_cantilever_scenarios(
     surface DOF (a mesh with other supports than the cantilever's).
 
     Randomness comes from `numpy.random.default_rng(seed)` (PCG64); the
-    draw order is: the seven basis vectors first (row-major), then the
+    draw order is: the seven rattle vectors first (row-major), then the
     uniform multiplier block, then the normal multiplier block, so equal
     seeds give bitwise-equal matrices on any platform with the same
     numpy version.
 
-    F comes in the smaller of its two forms (`sampled_values`), which the
-    shape (n_loaded, L) alone decides. Factored, `block` holds the basis
-    columns F_1, F_2, F_3, F_4/7, ..., F_10/7 and `coefficients` the
-    multipliers s_1..s_10. Dense, the block is formed as the rattle product
-    (F_4..F_10)/7 @ (s_4..s_10) plus each point load's outer product.
+    F comes factored: `basis` holds the columns F_1, F_2, F_3, F_4/7, ...,
+    F_10/7 and `coefficients` the multipliers s_1..s_10, so it holds
+    `SAMPLER_RANK` (n_loaded + L) values and never the n_loaded x L block.
 
     Parameters
     ----------
@@ -303,7 +310,7 @@ def sample_cantilever_scenarios(
                          f"got {mesh.cells[0]}")
     rng = np.random.default_rng(seed)
     surface = mesh.free_surface_dofs()
-    basis = rng.standard_normal((7, surface.size))
+    rattles = rng.standard_normal((7, surface.size))
     if multipliers is None:
         s_point = rng.uniform(-2.0, 2.0, size=(3, L))
         s_basis = rng.standard_normal((7, L))
@@ -322,26 +329,13 @@ def sample_cantilever_scenarios(
             raise ValueError(f"a benchmark point load acts on DOFs {dof_ids.tolist()}, "
                              f"which are not all free surface DOFs of this mesh")
         point_loads.append((rows, direction))
-    if sampled_values(surface.size, L) == surface.size * L:
-        block = (basis.T / 7.0) @ s_basis
-        for (rows, direction), s_row in zip(point_loads, s_point):
-            block[rows, :] += np.outer(direction, s_row)
-        return ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=surface, block=block)
-    # factored: the basis columns are F_1..F_3 and F_4/7..F_10/7, weighted by s
-    block = np.zeros((surface.size, SAMPLER_RANK))
+    # the basis columns are F_1..F_3 and F_4/7..F_10/7, weighted by s
+    basis = np.zeros((surface.size, SAMPLER_RANK))
     for k, (rows, direction) in enumerate(point_loads):
-        block[rows, k] = direction
-    block[:, 3:] = basis.T / 7.0
-    return ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=surface, block=block,
+        basis[rows, k] = direction
+    basis[:, 3:] = rattles.T / 7.0
+    return ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=surface, basis=basis,
                           coefficients=np.concatenate([s_point, s_basis]))
-
-
-def sampled_values(n_loaded: int, L: int) -> int:
-    """The number of load values `sample_cantilever_scenarios` holds for L
-    scenarios on n_loaded loaded DOFs: those of the smaller of its two forms,
-    n_loaded x L dense or rank `SAMPLER_RANK` factored (dense on a tie). It
-    reads the counts alone, in exact Python ints."""
-    return min(n_loaded * L, SAMPLER_RANK * (n_loaded + L))
 
 
 def save_scenarios_to_file(F: ScenarioMatrix, path) -> None:

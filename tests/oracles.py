@@ -208,31 +208,19 @@ def random_scenarios(mesh, L, rank, seed):
 
 def dict_sampled_scenarios(mesh, L, seed):
     """`sample_cantilever_scenarios`' draws, with every point-load row found
-    through a dict over all free surface DOFs, in the sampler's form.
-
-    Dense when its n_loaded x L values are no more than the rank-10 factors'
-    10 (n_loaded + L), built as the sampler built every block before it had
-    a factored form: the rattle product, then each point load's outer
-    product added. Factored otherwise: unit point loads and rattles / 7 as
-    the basis, the multipliers s_1..s_10 as the coefficients."""
+    through a dict over all free surface DOFs: unit point loads and rattles
+    / 7 as the basis, the multipliers s_1..s_10 as the coefficients."""
     rng = np.random.default_rng(seed)
     surface = mesh.free_surface_dofs()
-    basis = rng.standard_normal((7, surface.size))
+    rattles = rng.standard_normal((7, surface.size))
     s_point = rng.uniform(-2.0, 2.0, size=(3, L))
     s_basis = rng.standard_normal((7, L))
     lookup = {int(d): k for k, d in enumerate(surface)}
-    point_loads = [([lookup[int(d)] for d in dof_ids], direction)
-                   for dof_ids, direction in tr.scenarios._benchmark_point_loads(mesh)]
-    if surface.size * L <= 10 * (surface.size + L):
-        block = (basis.T / 7.0) @ s_basis
-        for (rows, direction), s_row in zip(point_loads, s_point):
-            block[rows, :] += np.outer(direction, s_row)
-        return tr.ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=surface, block=block)
-    block = np.zeros((surface.size, 10))
-    for k, (rows, direction) in enumerate(point_loads):
-        block[rows, k] = direction
-    block[:, 3:] = basis.T / 7.0
-    return tr.ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=surface, block=block,
+    basis = np.zeros((surface.size, 10))
+    for k, (dof_ids, direction) in enumerate(tr.scenarios._benchmark_point_loads(mesh)):
+        basis[[lookup[int(d)] for d in dof_ids], k] = direction
+    basis[:, 3:] = rattles.T / 7.0
+    return tr.ScenarioMatrix(n_dofs=mesh.n_dofs, dofs=surface, basis=basis,
                              coefficients=np.vstack([s_point, s_basis]))
 
 

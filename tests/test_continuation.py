@@ -180,20 +180,22 @@ def test_naive_analysis_builds_no_dense_scenario_matrix():
 
 def test_an_svd_model_lets_its_scenario_matrix_go():
     """An SVD model holds its loads as their thin SVD alone: once the caller
-    drops F, F and its block are collected, and the model still analyzes
-    as the naive model, which keeps F. Both report L scenarios."""
+    drops F, F and its factors are collected, and the model still analyzes
+    as the naive model, which keeps F's loads as one dense block. Both
+    report L scenarios."""
     mesh = tr.cantilever_mesh(2, (6, 3))
     pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
     F = tr.sample_cantilever_scenarios(mesh, 12, 0)
     naive = tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method="naive")
-    assert naive.scenarios is F and naive.svd is None and naive.n_scenarios == 12
+    assert np.array_equal(naive.scenarios.block, F.loaded_block())
+    assert naive.svd is None and naive.n_scenarios == 12
 
     F = tr.sample_cantilever_scenarios(mesh, 12, 0)
-    refs = weakref.ref(F), weakref.ref(F.block)
+    refs = weakref.ref(F), weakref.ref(F.basis), weakref.ref(F.coefficients)
     model = tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method="svd")
     del F
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None, None, None]
     assert model.scenarios is None and model.n_scenarios == 12
     x = np.random.default_rng(3).uniform(0.2, 1.0, mesh.n_elements)
     fast, slow = model.analyze(x, 3.0, 4.0).stats.C, naive.analyze(x, 3.0, 4.0).stats.C
@@ -217,7 +219,7 @@ def test_model_larger_than_physical_memory_is_refused_before_assembly(monkeypatc
     mesh = tr.cantilever_mesh(3, (64, 32, 32))
     pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
     F = tr.sample_cantilever_scenarios(mesh, 4, 0)
-    with pytest.raises(ConfigError, match=r"64x32x32 .* 6\.21 GB .* 4\.29 GB"):
+    with pytest.raises(ConfigError, match=r"64x32x32 .* 6\.22 GB .* 4\.29 GB"):
         tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F)
 
 
@@ -229,7 +231,7 @@ def test_model_refuses_columns_that_fit_only_without_its_loads(monkeypatch, meth
     mesh = tr.cantilever_mesh(2, (6, 3))
     pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
     F = tr.sample_cantilever_scenarios(mesh, 1000, 0)
-    assert F.coefficients is not None
+    assert F.block is None
     k = tr.thin_svd(F).n_s if method == "svd" else F.n_scenarios
     held = F.size if method == "svd" else F.n_loaded * F.n_scenarios
     peak = tr.fea.analysis_bytes(mesh, k)[1]
@@ -273,8 +275,8 @@ def test_model_reads_factored_loads_on_fixed_dofs_and_zero_loads(method):
     dofs = np.array([2, 13, 21])  # DOF 2 is fixed
     basis = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
-    def build(block, weights):
-        F = tr.ScenarioMatrix(mesh.n_dofs, dofs, block, coefficients=weights)
+    def build(loads, weights):
+        F = tr.ScenarioMatrix(mesh.n_dofs, dofs, basis=loads, coefficients=weights)
         return tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method=method)
 
     with pytest.raises(ConfigError, match="fixed DOF 2;"):

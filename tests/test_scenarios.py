@@ -27,22 +27,29 @@ def test_scenario_matrix_validation():
 
 
 def test_factored_scenario_matrix():
-    """F = block @ coefficients: L from the coefficients, the values held
-    counted in that form, and the loaded block multiplied out on request."""
+    """F = basis @ coefficients: L from the coefficients, the values held
+    counted in that form, no dense `block`, and the loaded block multiplied
+    out on request. A matrix is given in exactly one form."""
     basis = np.array([[1.0, 0.0], [2.0, -1.0], [0.0, 3.0]])
     weights = np.array([[1.0, 2.0, 0.5, -1.0], [0.0, 1.0, 2.0, 4.0]])
-    F = tr.ScenarioMatrix(n_dofs=9, dofs=np.array([0, 4, 8]), block=basis,
+    F = tr.ScenarioMatrix(n_dofs=9, dofs=np.array([0, 4, 8]), basis=basis,
                           coefficients=weights)
     assert (F.n_loaded, F.n_scenarios, F.size) == (3, 4, 14)
+    assert F.block is None
     np.testing.assert_array_equal(F.loaded_block(), basis @ weights)
     np.testing.assert_array_equal(F.loaded_block([2]), basis[[2]] @ weights)
     np.testing.assert_array_equal(dense_scenarios(F)[[0, 4, 8]], basis @ weights)
     with pytest.raises(ValueError):  # r disagrees
-        tr.ScenarioMatrix(n_dofs=9, dofs=np.array([0, 4, 8]), block=basis,
+        tr.ScenarioMatrix(n_dofs=9, dofs=np.array([0, 4, 8]), basis=basis,
                           coefficients=weights[:1])
     with pytest.raises(ValueError):  # no scenario
-        tr.ScenarioMatrix(n_dofs=9, dofs=np.array([0, 4, 8]), block=basis,
+        tr.ScenarioMatrix(n_dofs=9, dofs=np.array([0, 4, 8]), basis=basis,
                           coefficients=np.ones((2, 0)))
+    for forms in ({}, {"basis": basis}, {"coefficients": weights},
+                  {"block": basis @ weights, "coefficients": weights},
+                  {"block": basis @ weights, "basis": basis, "coefficients": weights}):
+        with pytest.raises(ValueError, match="either block, or basis and coefficients"):
+            tr.ScenarioMatrix(n_dofs=9, dofs=np.array([0, 4, 8]), **forms)
 
 
 def test_column_and_to_dense_agree():
@@ -123,7 +130,8 @@ def test_sampler_places_point_loads_as_a_dict_lookup_does(cells):
     F = tr.sample_cantilever_scenarios(mesh, 30, seed=7)
     oracle = dict_sampled_scenarios(tr.cantilever_mesh(len(cells), cells), 30, seed=7)
     np.testing.assert_array_equal(F.dofs, oracle.dofs)
-    np.testing.assert_array_equal(F.loaded_block(), oracle.loaded_block())
+    np.testing.assert_array_equal(F.basis, oracle.basis)
+    np.testing.assert_array_equal(F.coefficients, oracle.coefficients)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -152,35 +160,8 @@ def test_sampler_factors_are_deterministic():
     mesh = tr.cantilever_mesh(3, (16, 6, 6))
     A = tr.sample_cantilever_scenarios(mesh, 1000, seed=5)
     B = tr.sample_cantilever_scenarios(mesh, 1000, seed=5)
-    assert A.coefficients is not None and A.block.shape == (A.n_loaded, 10)
-    assert np.array_equal(A.block, B.block) and np.array_equal(A.coefficients, B.coefficients)
-
-
-@pytest.mark.parametrize("cells,L,factored", [
-    ((6, 3), 6, False),      # 28 loaded DOFs: 168 values dense, 340 factored
-    ((6, 3), 12, False),     # 336 against 400
-    ((6, 3), 16, True),      # 448 against 440
-    ((80, 20), 200, True),
-    ((16, 6, 6), 1000, True),
-])
-def test_sampler_returns_the_smaller_form(cells, L, factored):
-    mesh = tr.cantilever_mesh(len(cells), cells)
-    F = tr.sample_cantilever_scenarios(mesh, L, seed=1)
-    n = mesh.free_surface_dofs().size
-    assert (F.coefficients is not None) == factored
-    assert F.size == tr.scenarios.sampled_values(n, L) == min(n * L, 10 * (n + L))
-
-
-def test_small_sample_keeps_the_dense_construction():
-    """The 6x3, L = 6 input of the max-compliance tests is dense, and its
-    block is bit for bit the rattle product plus the point loads' outer
-    products (the oracle's dense construction)."""
-    mesh = tr.cantilever_mesh(2, (6, 3))
-    for seed in (0, 2, 9):
-        F = tr.sample_cantilever_scenarios(mesh, 6, seed=seed)
-        oracle = dict_sampled_scenarios(mesh, 6, seed=seed)
-        assert F.coefficients is None and oracle.coefficients is None
-        assert np.array_equal(F.block, oracle.block)
+    assert A.block is None and A.basis.shape == (A.n_loaded, 10)
+    assert np.array_equal(A.basis, B.basis) and np.array_equal(A.coefficients, B.coefficients)
 
 
 def test_sampler_rank_is_at_most_ten():
@@ -282,7 +263,6 @@ def test_factored_thin_svd_matches_the_dense_one(cells, L):
     rebuilds the dense block to 1e-13."""
     mesh = tr.cantilever_mesh(len(cells), cells)
     F = tr.sample_cantilever_scenarios(mesh, L, seed=0)
-    assert F.coefficients is not None
     block = F.loaded_block()
     dense = tr.thin_svd(tr.ScenarioMatrix(F.n_dofs, F.dofs, block))
     factored = tr.thin_svd(F)
@@ -300,11 +280,11 @@ def test_factored_thin_svd_truncates_and_rejects_zero():
     rng = np.random.default_rng(3)
     basis = rng.standard_normal((40, 4))
     basis[:, 3] = basis[:, 0] - 2.0 * basis[:, 1]
-    F = tr.ScenarioMatrix(n_dofs=50, dofs=np.arange(40), block=basis,
+    F = tr.ScenarioMatrix(n_dofs=50, dofs=np.arange(40), basis=basis,
                           coefficients=rng.standard_normal((4, 30)))
     assert tr.thin_svd(F).n_s == 3
-    for block, weights in [(np.zeros((40, 4)), np.ones((4, 30))), (basis, np.zeros((4, 30)))]:
-        zero = tr.ScenarioMatrix(n_dofs=50, dofs=np.arange(40), block=block,
+    for loads, weights in [(np.zeros((40, 4)), np.ones((4, 30))), (basis, np.zeros((4, 30)))]:
+        zero = tr.ScenarioMatrix(n_dofs=50, dofs=np.arange(40), basis=loads,
                                  coefficients=weights)
         with pytest.raises(ValueError, match="identically zero"):
             tr.thin_svd(zero)
@@ -326,11 +306,10 @@ def test_csv_round_trip_is_bitwise(tmp_path, mesh_6x3):
 def test_csv_round_trip_of_a_factored_sample(tmp_path):
     mesh = tr.cantilever_mesh(2, (10, 5))
     F = tr.sample_cantilever_scenarios(mesh, 40, seed=4)
-    assert F.coefficients is not None
     path = tmp_path / "scenarios.csv"
     tr.save_scenarios_to_file(F, path)
     G = tr.load_scenarios_from_file(path, n_dofs=mesh.n_dofs)
-    assert G.coefficients is None
+    assert F.block is None and G.basis is None and G.coefficients is None
     np.testing.assert_array_equal(dense_scenarios(G), dense_scenarios(F))
 
 
