@@ -22,10 +22,11 @@ import numpy as np
 from . import compliance as comp
 from . import io as artifacts
 from .auglag import phr
-from .config import (apply_flags, build_mesh, build_model, build_problem, build_schedule,
-                     load_config, sample_scenarios)
-from .continuation import METHODS, check_analysis_fits, run_continuation
+from .config import (apply_flags, build_mesh, build_model, build_problem, build_scenarios,
+                     build_schedule, load_config, sample_scenarios)
+from .continuation import METHODS, ForwardModel, check_analysis_fits, run_continuation
 from .errors import ConfigError, TopoRiskError
+from .pipeline import DensityPipeline
 from .scenarios import save_scenarios_to_file, thin_svd
 
 EXIT_OK = 0
@@ -115,11 +116,13 @@ def cmd_run(cfg, args) -> int:
     return EXIT_OK
 
 
-def _bench_one(statistic, function, method, system, model):
+def _bench_one(statistic, function, method, system, model, F):
     """Evaluate one statistic and its design gradient; returns a row dict.
 
     The factorization is shared and excluded from the timing, matching a
-    factorize-once workflow. The evaluation runs once to warm up, then
+    factorize-once workflow. The naive rows read the naive model's dense
+    loads; the SVD rows take `thin_svd` of F, the loads as the config
+    gives them, in every run. The evaluation runs once to warm up, then
     `BENCH_REPEATS` times; the row reports the fastest of those.
 
     A route's runs stay consecutive: with threaded BLAS and a core kept
@@ -127,13 +130,11 @@ def _bench_one(statistic, function, method, system, model):
     about 0.15 s in its first LAPACK call for a BLAS thread, so runs that
     take turns between the routes made the comparison less steady.
     """
-    F = model.scenarios
-
     def evaluate():
         if method == "svd":
             stats = comp.compliances_svd(system, thin_svd(F))
         else:
-            stats = comp.compliances_naive(system, F)
+            stats = comp.compliances_naive(system, model.scenarios)
         value, w = function(stats)
         comp.weighted_gradient(stats, w, model.ke, model.mesh)
         return stats, value
@@ -151,8 +152,12 @@ def _bench_one(statistic, function, method, system, model):
 def cmd_bench(cfg, args) -> int:
     out = _output_dir(cfg)
     # the naive rows solve all L columns, whichever route the config picks,
-    # so the model's memory gate counts them; the SVD rows make their own SVD
-    model = build_model(cfg, method="naive")
+    # so the model's memory gate counts them; it multiplies sampled loads
+    # out once, and the SVD rows time the thin SVD of F as configured
+    mesh = build_mesh(cfg)
+    F = build_scenarios(cfg, mesh)
+    pipeline = DensityPipeline(mesh, cfg.filter_radius, cfg.x_min)
+    model = ForwardModel(mesh, cfg.material, pipeline, F, method="naive")
     # full ground structure: the filter is row-stochastic, so x = 1 maps to
     # physical density 1 regardless of penalty and beta
     field = model.pipeline.apply(np.ones(model.mesh.n_elements), 1.0, 0.0)
@@ -161,7 +166,7 @@ def cmd_bench(cfg, args) -> int:
     rows = []
     for statistic, function in BENCH_STATISTICS.items():
         for method in METHODS:
-            rows.append(_bench_one(statistic, function, method, system, model))
+            rows.append(_bench_one(statistic, function, method, system, model, F))
 
     for statistic in BENCH_STATISTICS:
         naive, svd = (r for r in rows if r["statistic"] == statistic)

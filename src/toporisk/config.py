@@ -301,16 +301,21 @@ def sample_scenarios(mesh: GroundMesh, L: int, seed: int) -> ScenarioMatrix:
     return _construct("scenarios", sample_cantilever_scenarios, mesh, L, seed)
 
 
+def build_scenarios(cfg: RunConfig, mesh: GroundMesh) -> ScenarioMatrix:
+    """The configured loads on `mesh`, in the form their source gives them:
+    factored from the sampler, dense from a file."""
+    if cfg.scenario_source == "sample":
+        return sample_scenarios(mesh, cfg.L, cfg.seed)
+    return load_scenarios_from_file(cfg.scenario_path, n_dofs=mesh.n_dofs)
+
+
 def build_model(cfg: RunConfig, mesh: GroundMesh | None = None,
                 method: str | None = None) -> ForwardModel:
     """Mesh, pipeline and scenarios assembled into a ForwardModel; `method`,
     if given, replaces the config's route. Sampled loads are gated before
     they are sampled, and the route's columns beside them by the model."""
     mesh = mesh or build_mesh(cfg)
-    if cfg.scenario_source == "sample":
-        scenarios = sample_scenarios(mesh, cfg.L, cfg.seed)
-    else:
-        scenarios = load_scenarios_from_file(cfg.scenario_path, n_dofs=mesh.n_dofs)
+    scenarios = build_scenarios(cfg, mesh)
     pipeline = DensityPipeline(mesh, cfg.filter_radius, cfg.x_min)
     return ForwardModel(mesh, cfg.material, pipeline, scenarios, method=method or cfg.method)
 

@@ -216,7 +216,10 @@ class ForwardModel:
     physical memory beside the loads it holds (`check_analysis_fits`: the
     naive model's n_loaded x L values, checked before it forms them, or the
     SVD model's `ScenarioMatrix.size`), raise `ConfigError` before any
-    assembly.
+    assembly. Loads that are not finite, or whose thin SVD overflows, raise
+    `TopoRiskError`: the SVD model's at set-up (`thin_svd`), the naive
+    model's from its first analysis (its compliances are not finite), so
+    that set-up never scans the naive model's block.
     """
 
     def __init__(self, mesh: GroundMesh, material: Material,

@@ -5,11 +5,12 @@ few DOFs ever carry load, so F is stored over the loaded DOF rows plus the
 row index list; the zero rows are never materialized. The loaded block
 has one of two exact forms: dense (n_loaded x L, as a CSV file gives it)
 or factored, an n_loaded x r basis times an r x L coefficient matrix (as
-the sampler gives it). The thin SVD is
-computed on the loaded rows only, so its left singular vectors U hold
-those rows only; a factored F is decomposed through its factors, at
-O((n_loaded + L) r^2), and never multiplied out. It keeps every singular
-value at or above `SVD_REL_TOL` times the largest: the SVD route
+the sampler gives it). The thin SVD is computed on the loaded rows only,
+so its left singular vectors U hold those rows only: LAPACK's SVD of a
+dense block, or, for a factored F, the SVD of the r x L coefficients
+premultiplied by R from the basis's QR, at O((n_loaded + L) r^2) and
+never multiplied out. Both keep every singular value at or above
+`SVD_REL_TOL` times the largest, by one rule (`_cut_svd`): the SVD route
 evaluates F^T K^-1 F exactly.
 """
 from __future__ import annotations
@@ -20,14 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, qr, svd
 
-from .errors import ScenarioFormatError
+from .errors import ScenarioFormatError, TopoRiskError
 from .fea import physical_memory_bytes
 from .mesh import GroundMesh
 
 SVD_REL_TOL = 1e-10
-_SKETCH_COLUMNS = 16  # first sketch width of `_truncated_svd`, doubled as needed
-_SKETCH_SEED = 0
-_RESIDUAL_ROWS = 16  # rows per block of the sketch residual, see `_residual_norm`
 SAMPLER_RANK = 10  # basis loads of `sample_cantilever_scenarios`: 3 point loads, 7 rattles
 
 
@@ -131,80 +129,48 @@ def thin_svd(F: ScenarioMatrix) -> ThinSVD:
     """Thin SVD of F's block, truncating singular values below SVD_REL_TOL * sigma_1.
 
     Only the loaded-DOF block is decomposed, so the cost is independent
-    of n_dofs. A dense block goes to `_truncated_svd`, a factored one to
-    `_factored_svd`; both keep exactly the singular values that the full
-    SVD of the block would keep, and raise ValueError on a block that is
-    identically zero.
+    of n_dofs. A dense block goes to LAPACK's SVD as it is. A factored one
+    is decomposed through its factors: with the economic QR of the basis
+    P = Q R, P W = Q (R W), and Q has orthonormal columns, so the SVD
+    R W = Ub S Vt of the small r x L matrix gives P W's singular values S
+    exactly and its left singular vectors Q Ub, at O((n_loaded + L) r^2),
+    and the n_loaded x L product is never formed. Both forms are cut by
+    `_cut_svd`, which keeps exactly the singular values that the full SVD
+    of the block keeps and raises on loads with no such cut. Products, QR
+    and SVD run in scipy's OpenBLAS, as the band factor and the sweeps do:
+    on 2 cores, a threaded call into numpy's own OpenBLAS right after a
+    threaded scipy call waited 7-29 ms for the other library's spinning
+    workers.
     """
     if F.block is not None:
-        U, S, Vt = _truncated_svd(F.block)
+        U, S, Vt = _cut_svd(F.block)
     else:
-        U, S, Vt = _factored_svd(F.basis, F.coefficients)
+        Q, R = qr(F.basis, mode="economic", check_finite=False)
+        Ub, S, Vt = _cut_svd(_product(R, F.coefficients))
+        U = _product(Q, Ub)
     return ThinSVD(U=U, S=S, Vt=Vt, dofs=F.dofs.copy())
 
 
-def _factored_svd(P: np.ndarray, W: np.ndarray):
-    """SVD of P @ W, truncated at SVD_REL_TOL * sigma_1, from the factors.
+def _cut_svd(A: np.ndarray):
+    """SVD of A, truncated at SVD_REL_TOL * sigma_1.
 
-    With the economic QR P = Q R, P W = Q (R W), and Q has orthonormal
-    columns: the SVD R W = Ub S Vt of the small r x L matrix gives P W's
-    singular values S exactly and its left singular vectors Q Ub. So the
-    truncation is the full SVD's, no sketch is needed, and the n_loaded x
-    L product is never formed: O((n_loaded + L) r^2). A zero P W shows as
-    S_1 = 0 and raises ValueError. Products, QR and SVD run in scipy's
-    OpenBLAS, as `_truncated_svd`'s do.
+    A block with no rows, or identically zero (S_1 = 0), raises ValueError.
+    One that holds an infinity or a NaN (for a factored F, also finite
+    factors whose product overflows), or whose S_1 overflows, raises
+    TopoRiskError. It is refused before LAPACK sees it: LAPACK would
+    return NaNs for an infinity, and reject a NaN with a ValueError that
+    would pass for the zero block's.
     """
-    Q, R = qr(P, mode="economic", check_finite=False)
-    Ub, S, Vt = svd(_product(R, W), full_matrices=False, check_finite=False)
+    if not np.isfinite(A).all():
+        raise TopoRiskError("the scenario loads are not finite: they hold an infinity "
+                            "or a NaN, or their basis times their coefficients overflows")
+    Ub, S, Vt = svd(A, full_matrices=False, check_finite=False)
     if S.size == 0 or S[0] == 0.0:
         raise ValueError("scenario matrix is identically zero")
+    if not S[0] < np.inf:
+        raise TopoRiskError("the scenario loads are not finite: their largest singular "
+                            "value overflows")
     keep = S >= SVD_REL_TOL * S[0]
-    return _product(Q, Ub[:, keep]), S[keep], Vt[keep, :]
-
-
-def _truncated_svd(A: np.ndarray):
-    """SVD of A, truncated at SVD_REL_TOL * sigma_1, via a verified sketch.
-
-    Randomized range finder (Halko, Martinsson & Tropp 2011): Q spans
-    A @ Omega for a fixed-seed Gaussian Omega with k columns, and B = Q^T A
-    is small. By Weyl's inequality every singular value of A lies within
-    delta = ||A - Q B||_F of the matching one of B, and those past k lie
-    below delta. So when zero and every singular value of B are farther
-    than delta * (1 + tol) from the cut tol * S_1 (the cut itself moves by
-    at most tol * delta), B's truncation keeps exactly the singular values
-    the full SVD keeps. Otherwise k doubles; once it reaches min(A.shape),
-    the full SVD is taken. The sampler's rank-10 blocks pass with the first
-    k in O(k * A.size) instead of O(min(A.shape) * A.size).
-
-    A zero A shows in the work already done, so it is not scanned for:
-    B = 0 (S_1 = 0) with a zero residual, or S_1 = 0 from the full SVD.
-    Either raises ValueError.
-
-    The sketch's products and factorizations run in scipy's OpenBLAS, as the
-    band factor and the sweeps do: on 2 cores, a threaded call into numpy's
-    own OpenBLAS right after a threaded scipy call waited 7-29 ms for the
-    other library's spinning workers. Q is kept in C order, as numpy's qr
-    returns it, so `_product` passes every operand as numpy's matmul would.
-    """
-    tol = SVD_REL_TOL
-    k = _SKETCH_COLUMNS
-    while k < min(A.shape):
-        omega = np.random.default_rng(_SKETCH_SEED).standard_normal((A.shape[1], k))
-        Q = np.ascontiguousarray(qr(_product(A, omega), mode="economic", check_finite=False)[0])
-        B = _product(Q.T, A)
-        margin = _residual_norm(A, Q, B) * (1.0 + tol)
-        Ub, S, Vt = svd(B, full_matrices=False, check_finite=False)
-        if S[0] == 0.0 and margin == 0.0:
-            raise ValueError("scenario matrix is identically zero")
-        cut = tol * S[0]
-        if cut > margin and np.all(np.abs(S - cut) > margin):
-            keep = S >= cut
-            return _product(Q, Ub[:, keep]), S[keep], Vt[keep, :]
-        k *= 2
-    Ub, S, Vt = svd(A, full_matrices=False, check_finite=False)
-    if S[0] == 0.0:
-        raise ValueError("scenario matrix is identically zero")
-    keep = S >= tol * S[0]
     return Ub[:, keep], S[keep], Vt[keep, :]
 
 
@@ -214,26 +180,6 @@ def _product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     a, trans_a = (Y.T, 0) if Y.flags.c_contiguous else (Y, 1)
     b, trans_b = (X.T, 0) if X.flags.c_contiguous else (X, 1)
     return blas.dgemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b).T
-
-
-def _residual_norm(A: np.ndarray, Q: np.ndarray, B: np.ndarray) -> float:
-    """||A - Q B||_F, formed `_RESIDUAL_ROWS` rows at a time.
-
-    No temporary of A's size is made (`A - Q @ B` makes two, and their
-    page faults cost more than the product). Each block's product stays
-    small enough (16 x 16 x 1000 multiply-adds for a first sketch of 1000
-    scenarios) for OpenBLAS to run it on the calling thread, and the sum of
-    squares uses no BLAS: on a 2-vCPU x86-64 VM with 2 OpenBLAS threads, a
-    threaded product issued within a few ms of another threaded call
-    waited 4-16 ms for its second thread, against 0.3 ms on one thread
-    (178 x 1000 block, `toporisk bench` on 40x10 with L = 1000).
-    """
-    squares = 0.0
-    for i in range(0, A.shape[0], _RESIDUAL_ROWS):
-        block = Q[i:i + _RESIDUAL_ROWS] @ B
-        np.subtract(A[i:i + _RESIDUAL_ROWS], block, out=block)
-        squares += np.einsum("ij,ij->", block, block)
-    return float(np.sqrt(squares))
 
 
 def _benchmark_point_loads(mesh: GroundMesh):
@@ -402,7 +348,7 @@ def load_scenarios_from_file(path, n_dofs: int | None = None) -> ScenarioMatrix:
     elif max_dof >= n_dofs:
         raise ScenarioFormatError(f"{path}: DOF index {max_dof} out of range for n_dofs={n_dofs}")
     dofs = np.unique([d for d, _ in entries])
-    loads = 8 * dofs.size * (max_scen + 1)  # the sampler's rule: bytes of loads
+    loads = 8 * dofs.size * (max_scen + 1)  # bytes of the dense block
     if loads > physical_memory_bytes():
         raise ScenarioFormatError(f"{path}: {dofs.size} loaded DOFs x {max_scen + 1} scenarios "
                                   f"need {loads / 1e9:.3g} GB, more than physical memory")

@@ -383,7 +383,7 @@ def test_bench_makes_thin_svds_only_in_its_timed_rows(tmp_path, monkeypatch):
     calls = []
 
     def spy(F):
-        calls.append(F.n_scenarios)
+        calls.append(F)
         return tr.thin_svd(F)
 
     monkeypatch.setattr("toporisk.cli.thin_svd", spy)
@@ -392,6 +392,8 @@ def test_bench_makes_thin_svds_only_in_its_timed_rows(tmp_path, monkeypatch):
     assert cli.main(["bench", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     # each statistic's SVD row: one warm-up run and the timed runs
     assert len(calls) == len(cli.BENCH_STATISTICS) * (1 + cli.BENCH_REPEATS) == 12
+    # on the sampled loads as the config builds them, not the naive model's block
+    assert all(F.block is None for F in calls)
 
 
 @pytest.mark.parametrize("command,method", [("run", "naive"), ("run", "svd"), ("bench", "naive")])

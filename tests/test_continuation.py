@@ -7,7 +7,7 @@ import pytest
 
 import toporisk as tr
 from toporisk import continuation
-from toporisk.errors import ConfigError
+from toporisk.errors import ConfigError, TopoRiskError
 
 
 def small_model(method="svd", L=8, cells=(6, 3), seed=0):
@@ -285,6 +285,56 @@ def test_model_reads_factored_loads_on_fixed_dofs_and_zero_loads(method):
         build(basis[:, ::-1] * [0.0, 1.0], np.vstack([np.ones(5), np.zeros(5)]))
     model = build(basis * [0.0, 1.0], np.ones((2, 5)))  # the fixed row's load is zero
     assert model.n_scenarios == 5
+
+
+def _non_finite_loads(mesh, form):
+    """Loads of 3 scenarios on the last 4 free DOFs of `mesh`, in `form`."""
+    dofs = np.setdiff1d(np.arange(mesh.n_dofs), list(mesh.fixed_dofs))[-4:]
+    block = np.ones((4, 3))
+    block[3, 1] = np.nan if form == "dense-nan" else np.inf
+    if form.startswith("dense"):
+        return tr.ScenarioMatrix(mesh.n_dofs, dofs, block=block)
+    if form == "factored-inf":
+        return tr.ScenarioMatrix(mesh.n_dofs, dofs, basis=block, coefficients=np.eye(3))
+    return tr.ScenarioMatrix(mesh.n_dofs, dofs, basis=np.full((4, 2), 1e200),
+                             coefficients=np.full((2, 3), 1e200))
+
+
+@pytest.mark.parametrize("method", ["naive", "svd"])
+@pytest.mark.parametrize("form", ["dense-inf", "dense-nan", "factored-inf", "factored-overflow"])
+def test_non_finite_loads_raise_on_both_routes(method, form):
+    """The SVD model refuses loads that are not finite at set-up; the naive
+    model, which does not scan its block, at its first analysis, from its
+    compliances. Neither reports them as zero loads or returns C = 0."""
+    mesh = tr.cantilever_mesh(2, (6, 3))
+    pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
+    F = _non_finite_loads(mesh, form)
+    material = tr.Material(1.0, 0.3)
+    if method == "svd":
+        with pytest.raises(TopoRiskError, match="scenario loads are not finite"):
+            tr.ForwardModel(mesh, material, pipeline, F, method=method)
+        return
+    with np.errstate(over="ignore", invalid="ignore"):  # the multiply-out of the factors
+        model = tr.ForwardModel(mesh, material, pipeline, F, method=method)
+    with pytest.raises(TopoRiskError, match="compliance of scenario"):
+        model.analyze(np.full(mesh.n_elements, 0.5), 3.0, 1.0)
+
+
+@pytest.mark.parametrize("method", ["naive", "svd"])
+@pytest.mark.parametrize("factored", [False, True])
+def test_loads_without_rows_are_zero_loads(method, factored):
+    """A scenario matrix with no loaded rows is the zero-loads ConfigError on
+    both routes and in both forms, not an IndexError."""
+    mesh = tr.cantilever_mesh(2, (6, 3))
+    pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
+    none = np.array([], dtype=np.int64)
+    if factored:
+        F = tr.ScenarioMatrix(mesh.n_dofs, none, basis=np.zeros((0, 2)),
+                              coefficients=np.ones((2, 3)))
+    else:
+        F = tr.ScenarioMatrix(mesh.n_dofs, none, block=np.zeros((0, 3)))
+    with pytest.raises(ConfigError, match="every scenario load is zero"):
+        tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method=method)
 
 
 def test_mean_compliance_continuation_small():
