@@ -407,6 +407,21 @@ def test_all_zero_loads_exit_2(tmp_path, capsys, command, method):
     assert "load is zero" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,method", [("run", "naive"), ("run", "svd"), ("bench", "svd")])
+def test_overflowing_loads_exit_3(tmp_path, capsys, command, method):
+    """Finite loads whose largest singular value overflows (a 17 x 17 block
+    of 1e308, S_1 = 1.7e309): no route takes them for zero loads or gives
+    compliances of 0."""
+    loads = tmp_path / "loads.csv"
+    loads.write_text("dof,scenario,value\n" + "".join(
+        f"{dof},{i},1e308\n" for dof in range(20, 37) for i in range(17)))
+    config = write_config(tmp_path, method=method,
+                          scenarios={"source": "file", "path": str(loads)})
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "not finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["run", "check-grad"])
 def test_seed_on_a_file_source_exits_2(tmp_path, capsys, command):
     loads = tmp_path / "loads.csv"

@@ -187,16 +187,6 @@ def test_thin_svd_reconstructs(mesh_6x3):
     np.testing.assert_array_equal(svd.dofs, F.dofs)
 
 
-def test_thin_svd_rejects_bad_inputs():
-    zero = tr.ScenarioMatrix(n_dofs=10, dofs=np.array([2]), block=np.zeros((1, 3)))
-    with pytest.raises(ValueError):
-        tr.thin_svd(zero)
-    # a wide block, as a CSV of many scenarios gives it
-    zero = tr.ScenarioMatrix(n_dofs=60, dofs=np.arange(60), block=np.zeros((60, 200)))
-    with pytest.raises(ValueError, match="identically zero"):
-        tr.thin_svd(zero)
-
-
 def _dense(block):
     return tr.ScenarioMatrix(n_dofs=60, dofs=np.arange(block.shape[0]), block=block)
 
@@ -212,6 +202,20 @@ def _with_entry(shape, value):
     return array
 
 
+def test_thin_svd_rejects_bad_inputs():
+    zero = tr.ScenarioMatrix(n_dofs=10, dofs=np.array([2]), block=np.zeros((1, 3)))
+    with pytest.raises(ValueError):
+        tr.thin_svd(zero)
+    # a wide block, as a CSV of many scenarios gives it
+    zero = tr.ScenarioMatrix(n_dofs=60, dofs=np.arange(60), block=np.zeros((60, 200)))
+    with pytest.raises(ValueError, match="identically zero"):
+        tr.thin_svd(zero)
+    # no loaded rows, in either form: no singular value at all
+    for rowless in (_dense(np.zeros((0, 4))), _factored(np.zeros((0, 3)), np.ones((3, 4)))):
+        with pytest.raises(ValueError, match="identically zero"):
+            tr.thin_svd(rowless)
+
+
 @pytest.mark.parametrize("F", [
     _dense(_with_entry((5, 4), np.inf)),
     _dense(_with_entry((5, 4), np.nan)),
@@ -225,14 +229,6 @@ def test_thin_svd_refuses_non_finite_loads(F):
     """No ThinSVD comes of loads that are not finite; they are not taken for
     a zero block either."""
     with pytest.raises(TopoRiskError, match="scenario loads are not finite"):
-        tr.thin_svd(F)
-
-
-@pytest.mark.parametrize("F", [_dense(np.zeros((0, 4))),
-                               _factored(np.zeros((0, 3)), np.ones((3, 4)))],
-                         ids=["dense", "factored"])
-def test_thin_svd_rejects_loads_without_rows(F):
-    with pytest.raises(ValueError, match="identically zero"):
         tr.thin_svd(F)
 
 
