@@ -235,8 +235,7 @@ class ForwardModel:
                                            scenarios.loaded_block())
         # a load on a support does no work on the structure: the eliminated
         # K would report it as compliance that no density can change
-        fixed = np.fromiter(mesh.fixed_dofs, dtype=np.int64, count=len(mesh.fixed_dofs))
-        rows = np.flatnonzero(np.isin(scenarios.dofs, fixed))
+        rows = np.flatnonzero(mesh.fixed_dof_mask()[scenarios.dofs])
         on_fixed = scenarios.dofs[rows[np.any(scenarios.loaded_block(rows) != 0.0, axis=1)]]
         if on_fixed.size:
             listed = ", ".join(str(d) for d in on_fixed[:10])

@@ -28,10 +28,14 @@ at a time (level-2 BLAS). A wider block, such as the naive route's L
 columns, is swept in blocks of u rows with level-3 BLAS, in place in one
 row-major n_dofs x k work block that it returns: per block one dgemm
 against the dense coupling to the neighbouring block and one dtrmm
-against the inverted diagonal triangle (LAPACK dtrtri), both built once
-per solve from strided views of the factor (Anderson et al., LAPACK
-Users' Guide, 3rd ed., 1999; Du Croz & Higham 1992 on the stability of
-explicit triangular inverses). A short last block keeps its short shape.
+against the inverted diagonal triangle (LAPACK dtrtri), read from
+strided views of the factor (Anderson et al., LAPACK Users' Guide, 3rd
+ed., 1999; Du Croz & Higham 1992 on the stability of explicit triangular
+inverses). The triangles are copied once per solve and inverted in place
+in that copy, one band of doubles; each coupling is filled into one
+u x u scratch just before its dgemm, so a wide solve holds the factor,
+one band of inverses and the work block. A short last block keeps its
+short shape.
 
 The same numbering makes the DOF offset j - i of an element's local pairs
 take few distinct values: at most 11 in 2D and 50 in 3D. `form_gradient`,
@@ -66,6 +70,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -193,16 +198,21 @@ def analysis_bytes(mesh: GroundMesh, k: int) -> tuple[int, int]:
     which `StiffnessSystem.factorize` overwrites with the factor), the
     scatter index and assembly weights (about 3 n_elements n_pairs
     eight-byte values, n_pairs the upper triangle of one element
-    stiffness) and two n_dofs x k blocks of solves. An MMA run holds one:
-    `form_gradient` weights the solves tile by tile, and the memo lets go
-    of its analysis before it analyzes the next point. The augmented
-    Lagrangian holds two by design, its current point's solves while a
-    trial point is solved, so the estimate counts two. It reads the mesh's
-    shape alone, in exact Python ints, and allocates nothing."""
+    stiffness) and two n_dofs x k blocks of solves. A block of at least
+    `_blocked_sweep_min_columns(u)` columns also holds the blocked
+    sweep's inverted diagonal triangles, counted as one more band. An MMA
+    run holds one block of solves: `form_gradient` weights the solves tile
+    by tile, and the memo lets go of its analysis before it analyzes the
+    next point. The augmented Lagrangian holds two by design, its current
+    point's solves while a trial point is solved, so the estimate counts
+    two. It reads the mesh's shape alone, in exact Python ints, and
+    allocates nothing."""
     n_element_dofs = mesh.dim * 2**mesh.dim
     n_pairs = n_element_dofs * (n_element_dofs + 1) // 2
-    band = 8 * (half_bandwidth(mesh) + 1) * mesh.n_dofs
-    return band, band + 8 * (3 * mesh.n_elements * n_pairs + 2 * mesh.n_dofs * k)
+    u = half_bandwidth(mesh)
+    band = 8 * (u + 1) * mesh.n_dofs
+    bands = 2 if k >= _blocked_sweep_min_columns(u) else 1
+    return band, bands * band + 8 * (3 * mesh.n_elements * n_pairs + 2 * mesh.n_dofs * k)
 
 
 def physical_memory_bytes() -> int:
@@ -221,11 +231,9 @@ def _band_layout(mesh: GroundMesh) -> _BandLayout:
         rows, cols = np.nonzero(edof[0][:, None] <= edof[0][None, :])
         offsets, slot = np.unique(edof[0, cols] - edof[0, rows], return_inverse=True)
         n = mesh.n_dofs
-        fixed = np.array(sorted(mesh.fixed_dofs), dtype=np.int64)
-        free = np.ones(n, dtype=bool)
-        free[fixed] = False
-        local = free[edof]  # per element and local DOF
-        spilled = ~(local[:, rows] & local[:, cols])
+        fixed = mesh.fixed_dof_mask()
+        local = fixed[edof]  # per element and local DOF
+        spilled = local[:, rows] | local[:, cols]
         index = edof[:, cols]  # j, the column of each entry
         pairs = slot * n + index
         # (width + i - j, j), column-major, with i = j - offset, in j's buffer
@@ -233,7 +241,8 @@ def _band_layout(mesh: GroundMesh) -> _BandLayout:
         index += width - offsets[slot]
         index[spilled] = (width + 1) * n  # one spill slot past the band
         pairs[spilled] = offsets.size * n
-        layout = _BandLayout(width, rows, cols, index.ravel(), fixed, offsets, pairs)
+        layout = _BandLayout(width, rows, cols, index.ravel(), np.flatnonzero(fixed),
+                             offsets, pairs)
         mesh._cache["band_layout"] = layout
     return layout
 
@@ -341,11 +350,12 @@ def _blocked_sweep_min_columns(u: int) -> int:
     return max(_BLOCKED_SWEEP_MIN_K, u // 3)
 
 
-def _sweep_operators(factor: np.ndarray) -> tuple[list, list]:
-    """R's inverted diagonal triangles and dense couplings, in blocks of u rows.
+def _sweep_operators(factor: np.ndarray) -> tuple[list, Callable[[int], np.ndarray]]:
+    """R's inverted diagonal triangles, and its couplings one at a time, in
+    blocks of u rows.
 
     For block I = [b u, b u + u), the lower triangle of inverse[b] is T_b^-T
-    for the upper triangle T_b = R[I, I], column-major; coupling[b] is the
+    for the upper triangle T_b = R[I, I], column-major; coupling(b) is the
     lower triangle R[I, I + u] that couples block b to the next one, zero
     above its diagonal, row-major, so that its transpose is column-major.
     BLAS reads both without a copy.
@@ -355,9 +365,15 @@ def _sweep_operators(factor: np.ndarray) -> tuple[list, list]:
     view of the band holds every whole block of one kind, as LAPACK's
     dpbtrf reads them through LDAB - 1. Only the triangle itself is a
     block of R: the other half of such a view holds band entries of
-    neighbouring columns, which only the couplings' copies zero (`np.tril`):
-    dtrtri and dtrmm read one triangle. A short last block of t < u rows
-    has a t x t triangle and a u x t coupling into it.
+    neighbouring columns, which dtrtri and dtrmm do not read.
+
+    The diagonal blocks are copied row-major, so that each transpose is a
+    column-major matrix that dtrtri inverts in place: the inverses are the
+    copy, one band of doubles. The couplings are not copied: coupling(b)
+    fills one u x u scratch from the band's view, its lower triangle only,
+    so its upper triangle stays zero; it is valid until the next call. A
+    short last block of t < u rows has a t x t triangle and a u x t
+    coupling into it, copied once (`np.tril`).
     """
     u, n = factor.shape[0] - 1, factor.shape[1]
     band = factor.ravel(order="F")
@@ -369,16 +385,26 @@ def _sweep_operators(factor: np.ndarray) -> tuple[list, list]:
                           (item * u * (u + 1), item, item * u), writeable=False)
 
     n_full, tail = divmod(n, u)
-    diagonal = list(np.array(blocks(0, 0, n_full)))
-    coupling = list(np.tril(blocks(0, u, max(n_full - 1, 0))))
+    diagonal = list(np.array(blocks(0, 0, n_full), order="C"))
+    couplings = blocks(0, u, max(n_full - 1, 0))
+    last = None
     if tail:
         i0 = n_full * u
-        diagonal.append(np.array(blocks(i0, i0, 1, (tail, tail))[0]))
+        diagonal.append(np.array(blocks(i0, i0, 1, (tail, tail))[0], order="C"))
         if n_full:
-            coupling.append(np.tril(blocks(i0 - u, i0, 1, (u, tail))[0]))
+            last = np.tril(blocks(i0 - u, i0, 1, (u, tail))[0])
     # R's pivots are positive (`factorize` checks them), so dtrtri cannot
     # meet a zero on the diagonal
     inverse = [lapack.dtrtri(T.T, lower=1, overwrite_c=1)[0] for T in diagonal]
+    scratch = np.zeros((u, u))
+    lower = np.tri(u, dtype=bool)
+
+    def coupling(b: int) -> np.ndarray:
+        if b == len(couplings):
+            return last
+        np.copyto(scratch, couplings[b], where=lower)
+        return scratch
+
     return inverse, coupling
 
 
@@ -465,24 +491,30 @@ class StiffnessSystem:
             W_b <- (W_b - W_{b+1} C_b^T) T_b^-T        backward
 
         a dgemm against the dense coupling C and a dtrmm against the
-        inverted diagonal triangle T^-1 (`_sweep_operators`). An explicit
-        inverse of a small, well-conditioned triangle is as stable as
-        substitution (Du Croz & Higham 1992, IMA J. Numer. Anal. 12) and
-        runs at the rate of dtrmm, about twice that of dtrsm. Returns Z.
+        inverted diagonal triangle T^-1 (`_sweep_operators`). The inverses
+        are built once per solve, in place in one copy of the diagonal
+        blocks; each C is filled into one u x u scratch just before its
+        dgemm, in both sweeps. An explicit inverse of a small,
+        well-conditioned triangle is as stable as substitution (Du Croz &
+        Higham 1992, IMA J. Numer. Anal. 12) and runs at the rate of dtrmm,
+        about twice that of dtrsm. Returns Z.
         """
         u, n = self._factor.shape[0] - 1, self._factor.shape[1]
         inverse, coupling = _sweep_operators(self._factor)
         Z = np.zeros((n, block.shape[1]))
         Z[rows] = block
-        W = [Z[i:i + u].T for i in range(0, n, u)]
-        n_blocks = len(W)
+
+        def W(b):  # a view made per call: no list of n / u views is held
+            return Z[b * u:b * u + u].T
+
+        n_blocks = len(inverse)
         for b in range(n_blocks):
             if b:
-                blas.dgemm(-1.0, W[b - 1], coupling[b - 1].T, beta=1.0, c=W[b],
+                blas.dgemm(-1.0, W(b - 1), coupling(b - 1).T, beta=1.0, c=W(b),
                            trans_b=1, overwrite_c=1)
-            blas.dtrmm(1.0, inverse[b], W[b], side=1, lower=1, trans_a=1, overwrite_b=1)
+            blas.dtrmm(1.0, inverse[b], W(b), side=1, lower=1, trans_a=1, overwrite_b=1)
         for b in reversed(range(n_blocks)):
             if b + 1 < n_blocks:
-                blas.dgemm(-1.0, W[b + 1], coupling[b].T, beta=1.0, c=W[b], overwrite_c=1)
-            blas.dtrmm(1.0, inverse[b], W[b], side=1, lower=1, overwrite_b=1)
+                blas.dgemm(-1.0, W(b + 1), coupling(b).T, beta=1.0, c=W(b), overwrite_c=1)
+            blas.dtrmm(1.0, inverse[b], W(b), side=1, lower=1, overwrite_b=1)
         return Z

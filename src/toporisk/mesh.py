@@ -171,6 +171,21 @@ class GroundMesh:
         last = np.array(self.nodes_per_axis)[:, None] - 1
         return np.flatnonzero(np.any((grid == 0) | (grid == last), axis=0))
 
+    def fixed_dof_mask(self) -> np.ndarray:
+        """(n_dofs,) booleans, True on the Dirichlet DOFs, read-only.
+
+        Built on the first call and cached on the mesh, so that the sampler,
+        the model's check for loads on supports and the band's scatter map
+        look DOFs up in one array.
+        """
+        mask = self._cache.get("fixed_dof_mask")
+        if mask is None:
+            mask = np.zeros(self.n_dofs, dtype=bool)
+            mask[np.fromiter(self.fixed_dofs, dtype=np.int64, count=len(self.fixed_dofs))] = True
+            mask.flags.writeable = False
+            self._cache["fixed_dof_mask"] = mask
+        return mask
+
     def free_surface_dofs(self) -> np.ndarray:
         """All DOFs of surface nodes that carry no Dirichlet condition,
         ascending, read-only.
@@ -182,9 +197,7 @@ class GroundMesh:
         if dofs is None:
             nodes = self.boundary_node_ids()
             dofs = (self.dim * nodes[:, None] + np.arange(self.dim)[None, :]).ravel()
-            free = np.ones(self.n_dofs, dtype=bool)
-            free[np.fromiter(self.fixed_dofs, dtype=np.int64, count=len(self.fixed_dofs))] = False
-            dofs = dofs[free[dofs]]
+            dofs = dofs[~self.fixed_dof_mask()[dofs]]
             dofs.flags.writeable = False
             self._cache["free_surface_dofs"] = dofs
         return dofs

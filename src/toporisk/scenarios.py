@@ -101,10 +101,13 @@ class ScenarioMatrix:
 
     def loaded_block(self, rows=slice(None)) -> np.ndarray:
         """The n_loaded x L block of loads (its rows `rows` if given): `block`
-        itself in dense form, multiplied out of the factors otherwise."""
+        itself in dense form, multiplied out of the factors otherwise, by
+        scipy's dgemm (`_product`), bitwise numpy's `@` on the sampler's
+        factors. Factors whose product overflows give infinities and no
+        warning."""
         if self.block is not None:
             return self.block[rows]
-        return self.basis[rows] @ self.coefficients
+        return _product(self.basis[rows], self.coefficients)
 
 
 @dataclass(frozen=True)

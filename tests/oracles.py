@@ -9,6 +9,7 @@
   * filter_matrix       -- the CSR matrix of a filter's (rows, cols, weights)
   * element_quadratics  -- g_e = sum_i w_i u_e,i^T Ke u_e,i, element by element
   * untiled_form_gradient -- `fea.form_gradient` in one pass over a whole weighted copy
+  * stacked_blocked_solve -- the blocked sweep on copied inverses and a stack of couplings
   * separate_backward   -- the pipeline's pull-back with its chain factor formed apart
   * element_centroids   -- (n_elements, dim) element centroids of a mesh
   * scenario_column     -- one scenario of a ScenarioMatrix as a full n_dofs vector
@@ -20,19 +21,23 @@
 The five converters (`csr_arrays`, `filter_matrix`, `element_centroids`,
 `scenario_column`, `dense_scenarios`) only reshape data; the library has no
 such forms. Of the rest, all but `random_scenarios`, `untiled_form_gradient`,
-`separate_backward` and `product_filter` are deliberately written along a
-different code path than the library so agreement is evidence, not
-tautology. The other three are the other way round: the kernel's arithmetic
-without its tiles, the pull-back's chain factor formed from the
-intermediate densities after the forward pass through scipy's CSR
-products, and the filter normalized as sp.diags(1/s) @ A (the stored arrays
-`build_filter` keeps while it scales in place), which the library must
-match bit for bit. Test modules import them as `from oracles import ...`.
+`stacked_blocked_solve`, `separate_backward` and `product_filter` are
+deliberately written along a different code path than the library so
+agreement is evidence, not tautology. The other four are the other way
+round: the kernel's arithmetic without its tiles, the sweep's arithmetic
+on operators built whole (each inverse from f2py's own copy of its
+triangle, every coupling in one `np.tril` stack), the pull-back's chain
+factor formed from the intermediate densities after the forward pass
+through scipy's CSR products, and the filter normalized as
+sp.diags(1/s) @ A (the stored arrays `build_filter` keeps while it scales
+in place), which the library must match bit for bit. Test modules import them as `from oracles import ...`.
 """
 import math
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import blas, lapack
 from scipy.spatial import cKDTree
 
 import toporisk as tr
@@ -152,6 +157,44 @@ def untiled_form_gradient(mesh, Ke, Q, W):
         np.einsum("ki,ki->i", At[:, :n - d], Bt[:, d:], out=row[d:])
     coef = np.where(layout.rows == layout.cols, 1.0, 2.0) * Ke[layout.rows, layout.cols]
     return diagonals[layout.pairs] @ coef
+
+
+def stacked_blocked_solve(factor, block, rows):
+    """R^T R X = F in sweeps of u rows, as `StiffnessSystem._blocked_solve`,
+    on operators built whole before the sweep: the diagonal triangles
+    copied in the band view's column-major layout, each inverted by dtrtri
+    on f2py's copy of its transpose, and the couplings copied at once into
+    one `np.tril` stack."""
+    u, n = factor.shape[0] - 1, factor.shape[1]
+    band = factor.ravel(order="F")
+    item = band.itemsize
+
+    def blocks(i, j, count, shape=(u, u)):
+        return as_strided(band[u + i + u * j:], (count, *shape),
+                          (item * u * (u + 1), item, item * u), writeable=False)
+
+    n_full, tail = divmod(n, u)
+    diagonal = list(np.array(blocks(0, 0, n_full)))
+    coupling = list(np.tril(blocks(0, u, max(n_full - 1, 0))))
+    if tail:
+        i0 = n_full * u
+        diagonal.append(np.array(blocks(i0, i0, 1, (tail, tail))[0]))
+        if n_full:
+            coupling.append(np.tril(blocks(i0 - u, i0, 1, (u, tail))[0]))
+    inverse = [lapack.dtrtri(T.T, lower=1, overwrite_c=1)[0] for T in diagonal]
+    Z = np.zeros((n, block.shape[1]))
+    Z[rows] = block
+    W = [Z[i:i + u].T for i in range(0, n, u)]
+    for b in range(len(W)):
+        if b:
+            blas.dgemm(-1.0, W[b - 1], coupling[b - 1].T, beta=1.0, c=W[b],
+                       trans_b=1, overwrite_c=1)
+        blas.dtrmm(1.0, inverse[b], W[b], side=1, lower=1, trans_a=1, overwrite_b=1)
+    for b in reversed(range(len(W))):
+        if b + 1 < len(W):
+            blas.dgemm(-1.0, W[b + 1], coupling[b].T, beta=1.0, c=W[b], overwrite_c=1)
+        blas.dtrmm(1.0, inverse[b], W[b], side=1, lower=1, overwrite_b=1)
+    return Z
 
 
 def separate_backward(pipeline, design, penalty, beta, g):

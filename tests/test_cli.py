@@ -422,6 +422,22 @@ def test_overflowing_loads_exit_3(tmp_path, capsys, command, method):
     assert "not finite" in err and "Traceback" not in err
 
 
+def test_overflowing_factors_exit_3_on_the_naive_route(tmp_path, capsys, monkeypatch):
+    """Sampled factors of 1e200 whose product overflows: the naive model
+    multiplies them out with no RuntimeWarning (an error under the tests'
+    filter) and its first analysis exits 3."""
+    def sampler(mesh, L, seed):
+        dofs = mesh.free_surface_dofs()[-4:]
+        return tr.ScenarioMatrix(mesh.n_dofs, dofs, basis=np.full((4, 2), 1e200),
+                                 coefficients=np.full((2, L), 1e200))
+
+    monkeypatch.setattr("toporisk.config.sample_cantilever_scenarios", sampler)
+    config = write_config(tmp_path, method="naive")
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "not finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["run", "check-grad"])
 def test_seed_on_a_file_source_exits_2(tmp_path, capsys, command):
     loads = tmp_path / "loads.csv"

@@ -13,7 +13,8 @@ import toporisk as tr
 from toporisk import fea
 from toporisk.errors import NotPositiveDefiniteError
 
-from oracles import band_to_dense, dense_scenarios, dense_stiffness, untiled_form_gradient
+from oracles import (band_to_dense, dense_scenarios, dense_stiffness, stacked_blocked_solve,
+                     untiled_form_gradient)
 
 # local corner coordinates on [-1, 1]^dim, same order as element_node_ids
 CORNERS_2D = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
@@ -246,6 +247,44 @@ def test_shape_counts_are_exact_past_int64():
     assert peak == band + 8 * (3 * 10**21 * 300 + 2 * 3 * (n + 1)**3)
 
 
+@pytest.mark.parametrize("cells", [(80, 20), (16, 6, 6)])
+def test_analysis_bytes_counts_the_wide_sweeps_inverses(cells):
+    """From `_blocked_sweep_min_columns(u)` columns on (36 at u = 45, 57 at
+    u = 173), one more band: the blocked sweep's inverted triangles."""
+    mesh = tr.cantilever_mesh(len(cells), cells)
+    u = fea.half_bandwidth(mesh)
+    k = fea._blocked_sweep_min_columns(u)
+    assert k == {45: 36, 173: 57}[u]
+    band, narrow = fea.analysis_bytes(mesh, k - 1)
+    assert band == 8 * (u + 1) * mesh.n_dofs
+    assert narrow - fea.analysis_bytes(mesh, k - 2)[1] == 2 * 8 * mesh.n_dofs
+    assert fea.analysis_bytes(mesh, k)[1] - narrow == band + 2 * 8 * mesh.n_dofs
+
+
+def test_wide_solve_holds_one_band_of_operators(material):
+    """One 200-column solve on 80x20 allocates its n_dofs x k work block,
+    the inverted diagonal triangles (less than one band) and one u x u
+    coupling scratch, not a second band of copied operators."""
+    import tracemalloc
+
+    mesh = tr.cantilever_mesh(2, (80, 20))
+    Ke = tr.element_stiffness(mesh, material)
+    rho = np.random.default_rng(5).uniform(1e-3, 1.0, mesh.n_elements)
+    system = tr.StiffnessSystem.factorize(tr.assemble(mesh, Ke, rho))
+    u, n, k = fea.half_bandwidth(mesh), mesh.n_dofs, 200
+    F = np.random.default_rng(6).standard_normal((n, k))
+    every = np.arange(n)
+    system.solve(F, rows=every)  # any lazy set-up of the libraries happens here
+    tracemalloc.start()
+    try:
+        system.solve(F, rows=every)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    band, Z, scratch = 8 * (u + 1) * n, 8 * n * k, 8 * u * u
+    assert peak <= Z + band + scratch
+
+
 def test_solve_matches_dense_solve_on_3d(mesh_3d, material):
     Ke = tr.element_stiffness(mesh_3d, material)
     rho = np.random.default_rng(5).uniform(1e-3, 1.0, mesh_3d.n_elements)
@@ -271,9 +310,12 @@ def wide_columns(system):
     ((2, 1, 1), 36, 23),     # a block and a 13-row last block
     ((3, 2, 2), 108, 41),    # 2 blocks and a 26-row last block
 ])
-def test_wide_solve_matches_dense_solve(cells, n_dofs, width, material):
+def test_wide_solve_matches_dense_solve(cells, n_dofs, width, material, monkeypatch):
     """Blocks wide enough for the blocked sweep, against a dense solve, on
-    meshes whose DOF count is and is not a multiple of the half-bandwidth."""
+    meshes whose DOF count is and is not a multiple of the half-bandwidth,
+    and bit for bit against the sweep on operators built whole. Every
+    diagonal triangle is inverted in place, in the copy of the diagonal
+    blocks."""
     mesh = tr.cantilever_mesh(len(cells), cells)
     Ke = tr.element_stiffness(mesh, material)
     rho = np.random.default_rng(5).uniform(1e-3, 1.0, mesh.n_elements)
@@ -284,7 +326,19 @@ def test_wide_solve_matches_dense_solve(cells, n_dofs, width, material):
     F[sorted(mesh.fixed_dofs)] = 0.0
     before = F.copy()
     every = np.arange(n_dofs)
-    U = system.solve(F, rows=every)
+    in_place = []
+    dtrtri = fea.lapack.dtrtri
+
+    def spy(c, **kwargs):
+        inverse, info = dtrtri(c, **kwargs)
+        in_place.append(np.shares_memory(inverse, c))
+        return inverse, info
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fea.lapack, "dtrtri", spy)
+        U = system.solve(F, rows=every)
+    assert in_place == [True] * -(-n_dofs // width)  # one triangle per block of u rows
+    assert np.array_equal(U, stacked_blocked_solve(system._factor, F, every))
     assert np.array_equal(F, before)  # the right-hand side is not touched
     assert U.shape == (n_dofs, F.shape[1])
     expected = np.linalg.solve(dense_stiffness(mesh, Ke, rho), F)

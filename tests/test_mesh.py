@@ -140,6 +140,17 @@ def test_free_surface_dofs_are_cached_and_read_only(cells):
     assert mesh == tr.cantilever_mesh(len(cells), cells)
 
 
+@pytest.mark.parametrize("cells", [(4, 2), (3, 2, 2)])
+def test_fixed_dof_mask_is_cached_and_read_only(cells):
+    mesh = tr.cantilever_mesh(len(cells), cells)
+    mask = mesh.fixed_dof_mask()
+    assert mesh.fixed_dof_mask() is mask
+    assert mask.shape == (mesh.n_dofs,) and set(np.flatnonzero(mask)) == mesh.fixed_dofs
+    with pytest.raises(ValueError):
+        mask[0] = False
+    assert mesh == tr.cantilever_mesh(len(cells), cells)
+
+
 def test_element_centroids():
     mesh = tr.GroundMesh(dim=2, cells=(2, 1), element_size=0.5, fixed_dofs=frozenset())
     np.testing.assert_allclose(element_centroids(mesh),
