@@ -503,18 +503,20 @@ class StiffnessSystem:
         inverse, coupling = _sweep_operators(self._factor)
         Z = np.zeros((n, block.shape[1]))
         Z[rows] = block
-
-        def W(b):  # a view made per call: no list of n / u views is held
-            return Z[b * u:b * u + u].T
-
-        n_blocks = len(inverse)
-        for b in range(n_blocks):
+        # each W_b is viewed once per sweep, beside its neighbour's view:
+        # no list of n / u views is held
+        starts = range(0, n, u)
+        for b, i in enumerate(starts):
+            W = Z[i:i + u].T
             if b:
-                blas.dgemm(-1.0, W(b - 1), coupling(b - 1).T, beta=1.0, c=W(b),
+                blas.dgemm(-1.0, W_prev, coupling(b - 1).T, beta=1.0, c=W,
                            trans_b=1, overwrite_c=1)
-            blas.dtrmm(1.0, inverse[b], W(b), side=1, lower=1, trans_a=1, overwrite_b=1)
-        for b in reversed(range(n_blocks)):
-            if b + 1 < n_blocks:
-                blas.dgemm(-1.0, W(b + 1), coupling(b).T, beta=1.0, c=W(b), overwrite_c=1)
-            blas.dtrmm(1.0, inverse[b], W(b), side=1, lower=1, overwrite_b=1)
+            blas.dtrmm(1.0, inverse[b], W, side=1, lower=1, trans_a=1, overwrite_b=1)
+            W_prev = W
+        for b in reversed(range(len(starts))):
+            W = Z[starts[b]:starts[b] + u].T
+            if b + 1 < len(starts):
+                blas.dgemm(-1.0, W_next, coupling(b).T, beta=1.0, c=W, overwrite_c=1)
+            blas.dtrmm(1.0, inverse[b], W, side=1, lower=1, overwrite_b=1)
+            W_next = W
         return Z
