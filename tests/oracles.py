@@ -30,7 +30,8 @@ triangle, every coupling in one `np.tril` stack), the pull-back's chain
 factor formed from the intermediate densities after the forward pass
 through scipy's CSR products, and the filter normalized as
 sp.diags(1/s) @ A (the stored arrays `build_filter` keeps while it scales
-in place), which the library must match bit for bit. Test modules import them as `from oracles import ...`.
+in place), which the library must match bit for bit. Test modules import
+them as `from oracles import ...`.
 """
 import math
 
