@@ -7,7 +7,7 @@ and their weights live in `toporisk.compliance` (`mean`, `variance`,
 `std`, `mean_plus_m_std`) and `toporisk.auglag` (`phr`).
 """
 
-from .auglag import AugLagConfig, AugLagResult, auglag_minimize, projected_gradient_step
+from .auglag import AugLagConfig, auglag_minimize, projected_gradient_step
 from .compliance import (
     ComplianceStats,
     compliances_naive,
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fea import StiffnessSystem, assemble, element_stiffness
 from .mesh import GroundMesh, Material, cantilever_mesh
-from .mma import MMAConfig, MMAResult, mma_minimize
+from .mma import MMAConfig, mma_minimize
 from .pipeline import DensityField, DensityPipeline, build_filter, heaviside
 from .scenarios import (
     ScenarioMatrix,

@@ -210,13 +210,14 @@ class ForwardModel:
     (`fea.stiffness_scale`) scales it to the material's: the model factors
     the unit structure, and its systems carry the scale (`factorize`).
 
-    Scenarios that load a fixed DOF or load nothing at all (on the SVD
+    Loads on another structure (`scenarios.n_dofs` is not the mesh's;
+    checked first) or on a fixed DOF, loads that are all zero (on the SVD
     route, a thin SVD with S_1 = 0), a stiffness scale outside the float
-    range, and a model whose analysis would need more than the machine's
-    physical memory beside the loads it holds (`check_analysis_fits`: the
-    naive model's n_loaded x L values, checked before it forms them, or the
-    SVD model's `ScenarioMatrix.size`), raise `ConfigError` before any
-    assembly. Loads that are not finite, or whose thin SVD overflows, raise
+    range, and an analysis that would need more than physical memory
+    beside the loads the model holds (`check_analysis_fits`: the naive
+    model's n_loaded x L values, checked before it forms them, or the SVD
+    model's `ScenarioMatrix.size`) raise `ConfigError` before any assembly.
+    Loads that are not finite, or whose thin SVD overflows, raise
     `TopoRiskError`: the SVD model's at set-up (`thin_svd`), the naive
     model's from its first analysis (its compliances are not finite), so
     that set-up never scans the naive model's block.
@@ -225,6 +226,9 @@ class ForwardModel:
     def __init__(self, mesh: GroundMesh, material: Material,
                  pipeline: DensityPipeline, scenarios: ScenarioMatrix,
                  method: str = "svd"):
+        if scenarios.n_dofs != mesh.n_dofs:
+            raise ConfigError(f"scenario loads on {scenarios.n_dofs} DOFs, but the mesh has "
+                              f"{mesh.n_dofs}")
         if method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
         L = scenarios.n_scenarios

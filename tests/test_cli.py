@@ -320,6 +320,23 @@ def test_unusable_scenario_file_exits_2(tmp_path, capsys, command, content, mess
     assert "configuration error" in err and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "bench", "check-grad"])
+def test_scenario_file_too_large_to_read_exits_2_at_the_line_that_passes_memory(
+        tmp_path, capsys, monkeypatch, command):
+    """A mocked memory that holds 100 entries at `CSV_ENTRY_BYTES` each: the
+    reader stops at the 101st of 1000 entries, on line 102, before it holds
+    them all (their 1 x 1000 block alone would fit)."""
+    loads = tmp_path / "loads.csv"
+    loads.write_text("dof,scenario,value\n" + "".join(f"13,{i},1.0\n" for i in range(1000)))
+    monkeypatch.setattr("toporisk.scenarios.physical_memory_bytes",
+                        lambda: 100 * tr.scenarios.CSV_ENTRY_BYTES)
+    config = write_config(tmp_path, scenarios={"source": "file", "path": str(loads)})
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "loads.csv:102: the entries read" in err and "physical memory" in err
+    assert "Traceback" not in err
+
+
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     config = write_config(tmp_path)
     config.write_bytes(config.read_bytes().replace(b'"naive"', b'"na\xefve"'))

@@ -210,6 +210,27 @@ def test_forward_model_rejects_unknown_method():
         tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method="magic")
 
 
+@pytest.mark.parametrize("method", ["naive", "svd"])
+@pytest.mark.parametrize("cells,n_dofs", [((3, 3), 32), ((12, 3), 104)])
+def test_model_refuses_loads_of_another_mesh_before_any_gate(monkeypatch, method, cells, n_dofs):
+    """Loads sampled on a 3x3 or a 12x3 cantilever, on a 6x3 model (56
+    DOFs): the first would act on unrelated DOFs, the second index past
+    the mesh. Both are refused before the memory gate and assembly."""
+    def reached(name):
+        def fail(*args):
+            raise AssertionError(f"{name} reached")
+        return fail
+
+    monkeypatch.setattr(continuation, "check_analysis_fits", reached("the memory gate"))
+    monkeypatch.setattr(continuation, "assemble", reached("assembly"))
+    mesh = tr.cantilever_mesh(2, (6, 3))
+    pipeline = tr.DensityPipeline(mesh, 1.5, x_min=1e-3)
+    F = tr.sample_cantilever_scenarios(tr.cantilever_mesh(2, cells), 8, 0)
+    assert F.n_dofs == n_dofs
+    with pytest.raises(ConfigError, match=rf"loads on {n_dofs} DOFs, but the mesh has 56$"):
+        tr.ForwardModel(mesh, tr.Material(1.0, 0.3), pipeline, F, method=method)
+
+
 def test_model_larger_than_physical_memory_is_refused_before_assembly(monkeypatch):
     def assemble(*args):
         raise AssertionError("assembly reached")

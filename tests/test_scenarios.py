@@ -8,11 +8,12 @@ from toporisk.errors import ScenarioFormatError, TopoRiskError
 from oracles import dense_scenarios, dict_sampled_scenarios, random_scenarios, scenario_column
 
 
-def unit_multipliers(row, L):
-    """Multiplier block that selects a single basis term with weight 1."""
-    s = np.zeros((10, L))
-    s[row] = 1.0
-    return s
+def basis_load(F, k):
+    """Basis load k of a sampled F (the scenario its k-th multiplier alone
+    weights by 1) as a full n_dofs vector."""
+    f = np.zeros(F.n_dofs)
+    f[F.dofs] = F.basis[:, k]
+    return f
 
 
 def test_scenario_matrix_validation():
@@ -65,39 +66,29 @@ def test_column_and_to_dense_agree():
 def test_point_load_positions_2d():
     """First basis term alone reproduces the end load at the half-height node."""
     mesh = tr.cantilever_mesh(2, (8, 4))
-    L = 3
-    F = tr.sample_cantilever_scenarios(mesh, L, seed=0,
-                                       multipliers=unit_multipliers(0, L))
-    f = scenario_column(F, 0)
+    f = basis_load(tr.sample_cantilever_scenarios(mesh, 3, seed=0), 0)
     node = mesh.node_id(8, 2)
     assert f[2 * node] == 0.0
     assert f[2 * node + 1] == -1.0
     assert np.count_nonzero(f) == 1
-    # all three scenarios identical under constant multipliers
-    np.testing.assert_array_equal(scenario_column(F, 1), f)
 
 
 def test_point_load_positions_2d_oblique():
     mesh = tr.cantilever_mesh(2, (8, 4))
     c = 1.0 / np.sqrt(2.0)
-    F2 = tr.sample_cantilever_scenarios(mesh, 1, seed=0,
-                                        multipliers=unit_multipliers(1, 1))
+    F = tr.sample_cantilever_scenarios(mesh, 1, seed=0)
     node = mesh.node_id(4, 4)  # top face, half length
-    f = scenario_column(F2, 0)
+    f = basis_load(F, 1)
     assert f[2 * node] == c and f[2 * node + 1] == -c
 
-    F3 = tr.sample_cantilever_scenarios(mesh, 1, seed=0,
-                                        multipliers=unit_multipliers(2, 1))
     node = mesh.node_id(6, 0)  # bottom face, three-quarter length
-    f = scenario_column(F3, 0)
+    f = basis_load(F, 2)
     assert f[2 * node] == -c and f[2 * node + 1] == -c
 
 
 def test_point_load_positions_3d():
     mesh = tr.cantilever_mesh(3, (6, 2, 2))
-    F = tr.sample_cantilever_scenarios(mesh, 1, seed=0,
-                                       multipliers=unit_multipliers(0, 1))
-    f = scenario_column(F, 0)
+    f = basis_load(tr.sample_cantilever_scenarios(mesh, 1, seed=0), 0)
     node = mesh.node_id(6, 1, 1)
     assert f[3 * node + 1] == -1.0
     assert np.count_nonzero(f) == 1
@@ -105,9 +96,7 @@ def test_point_load_positions_3d():
 
 def test_random_basis_lives_on_free_surface():
     mesh = tr.cantilever_mesh(2, (8, 4))
-    F = tr.sample_cantilever_scenarios(mesh, 1, seed=3,
-                                       multipliers=unit_multipliers(5, 1))
-    f = scenario_column(F, 0)
+    f = basis_load(tr.sample_cantilever_scenarios(mesh, 1, seed=3), 5)
     surface = set(mesh.free_surface_dofs())
     nonzero = set(np.nonzero(f)[0])
     assert nonzero  # the rattle vector is dense on the surface
@@ -337,11 +326,45 @@ def test_csv_round_trip_of_a_factored_sample(tmp_path):
     np.testing.assert_array_equal(dense_scenarios(G), dense_scenarios(F))
 
 
+def test_csv_read_in_any_line_order_is_bitwise(tmp_path, mesh_6x3):
+    """Entries in shuffled order, with blank lines between them, scatter
+    into the same block as the sorted file."""
+    F = random_scenarios(mesh_6x3, L=7, rank=3, seed=9)
+    path = tmp_path / "scenarios.csv"
+    tr.save_scenarios_to_file(F, path)
+    header, *entries = path.read_text().splitlines()
+    order = np.random.default_rng(2).permutation(len(entries))
+    path.write_text("\n".join([header] + [entries[i] + "\n" for i in order]))
+    G = tr.load_scenarios_from_file(path, n_dofs=mesh_6x3.n_dofs)
+    np.testing.assert_array_equal(G.dofs, F.dofs)
+    np.testing.assert_array_equal(G.block, F.block)
+
+
+def test_csv_read_peak_memory_stays_within_its_gate(tmp_path):
+    """tracemalloc's peak while reading 9,600 entries stays within what the
+    reader's memory gate counts: `CSV_ENTRY_BYTES` per entry beside the
+    dense block (a reader that kept every row in Python lists and dicts
+    peaked at about 390 bytes per entry here)."""
+    import tracemalloc
+
+    mesh = tr.cantilever_mesh(2, (10, 5))
+    path = tmp_path / "scenarios.csv"
+    tr.save_scenarios_to_file(tr.sample_cantilever_scenarios(mesh, 200, seed=0), path)
+    tracemalloc.start()
+    try:
+        F = tr.load_scenarios_from_file(path, n_dofs=mesh.n_dofs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(F.block) == F.block.size == 9600
+    assert peak <= tr.scenarios.CSV_ENTRY_BYTES * F.block.size + F.block.nbytes
+
+
 def test_csv_load_rejects_malformed(tmp_path):
     def load(text):
         p = tmp_path / "bad.csv"
         p.write_text(text)
-        return tr.load_scenarios_from_file(p)
+        return tr.load_scenarios_from_file(p, n_dofs=8)
 
     with pytest.raises(ScenarioFormatError):
         load("")
@@ -365,24 +388,38 @@ def test_csv_load_reports_line_numbers(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("dof,scenario,value\n0,0,1.0\n1,0,oops\n")
     with pytest.raises(ScenarioFormatError, match=r"bad\.csv:3"):
-        tr.load_scenarios_from_file(p)
+        tr.load_scenarios_from_file(p, n_dofs=8)
+
+
+def test_csv_reports_bad_lines_before_duplicates_and_the_first_repeat_by_line(tmp_path):
+    """Each line is checked as it is read and repeated entries after the
+    pass: a bad field after a duplicate is what the reader reports. Of two
+    duplicates, the one on the earlier line is reported, though the other
+    repeats an entry that sorts first."""
+    p = tmp_path / "f.csv"
+    p.write_text("dof,scenario,value\n3,0,1.0\n3,0,2.0\n5,1,oops\n")
+    with pytest.raises(ScenarioFormatError, match=r"f\.csv:4: could not convert"):
+        tr.load_scenarios_from_file(p, n_dofs=8)
+    p.write_text("dof,scenario,value\n3,0,1.0\n5,1,2.0\n\n3,1,0.5\n5,1,3.0\n3,0,4.0\n")
+    with pytest.raises(ScenarioFormatError,
+                       match=r"f\.csv:6: duplicate entry for dof 5, scenario 1$"):
+        tr.load_scenarios_from_file(p, n_dofs=8)
 
 
 def test_csv_blank_rows_are_skipped(tmp_path):
     p = tmp_path / "f.csv"
     p.write_text("dof,scenario,value\n\n7,0,1.5\n\n3,1,-2.0\n\n")
-    F = tr.load_scenarios_from_file(p)
+    F = tr.load_scenarios_from_file(p, n_dofs=8)
     np.testing.assert_array_equal(F.dofs, [3, 7])
     np.testing.assert_array_equal(F.block, [[0.0, -2.0], [1.5, 0.0]])
     p.write_text("dof,scenario,value\n\n7,0,1.5\n1,0,oops\n")
     with pytest.raises(ScenarioFormatError, match=r"f\.csv:4"):  # blank rows keep their numbers
-        tr.load_scenarios_from_file(p)
+        tr.load_scenarios_from_file(p, n_dofs=8)
 
 
 def test_csv_n_dofs_validation(tmp_path):
     p = tmp_path / "f.csv"
     p.write_text("dof,scenario,value\n7,0,1.5\n")
-    F = tr.load_scenarios_from_file(p)
-    assert F.n_dofs == 8  # inferred: largest index + 1
+    assert tr.load_scenarios_from_file(p, n_dofs=8).n_dofs == 8
     with pytest.raises(ScenarioFormatError):
         tr.load_scenarios_from_file(p, n_dofs=7)
