@@ -343,8 +343,8 @@ def test_csv_read_in_any_line_order_is_bitwise(tmp_path, mesh_6x3):
 def test_csv_read_peak_memory_stays_within_its_gate(tmp_path):
     """tracemalloc's peak while reading 9,600 entries stays within what the
     reader's memory gate counts: `CSV_ENTRY_BYTES` per entry beside the
-    dense block (a reader that kept every row in Python lists and dicts
-    peaked at about 390 bytes per entry here)."""
+    dense block. Holding each row as Python objects would take several
+    hundred bytes per entry."""
     import tracemalloc
 
     mesh = tr.cantilever_mesh(2, (10, 5))
